@@ -16,7 +16,7 @@ helper so reruns are byte identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -40,17 +40,7 @@ from .special_fn import (
     lerch_phi,
     s_prime,
 )
-from .verify import SUITE_NAMES, run_suite
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    target: str
-    output_format: str = "text"
-    tolerance: Optional[float] = None
-    workers: int = 1
-    params: Dict[str, object] = dataclasses.field(default_factory=dict)
+from .verify import SUITE_NAMES, ordered_map, run_suite
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -130,29 +120,27 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--form", type=str, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity at a point")
-    p_eval.add_argument(
-        "target",
-        choices=("phi", "phitilde", "psi", "phida", "zeta", "lerch", "sprime", "integral"),
-    )
+    p_eval.add_argument("target", choices=tuple(_TARGETS) + ("integral",))
     common(p_eval)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("target", choices=("all",) + SUITE_NAMES)
     common(p_verify)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_table = sub.add_parser("table", help="evaluate over a parameter grid")
-    p_table.add_argument(
-        "target", choices=("phi", "phitilde", "psi", "phida", "zeta", "lerch", "sprime")
-    )
+    p_table.add_argument("target", choices=tuple(_TARGETS))
     common(p_table)
+    p_table.set_defaults(run=cmd_table)
 
     p_coeffs = sub.add_parser("coeffs", help="print the coefficient triangle")
     common(p_coeffs)
-    p_coeffs.set_defaults(target="coeffs")
+    p_coeffs.set_defaults(run=cmd_coeffs)
 
     p_err = sub.add_parser("errata", help="reproduce catalogued discrepancies")
     common(p_err)
-    p_err.set_defaults(target="errata")
+    p_err.set_defaults(run=cmd_errata)
 
     return ap
 
@@ -169,46 +157,31 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
     return 1
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: Dict[str, object] = {}
-    for flag in _PARAM_FLAGS + ("part", "form"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[flag] = val
-    return RunConfig(
-        command=args.command,
-        target=args.target,
-        output_format=args.format,
-        tolerance=args.tol,
-        workers=_resolve_workers(args.workers),
-        params=params,
-    )
-
-
-def _need(cfg: RunConfig, *names: str) -> List[float]:
-    out = []
-    for nm in names:
-        raw = cfg.params.get(nm)
-        if raw is None:
-            raise DomainError("eval %s requires --%s" % (cfg.target, nm))
-        vals = _parse_range(str(raw), nm)
-        if len(vals) != 1:
-            raise DomainError("eval takes single values, got a range for --%s" % nm)
-        out.append(vals[0])
-    return out
-
-
-def _order_param(cfg: RunConfig) -> float:
-    # phi family order may be spelled --alpha or --n
-    raw = cfg.params.get("alpha")
+def _single(args: argparse.Namespace, name: str) -> Optional[float]:
+    """The one value given as --name, or None when the flag is absent."""
+    raw = getattr(args, name)
     if raw is None:
-        raw = cfg.params.get("n")
-    if raw is None:
-        raise DomainError("eval %s requires --alpha (or --n)" % cfg.target)
-    vals = _parse_range(str(raw), "alpha")
+        return None
+    vals = _parse_range(raw, name)
     if len(vals) != 1:
-        raise DomainError("eval takes single values, got a range")
+        raise DomainError("%s takes single values, got a range for --%s" % (args.command, name))
     return vals[0]
+
+
+def _flag(args: argparse.Namespace, axis: str) -> str:
+    """The flag that gives one axis of a target.
+
+    The order of a series target is its "n" or "alpha" axis, and either
+    spelling gives it; giving both is an error.
+    """
+    names = ("alpha", "n") if axis in ("alpha", "n") else (axis,)
+    given = [nm for nm in names if getattr(args, nm) is not None]
+    if len(given) > 1:
+        raise DomainError("%s %s takes --alpha or --n, not both" % (args.command, args.target))
+    if not given:
+        want = "--alpha (or --n)" if len(names) > 1 else "--" + axis
+        raise DomainError("%s %s requires %s" % (args.command, args.target, want))
+    return given[0]
 
 
 def _wrap(value: float, rel_bound: float, method: str) -> EvalResult:
@@ -220,58 +193,59 @@ def _wrap(value: float, rel_bound: float, method: str) -> EvalResult:
     )
 
 
-def _eval_point(target: str, cfg: RunConfig) -> EvalResult:
-    if target == "phi":
-        a, b = _need(cfg, "a", "b")
-        return eval_phi(a, b, _order_param(cfg))
-    if target == "phitilde":
-        a, b = _need(cfg, "a", "b")
-        return eval_phi_tilde(a, b, _order_param(cfg))
-    if target == "psi":
-        a, b, beta = _need(cfg, "a", "b", "beta")
-        return eval_psi_general(SeriesParams(a=a, b=b, beta=beta, alpha=_order_param(cfg)))
-    if target == "phida":
-        a, b = _need(cfg, "a", "b")
-        n = _order_param(cfg)
-        if n != int(n) or n < 0:
-            raise DomainError("phida needs a non-negative integer order")
-        return eval_phi_da_direct(a, b, int(n))
-    if target == "zeta":
-        s, q = _need(cfg, "s", "q")
-        return _wrap(hurwitz_zeta(s, q), 4e-15, "closed-form")
-    if target == "lerch":
-        beta, s, q = _need(cfg, "beta", "s", "q")
-        return _wrap(lerch_phi(beta, s, q), 1e-13, "direct")
-    if target == "sprime":
-        (r,) = _need(cfg, "r")
-        if r != int(r) or r < 1:
-            raise DomainError("sprime needs a positive integer index")
-        return _wrap(s_prime(int(r)), 4e-15, "closed-form")
-    if target == "integral":
-        form = cfg.params.get("form")
-        if form is None:
-            raise DomainError("eval integral requires --form (one of F1..F12)")
-        ip: Dict[str, object] = {}
-        for nm in ("a", "b", "beta", "alpha", "n", "w", "v", "mu"):
-            raw = cfg.params.get(nm)
-            if raw is not None:
-                ip[nm] = _parse_range(str(raw), nm)[0]
-        if "n" in ip:
-            ip["n"] = int(ip["n"])
-        part = cfg.params.get("part")
-        if part is not None:
-            ip["part"] = str(part)
-        return oracle_value(IntegralSpec(form=str(form), params=ip))
-    raise DomainError("unknown eval target %r" % target)
+def _phida(a: float, b: float, n: float) -> EvalResult:
+    if n != int(n) or n < 0:
+        raise DomainError("phida needs a non-negative integer order")
+    return eval_phi_da_direct(a, b, int(n))
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    res = _eval_point(cfg.target, cfg)
-    if cfg.output_format == "jsonl":
+def _sprime(r: float) -> EvalResult:
+    if r != int(r) or r < 1:
+        raise DomainError("sprime needs a positive integer index")
+    return _wrap(s_prime(int(r)), 4e-15, "closed-form")
+
+
+# target -> (parameter axes, evaluator at one point), shared by eval and table.
+# The evaluators look the package functions up when called, not when this
+# table is built, so a function rebound on its module is the one called.
+_TARGETS = {
+    "phi": (("a", "b", "n"), lambda a, b, n: eval_phi(a, b, n)),
+    "phitilde": (("a", "b", "n"), lambda a, b, n: eval_phi_tilde(a, b, n)),
+    "psi": (("a", "b", "beta", "alpha"),
+            lambda a, b, beta, alpha: eval_psi_general(SeriesParams(a=a, b=b, beta=beta, alpha=alpha))),
+    "phida": (("a", "b", "n"), _phida),
+    "zeta": (("s", "q"), lambda s, q: _wrap(hurwitz_zeta(s, q), 4e-15, "closed-form")),
+    "lerch": (("beta", "s", "q"), lambda beta, s, q: _wrap(lerch_phi(beta, s, q), 1e-13, "direct")),
+    "sprime": (("r",), _sprime),
+}
+
+
+def _eval_integral(args: argparse.Namespace) -> EvalResult:
+    if args.form is None:
+        raise DomainError("eval integral requires --form (one of F1..F12)")
+    ip: Dict[str, object] = {}
+    for nm in ("a", "b", "beta", "alpha", "n", "w", "v", "mu"):
+        raw = getattr(args, nm)
+        if raw is not None:
+            ip[nm] = _parse_range(raw, nm)[0]
+    if "n" in ip:
+        ip["n"] = int(ip["n"])
+    if args.part is not None:
+        ip["part"] = args.part
+    return oracle_value(IntegralSpec(form=args.form, params=ip))
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    if args.target == "integral":
+        res = _eval_integral(args)
+    else:
+        axes, evaluate = _TARGETS[args.target]
+        res = evaluate(*(_single(args, _flag(args, axis)) for axis in axes))
+    if args.format == "jsonl":
         print(
             json.dumps(
                 {
-                    "target": cfg.target,
+                    "target": args.target,
                     "value": res.value,
                     "abs_error_bound": res.abs_error_bound,
                     "terms_used": res.terms_used,
@@ -280,11 +254,11 @@ def cmd_eval(cfg: RunConfig) -> int:
                 sort_keys=True,
             )
         )
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("target,value,abs_error_bound,terms_used,method")
         print(
             "%s,%s,%s,%d,%s"
-            % (cfg.target, _fmt_full(res.value), _fmt_full(res.abs_error_bound), res.terms_used, res.method)
+            % (args.target, _fmt_full(res.value), _fmt_full(res.abs_error_bound), res.terms_used, res.method)
         )
     else:
         print("value        %s" % _fmt(res.value, 8))
@@ -359,108 +333,60 @@ def _emit_records(records: Sequence[VerificationRecord], fmt: str) -> Tuple[int,
     return npass, nfail
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    records = run_suite(cfg.target, tol=cfg.tolerance, workers=cfg.workers)
-    _, nfail = _emit_records(records, cfg.output_format)
+def cmd_verify(args: argparse.Namespace) -> int:
+    records = run_suite(args.target, tol=args.tol, workers=args.workers)
+    _, nfail = _emit_records(records, args.format)
     return 1 if nfail else 0
 
 
-_TABLE_AXES: Dict[str, Tuple[str, ...]] = {
-    "phi": ("a", "b", "n"),
-    "phitilde": ("a", "b", "n"),
-    "psi": ("a", "b", "beta", "alpha"),
-    "phida": ("a", "b", "n"),
-    "zeta": ("s", "q"),
-    "lerch": ("beta", "s", "q"),
-    "sprime": ("r",),
-}
-
-
-def _table_cell(target: str, point: Dict[str, float]) -> Tuple[str, float]:
+def _table_task(item: Tuple[int, str, Tuple[float, ...]]) -> Tuple[int, str, float]:
+    ordinal, target, point = item
     try:
-        if target == "phi":
-            res = eval_phi(point["a"], point["b"], point["n"])
-        elif target == "phitilde":
-            res = eval_phi_tilde(point["a"], point["b"], point["n"])
-        elif target == "psi":
-            res = eval_psi_general(SeriesParams(a=point["a"], b=point["b"], beta=point["beta"], alpha=point["alpha"]))
-        elif target == "phida":
-            res = eval_phi_da_direct(point["a"], point["b"], int(point["n"]))
-        elif target == "zeta":
-            return "ok", hurwitz_zeta(point["s"], point["q"])
-        elif target == "lerch":
-            return "ok", lerch_phi(point["beta"], point["s"], point["q"])
-        elif target == "sprime":
-            return "ok", s_prime(int(point["r"]))
-        else:
-            raise DomainError("unknown table target %r" % target)
-        return "ok", res.value
+        return ordinal, "ok", _TARGETS[target][1](*point).value
     except DivergenceError:
-        return "divergent", float("nan")
+        return ordinal, "divergent", float("nan")
 
 
-def _table_task(item: Tuple[int, str, Tuple[Tuple[str, float], ...]]):
-    ordinal, target, kv = item
-    status, value = _table_cell(target, dict(kv))
-    return ordinal, status, value
-
-
-def cmd_table(cfg: RunConfig) -> int:
-    axes = _TABLE_AXES[cfg.target]
-    grids: List[List[float]] = []
-    for nm in axes:
-        raw = cfg.params.get(nm)
-        if raw is None and nm == "n":
-            raw = cfg.params.get("alpha")
-        if raw is None:
-            raise DomainError("table %s requires --%s" % (cfg.target, nm))
-        grids.append(_parse_range(str(raw), nm))
-
-    points: List[Tuple[Tuple[str, float], ...]] = [()]
-    for nm, grid in zip(axes, grids):
-        points = [pt + ((nm, v),) for pt in points for v in grid]
-
-    tasks = [(i, cfg.target, pt) for i, pt in enumerate(points)]
-    if cfg.workers > 1 and len(tasks) > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(_table_task, tasks, chunksize=4))
-    else:
-        raw = [_table_task(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
+def cmd_table(args: argparse.Namespace) -> int:
+    axes = _TARGETS[args.target][0]
+    grids = []
+    for axis in axes:
+        nm = _flag(args, axis)
+        grids.append(_parse_range(getattr(args, nm), nm))
+    points = list(itertools.product(*grids))
+    tasks = [(i, args.target, pt) for i, pt in enumerate(points)]
+    raw = ordered_map(_table_task, tasks, args.workers)
 
     header = list(axes) + ["value", "status"]
-    if cfg.output_format == "jsonl":
-        for (ordinal, status, value), pt in zip(raw, points):
-            row = {nm: v for nm, v in pt}
+    if args.format == "jsonl":
+        for (_, status, value), pt in zip(raw, points):
+            row = dict(zip(axes, pt))
             row["value"] = None if value != value else value
             row["status"] = status
             print(json.dumps(row, sort_keys=True))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print(",".join(header))
-        for (ordinal, status, value), pt in zip(raw, points):
-            cells = [_fmt_full(v) for _, v in pt]
+        for (_, status, value), pt in zip(raw, points):
+            cells = [_fmt_full(v) for v in pt]
             cells.append("" if value != value else _fmt_full(value))
             cells.append(status)
             print(",".join(cells))
     else:
         print("  ".join("%-10s" % h for h in header))
-        for (ordinal, status, value), pt in zip(raw, points):
-            cells = ["%-10s" % _fmt(v, 6) for _, v in pt]
+        for (_, status, value), pt in zip(raw, points):
+            cells = ["%-10s" % _fmt(v, 6) for v in pt]
             cells.append("%-10s" % ("" if value != value else _fmt(value, 7)))
             cells.append(status)
             print("  ".join(cells))
     return 0
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    p = _need_one(cfg, "p", default=None)
-    b = _need_one(cfg, "b", default=None)
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    p = _single(args, "p")
+    b = _single(args, "b")
     if p is None or b is None:
         raise DomainError("coeffs requires --p and --b")
-    m_raw = cfg.params.get("m")
-    depth = int(_parse_range(str(m_raw), "m")[0]) if m_raw is not None else 4
+    depth = int(_parse_range(args.m, "m")[0]) if args.m is not None else 4
     if depth < 1:
         raise DomainError("coeffs needs --m >= 1")
     tri = build_triangle(p, b, depth)
@@ -471,19 +397,8 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     return 0
 
 
-def _need_one(cfg: RunConfig, name: str, default=None):
-    raw = cfg.params.get(name)
-    if raw is None:
-        return default
-    vals = _parse_range(str(raw), name)
-    if len(vals) != 1:
-        raise DomainError("--%s takes a single value here" % name)
-    return vals[0]
-
-
-def cmd_errata(cfg: RunConfig) -> int:
-    rows: List[VerificationRecord] = []
-    if cfg.output_format == "text":
+def cmd_errata(args: argparse.Namespace) -> int:
+    if args.format == "text":
         for entry, printed, corrected in reproduce_all():
             print("%s" % entry.key)
             print("  printed:   %s" % entry.printed)
@@ -500,10 +415,8 @@ def cmd_errata(cfg: RunConfig) -> int:
                 )
             )
         return 0
-    for entry, printed, corrected in reproduce_all():
-        rows.append(printed)
-        rows.append(corrected)
-    _emit_records(rows, cfg.output_format)
+    rows = [rec for _, printed, corrected in reproduce_all() for rec in (printed, corrected)]
+    _emit_records(rows, args.format)
     return 0
 
 
@@ -511,18 +424,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "eval":
-            return cmd_eval(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "table":
-            return cmd_table(cfg)
-        if cfg.command == "coeffs":
-            return cmd_coeffs(cfg)
-        if cfg.command == "errata":
-            return cmd_errata(cfg)
-        raise DomainError("unknown command %r" % cfg.command)
+        args.workers = _resolve_workers(args.workers)
+        return args.run(args)
     except (DomainError, DivergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

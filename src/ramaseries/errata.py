@@ -46,8 +46,11 @@ class ErrataEntry:
         return self._repro()
 
 
-def _rec(key: str, which: str, claim: float, oracle: float, tol: float) -> VerificationRecord:
-    return make_record(f"errata {key} {which}", claim, oracle, tol)
+def _pair(key: str, printed: float, corrected: float, oracle: float,
+          tol: float) -> Tuple[VerificationRecord, VerificationRecord]:
+    """The printed and the corrected reading, each against the same oracle."""
+    return (make_record(f"errata {key} printed", printed, oracle, tol),
+            make_record(f"errata {key} corrected", corrected, oracle, tol))
 
 
 def _repro_2_9() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -56,8 +59,7 @@ def _repro_2_9() -> Tuple[VerificationRecord, VerificationRecord]:
     orc = integrate_decay(lambda x: (1.0 + math.exp(-x)) ** 2 * math.exp(-x), 1.0).value
     printed = 1.0 + 2.0 / 2.0 - 1.0 / 3.0
     corrected = eval_phi_tilde(2.0, 1.0, 0.0).value
-    return (_rec("(2.9)", "printed", printed, orc, 1e-9),
-            _rec("(2.9)", "corrected", corrected, orc, 1e-9))
+    return _pair("(2.9)", printed, corrected, orc, 1e-9)
 
 
 def _abel(form: str, a: int, wv: float, alpha: float) -> float:
@@ -78,24 +80,21 @@ def _repro_2_13b() -> Tuple[VerificationRecord, VerificationRecord]:
     orc = _abel("F8", 2, 3.0, 0.0)
     printed = _conjugate_chain_sin(2, 3.0, 0.0)[1]
     corrected = identities.trig_lambda(2, 3.0, 0.0).lambda_s
-    return (_rec("(2.13b)", "printed", printed, orc, 1e-3),
-            _rec("(2.13b)", "corrected", corrected, orc, 1e-3))
+    return _pair("(2.13b)", printed, corrected, orc, 1e-3)
 
 
 def _repro_2_17() -> Tuple[VerificationRecord, VerificationRecord]:
     orc = _abel("F7", 1, 2.0, 0.0)
     printed = _conjugate_chain_sin(1, 2.0, 0.0)[0]
     corrected = identities.trig_lambda(1, 2.0, 0.0).lambda_c
-    return (_rec("(2.17)", "printed", printed, orc, 1e-3),
-            _rec("(2.17)", "corrected", corrected, orc, 1e-3))
+    return _pair("(2.17)", printed, corrected, orc, 1e-3)
 
 
 def _repro_2_18() -> Tuple[VerificationRecord, VerificationRecord]:
     orc = _abel("F8", 1, 2.0, 1.0)
     printed = _conjugate_chain_sin(1, 2.0, 1.0)[1]
     corrected = identities.trig_lambda(1, 2.0, 1.0).lambda_s
-    return (_rec("(2.18)", "printed", printed, orc, 1e-3),
-            _rec("(2.18)", "corrected", corrected, orc, 1e-3))
+    return _pair("(2.18)", printed, corrected, orc, 1e-3)
 
 
 def _repro_3_4() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -109,8 +108,7 @@ def _repro_3_4() -> Tuple[VerificationRecord, VerificationRecord]:
     prev = [b, -p]
     self_ref_first = b * prev[0]
     printed = -p * self_ref_first + (b + 1.0) * prev[1]
-    return (_rec("(3.4)", "printed", printed, target, 1e-12),
-            _rec("(3.4)", "corrected", corrected, target, 1e-12))
+    return _pair("(3.4)", printed, corrected, target, 1e-12)
 
 
 def _phi_quad(a: float, b: float, alpha: float) -> float:
@@ -131,8 +129,7 @@ def _repro_4_4() -> Tuple[VerificationRecord, VerificationRecord]:
     printed = _zeta_combo_4_4(1.0, 1.0, halved=False)
     corrected = _zeta_combo_4_4(1.0, 1.0, halved=True)
     tol = 1e-7 * max(1.0, abs(orc))
-    return (_rec("(4.4)", "printed", printed, orc, tol),
-            _rec("(4.4)", "corrected", corrected, orc, tol))
+    return _pair("(4.4)", printed, corrected, orc, tol)
 
 
 def _repro_4_5() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -145,8 +142,7 @@ def _repro_4_5() -> Tuple[VerificationRecord, VerificationRecord]:
     corrected = 0.25 * inst1 + 0.5 * inst2
     printed = 0.25 * inst1 + 1.5 * inst2
     tol = 1e-7 * max(1.0, abs(rhs))
-    return (_rec("(4.5)", "printed", printed, rhs, tol),
-            _rec("(4.5)", "corrected", corrected, rhs, tol))
+    return _pair("(4.5)", printed, corrected, rhs, tol)
 
 
 def _repro_x3() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -160,8 +156,7 @@ def _repro_x3() -> Tuple[VerificationRecord, VerificationRecord]:
     printed = phi0 * (5.0 * math.pi ** 3 + 48.0 * g2 + 128.0 * g3)
     corrected = phi0 * (math.pi ** 3 + 48.0 * math.pi * g2 + 128.0 * g3)
     tol = 1e-7 * max(1.0, abs(orc))
-    return (_rec("x3-example", "printed", printed, orc, tol),
-            _rec("x3-example", "corrected", corrected, orc, tol))
+    return _pair("x3-example", printed, corrected, orc, tol)
 
 
 def _repro_5_7() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -177,8 +172,7 @@ def _repro_5_7() -> Tuple[VerificationRecord, VerificationRecord]:
     orc = total + 1.0 / (2.0 * 59999.0 ** 2)
     printed = identities.phi_da_closed(0.0, 1.0, 1)
     corrected = identities.inverse_factor_sum(1.0, 2)
-    return (_rec("(5.7)", "printed", printed, orc, 1e-9),
-            _rec("(5.7)", "corrected", corrected, orc, 1e-9))
+    return _pair("(5.7)", printed, corrected, orc, 1e-9)
 
 
 def _repro_log_log() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -187,8 +181,7 @@ def _repro_log_log() -> Tuple[VerificationRecord, VerificationRecord]:
     printed = identities.phi_da_closed(-0.5, 0.25, 1)
     corrected = -printed
     tol = 1e-6 * max(1.0, abs(orc))
-    return (_rec("log-log-example", "printed", printed, orc, tol),
-            _rec("log-log-example", "corrected", corrected, orc, tol))
+    return _pair("log-log-example", printed, corrected, orc, tol)
 
 
 def _repro_lerch() -> Tuple[VerificationRecord, VerificationRecord]:
@@ -197,8 +190,7 @@ def _repro_lerch() -> Tuple[VerificationRecord, VerificationRecord]:
     orc = eval_psi_general(SeriesParams(a=-1.0, b=1.0, beta=0.5, alpha=0.0)).value
     printed = lerch_phi(0.5, 1.0, 1.0)
     corrected = lerch_phi(-0.5, 1.0, 1.0)
-    return (_rec("lerch-reduction", "printed", printed, orc, 1e-10),
-            _rec("lerch-reduction", "corrected", corrected, orc, 1e-10))
+    return _pair("lerch-reduction", printed, corrected, orc, 1e-10)
 
 
 def two_sided_closed(b: float, beta: float) -> float:
@@ -227,8 +219,7 @@ def _repro_two_sided() -> Tuple[VerificationRecord, VerificationRecord]:
     printed = math.pi ** 3 / (1.0 - beta) / s * (2.0 - s * s)
     corrected = two_sided_closed(b, beta)
     tol = 1e-6 * max(1.0, abs(orc))
-    return (_rec("two-sided", "printed", printed, orc, tol),
-            _rec("two-sided", "corrected", corrected, orc, tol))
+    return _pair("two-sided", printed, corrected, orc, tol)
 
 
 ENTRIES: Tuple[ErrataEntry, ...] = (

@@ -189,26 +189,20 @@ def integrate_two_sided(
 # Abel-regularized oscillatory route
 
 
-def _gl_panel_grid(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, wi = np.polynomial.legendre.leggauss(24)
-    k = np.arange(n_panels)[:, None]
-    mid = (k + 0.5) * np.pi
-    half = 0.5 * np.pi
-    x = (mid + half * xi[None, :]).ravel()
-    w = np.broadcast_to(half * wi[None, :], (n_panels, xi.size)).ravel().copy()
-    return x, w
-
-
-def _ts_panel_grid(n_panels: int, h: float = 2.0 ** -4) -> tuple[np.ndarray, np.ndarray]:
-    # tanh-sinh inside each panel: absorbs the log singularities that
-    # log|sin x| integrands carry at every panel edge
+def _ts_rule(h: float = 2.0 ** -4) -> tuple[np.ndarray, np.ndarray]:
+    # tanh-sinh on (-1, 1): absorbs the log singularities that log|sin x|
+    # integrands carry at every panel edge
     j = np.arange(-int(6.1 / h), int(6.1 / h) + 1)
     t = j * h
     u = 0.5 * np.pi * np.sinh(t)
     xi = np.tanh(u)
     wi = h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
     keep = 1.0 - np.abs(xi) > 1e-17
-    xi, wi = xi[keep], wi[keep]
+    return xi[keep], wi[keep]
+
+
+def _panel_grid(n_panels: int, xi: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference rule (xi, wi) on (-1, 1) mapped onto each pi-length panel of (0, n_panels pi)."""
     k = np.arange(n_panels)[:, None]
     mid = (k + 0.5) * np.pi
     half = 0.5 * np.pi
@@ -247,7 +241,8 @@ def abel_oscillatory(
             raise DomainError("eps schedule must hold at least 3 positive values")
     x_max = 40.0 / eps.min()
     n_panels = int(np.ceil(x_max / np.pi))
-    x, w = _ts_panel_grid(n_panels) if log_singular else _gl_panel_grid(n_panels)
+    rule = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
+    x, w = _panel_grid(n_panels, *rule)
     fw = np.asarray(f(x), dtype=float) * w
     F = np.array([np.sum(fw * np.exp(-e * x)) for e in eps])
     val = _neville_to_zero(eps, F)
@@ -372,18 +367,11 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
         return integrate_decay(f3, b)
     if form in _TRIG_FORMS:
         a, w, alpha, part = _trig_params(spec)
-        if form == "F7":
-            g = lambda x: x ** alpha * np.sin(x) ** a * np.cos(w * x)
-            return abel_oscillatory(g)
-        if form == "F8":
-            g = lambda x: x ** alpha * np.sin(x) ** a * np.sin(w * x)
-            return abel_oscillatory(g)
-        if form == "F9":
-            g = lambda x: x ** alpha * np.cos(x) ** a * np.cos(w * x)
-            return abel_oscillatory(g)
-        if form == "F10":
-            g = lambda x: x ** alpha * np.cos(x) ** a * np.sin(w * x)
-            return abel_oscillatory(g)
+        if form != "F11":
+            # F7/F8: sin^a x times cos/sin(wx); F9/F10: cos^a x times cos/sin(wx)
+            base = np.sin if form in ("F7", "F8") else np.cos
+            osc = np.cos if form in ("F7", "F9") else np.sin
+            return abel_oscillatory(lambda x: x ** alpha * base(x) ** a * osc(w * x))
         if part not in ("c", "s"):
             raise DomainError("F11 needs part 'c' or 's'")
         winding = lambda x: np.pi * np.floor(x / np.pi)

@@ -153,3 +153,38 @@ def test_tol_override_forces_failures():
     # an absurdly tight tolerance must flip otherwise-green records to fail
     r = run_cli("verify", "series", "--tol", "1e-30")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("cmd", ["eval", "table"])
+@pytest.mark.parametrize("args, message", [
+    (("phida", "--a", "0.5", "--b", "1", "--n", "0.5"), "phida needs a non-negative integer order"),
+    (("sprime", "--r", "1.5"), "sprime needs a positive integer index"),
+])
+def test_non_integer_order_rejected(cmd, args, message):
+    r = run_cli(cmd, *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
+
+
+def test_table_phida_fractional_grid_rejected():
+    # a grid point of 0.5 must not be truncated to order 0
+    r = run_cli("table", "phida", "--a", "0.5", "--b", "1", "--n", "0:1:0.5")
+    assert r.returncode == 2
+    assert "phida needs a non-negative integer order" in r.stderr
+
+
+@pytest.mark.parametrize("cmd", ["eval", "table"])
+@pytest.mark.parametrize("target, params", [
+    ("phi", ("--a", "0.5", "--b", "1")),
+    ("psi", ("--a", "0.5", "--b", "1", "--beta", "0.5")),
+])
+def test_order_flag_either_spelling(cmd, target, params):
+    by_n = run_cli(cmd, target, *params, "--n", "1", "--format", "csv")
+    by_alpha = run_cli(cmd, target, *params, "--alpha", "1", "--format", "csv")
+    assert by_n.returncode == by_alpha.returncode == 0
+    assert by_n.stdout == by_alpha.stdout
+    both = run_cli(cmd, target, *params, "--n", "0", "--alpha", "1")
+    assert both.returncode == 2
+    assert both.stdout == ""
+    assert "not both" in both.stderr
