@@ -193,10 +193,14 @@ def _wrap(value: float, rel_bound: float, method: str) -> EvalResult:
     )
 
 
-def _phida(a: float, b: float, n: float) -> EvalResult:
+def _int_order(target: str, n: float) -> int:
     if n != int(n) or n < 0:
-        raise DomainError("phida needs a non-negative integer order")
-    return eval_phi_da_direct(a, b, int(n))
+        raise DomainError("%s needs a non-negative integer order" % target)
+    return int(n)
+
+
+def _phida(a: float, b: float, n: float) -> EvalResult:
+    return eval_phi_da_direct(a, b, _int_order("phida", n))
 
 
 def _sprime(r: float) -> EvalResult:
@@ -225,11 +229,11 @@ def _eval_integral(args: argparse.Namespace) -> EvalResult:
         raise DomainError("eval integral requires --form (one of F1..F12)")
     ip: Dict[str, object] = {}
     for nm in ("a", "b", "beta", "alpha", "n", "w", "v", "mu"):
-        raw = getattr(args, nm)
-        if raw is not None:
-            ip[nm] = _parse_range(raw, nm)[0]
+        value = _single(args, nm)
+        if value is not None:
+            ip[nm] = value
     if "n" in ip:
-        ip["n"] = int(ip["n"])
+        ip["n"] = _int_order("integral", ip["n"])
     if args.part is not None:
         ip["part"] = args.part
     return oracle_value(IntegralSpec(form=args.form, params=ip))
@@ -386,9 +390,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     b = _single(args, "b")
     if p is None or b is None:
         raise DomainError("coeffs requires --p and --b")
-    depth = int(_parse_range(args.m, "m")[0]) if args.m is not None else 4
-    if depth < 1:
-        raise DomainError("coeffs needs --m >= 1")
+    m = _single(args, "m")
+    if m is not None and (m != int(m) or m < 1):
+        raise DomainError("coeffs needs an integer --m >= 1")
+    depth = 4 if m is None else int(m)
     tri = build_triangle(p, b, depth)
     print("m,k,A")
     for m in range(1, depth + 1):

@@ -7,31 +7,53 @@ same machinery sums the term-wise a-derivative of phi.
 
 Summation strategy by regime:
   * non-negative integer a: the series terminates, summed exactly.
-  * |beta| < 1: scalar compensated loop with a geometric tail bound.
-  * |beta| = 1: power-law tails (exponent a + alpha + 2). Terms are built
-    in numpy chunks from a log-gamma fresh start per chunk, partial sums
-    are recorded at doubling checkpoints, and a least-squares fit of the
-    tail family N^-(s0+k) * poly(log N) supplies an accelerated value when
-    the rigorous bound cannot reach the target on its own. The reported
-    bound is always the rigorous unaccelerated one plus the distance
-    between the reported value and the raw partial sum.
+  * |beta| < 1: scalar compensated loop with a geometric tail bound; a sum
+    longer than 256 terms goes on in numpy chunks under the same stopping
+    rule.
+  * beta = -1, negative integer a: a finite Hurwitz zeta combination.
+  * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
+    A head of N terms (a numpy cumulative product of the term ratio) plus
+    an asymptotic tail: the Tricomi-Erdelyi expansion of the gamma ratio
+    in C(a,i) turns sum_(i>=N) t_i into sum_k e_k zeta(s+k, N+c), with the
+    even/odd Hurwitz split at beta = +1. The bound adds twice the last two
+    orders kept, the Euler-Maclaurin remainders, and the roundoff of head
+    and tail.
+  * the a-derivative: terms built in numpy chunks from a log-gamma fresh
+    start per chunk, partial sums recorded at doubling checkpoints, and a
+    least-squares fit of the tail family N^-(s0+k) * poly(log N) supplies
+    an accelerated value when the rigorous bound cannot reach the target
+    on its own. The reported bound is the rigorous unaccelerated one plus
+    the distance between the reported value and the raw partial sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ramaseries.special_fn import (DivergenceError, DomainError, digamma,
-                                   hurwitz_zeta)
+from ramaseries.special_fn import (_BERNOULLI_EVEN, DivergenceError,
+                                   DomainError, digamma, hurwitz_zeta)
 
 _EPS = 1.1e-16
 _FIRST_CHECKPOINT = 2500
 _CHUNK = 32768
+_SCALAR_TERMS = 256  # geometric sums go to numpy chunks past this many terms
+_GEOMETRIC_CHUNK = 4096  # small: a geometric sum stops mid-chunk, and 32768 raised peak RSS
+_TAIL_ORDERS = 30  # highest order k of the asymptotic tail
 _DEFAULT_TARGET = 1e-12
 _DEFAULT_CAP = 10**7
+
+_BERNOULLI_OVER_FACT = [B / math.factorial(2 * m)
+                        for m, B in enumerate(_BERNOULLI_EVEN[:9], 1)]
+# _BERN_ROWS[n-1][m]: coefficient of x^m in the Bernoulli polynomial
+# B_(n+1)(x) = sum_m C(n+1, m) B_(n+1-m) x^m
+_BERNOULLI = [1.0, -0.5] + [_BERNOULLI_EVEN[j // 2 - 1] if j % 2 == 0 else 0.0
+                            for j in range(2, _TAIL_ORDERS + 2)]
+_BERN_ROWS = [[math.comb(n + 1, m) * _BERNOULLI[n + 1 - m] for m in range(n + 2)]
+              for n in range(1, _TAIL_ORDERS + 1)]
 
 
 @dataclass(frozen=True)
@@ -126,8 +148,8 @@ def _family_fit(checkpoints, s0, log_pow=0):
 
 
 def _checkpoint_loop(chunk_terms, tail_abs, i_start, sigma, target, cap,
-                     alternating, log_mod, b, head):
-    """Shared chunked summation loop for the power-law regimes.
+                     log_mod, b, head):
+    """Chunked summation loop for the a-derivative's one-signed tail.
 
     chunk_terms(i0, L) -> ndarray of terms t_i, i in [i0, i0+L).
     tail_abs(N) -> |t_N|, used by the rigorous tail bounds.
@@ -142,7 +164,7 @@ def _checkpoint_loop(chunk_terms, tail_abs, i_start, sigma, target, cap,
     i0 = i_start
     est_prev = None
     plateau = 0
-    s0 = sigma if alternating else sigma - 1.0
+    s0 = sigma - 1.0
     while True:
         cp_end = next_cp
         while i0 < cp_end:
@@ -155,12 +177,9 @@ def _checkpoint_loop(chunk_terms, tail_abs, i_start, sigma, target, cap,
         N = i0
         S = math.fsum(chunk_sums)
         tN = tail_abs(N)
-        if alternating:
-            B = tN + abs_roundoff
-        else:
-            B = 1.5 * tN * (N + b) / (sigma - 1.0) + abs_roundoff
-            if log_mod:
-                B *= 1.0 + 1.0 / ((sigma - 1.0) * math.log(N + 2.0))
+        B = 1.5 * tN * (N + b) / (sigma - 1.0) + abs_roundoff
+        if log_mod:
+            B *= 1.0 + 1.0 / ((sigma - 1.0) * math.log(N + 2.0))
         checkpoints.append((N, S))
         tgt = max(target, 1e-13 * abs(S))
         if len(checkpoints) >= 3:
@@ -200,13 +219,29 @@ def _finite_psi(a: int, b: float, beta: float, alpha: float):
     return value, bound, a + 1
 
 
+def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
+           n: int):
+    """Terms t_i0 .. t_(i0+n-1) from t_i0 = t0, and their indices i.
+
+    The binomial factor is a cumulative product of beta (a-j)/(j+1), the
+    power factor ((b+i0)/(b+i))^(alpha+1) is taken in closed form, so the
+    relative error of t_i grows by at most 4 units of roundoff a term past
+    what the power factor carries (see _powerlaw_psi).
+    """
+    j = np.arange(i0, i0 + n, dtype=np.float64)
+    r = np.empty(n)
+    r[0] = t0
+    np.divide(beta * (a - j[:-1]), j[1:], out=r[1:])
+    return np.cumprod(r) * ((b + i0) / (b + j)) ** (alpha + 1.0), j
+
+
 def _geometric_psi(a: float, b: float, beta: float, alpha: float, target: float,
                    cap: int):
     total = 0.0
     comp = 0.0
     t = b ** -(alpha + 1.0)
     i = 0
-    while True:
+    while i < _SCALAR_TERMS:
         y = t - comp
         tmp = total + y
         comp = (tmp - total) - y
@@ -222,39 +257,188 @@ def _geometric_psi(a: float, b: float, beta: float, alpha: float, target: float,
                 return total, bound, i
         elif i >= cap:
             return total, abs(t) * i, i
+    # long sums go on in numpy chunks under the same stopping rule, checked
+    # after every term: run[m] is added to make i+m+1 terms, run[m+1] is next
+    sums = [total, -comp]
+    while True:
+        L = min(_GEOMETRIC_CHUNK, i)
+        run, j = _terms(a, b, beta, alpha, i, t, L + 1)
+        used = j[1:]
+        partial = np.abs(math.fsum(sums) + np.cumsum(run[:L]))
+        rhat = abs(beta) * np.maximum(1.0, (used - a) / (used + 1.0))
+        nxt = np.abs(run[1:])
+        ok = rhat < 1.0
+        bound = np.where(ok, nxt / np.where(ok, 1.0 - rhat, 1.0) + _EPS * used * partial,
+                         nxt * used)
+        stop = np.flatnonzero((ok & (bound <= np.maximum(target, 1e-13 * partial)))
+                              | (used >= cap))
+        m = int(stop[0]) + 1 if stop.size else L
+        sums.append(float(np.sum(run[:m])))
+        if stop.size:
+            return math.fsum(sums), float(bound[m - 1]), i + m
+        i += L
+        t = float(run[L])
 
 
-def _psi_chunk_builder(a: float, b: float, alpha: float, beta: float):
-    # fresh-start magnitude via log-gamma: |C(a,i)| = Gamma(i-a)/(Gamma(-a)Gamma(i+1))
-    lg_neg_a = math.lgamma(-a)
-    sgn = _sign_recip_gamma_neg(a)
-    mbeta = -beta
+def _zeta_sums(s: float, sm1: float, q: float, alternating: bool):
+    """The function k -> (Z_k, remainder bound, magnitude).
 
-    def term_at(i0: float) -> float:
-        mag = math.exp(math.lgamma(i0 - a) - math.lgamma(i0 + 1.0) - lg_neg_a
-                       - (alpha + 1.0) * math.log(b + i0))
-        s = sgn if (mbeta > 0 or i0 % 2 == 0) else -sgn
-        return mag * s
+    Z_k = q^(s+k) sum_(j>=0) (+-1)^j (q+j)^-(s+k), by Euler-Maclaurin at q
+    with eight Bernoulli corrections: h^sig zeta(sig, p) = h (p/h)^(1-sig)
+    / (sig-1) + (p/h)^-sig (1/2 + sum_m B_2m/(2m)! (sig)_(2m-1) p^(1-2m)).
+    Every even derivative of x^-sig is positive, so the remainder lies
+    between zero and the first omitted correction. The alternating sum is
+    2^-sig (zeta(sig, q/2) - zeta(sig, (q+1)/2)); the integral terms of the
+    two differ by an expm1, free of cancellation near sig = 1. The
+    magnitude sums the absolute values of the pieces, for the roundoff.
+    """
+    h = 0.5 * q if alternating else q
+    cf1 = [B * h ** (1 - 2 * m) for m, B in enumerate(_BERNOULLI_OVER_FACT, 1)]
+    cf2 = [B * (h + 0.5) ** (1 - 2 * m) for m, B in enumerate(_BERNOULLI_OVER_FACT, 1)] \
+        if alternating else cf1
+    shrink = h / (h + 0.5)  # (p2/h)^-sig for p2 = h + 1/2
+    lq = math.log1p(1.0 / q)
 
-    def chunk(i0: int, L: int) -> np.ndarray:
-        idx = np.arange(i0, i0 + L - 1, dtype=np.float64)
-        r = beta * (a - idx) / (idx + 1.0) * ((b + idx) / (b + idx + 1.0)) ** (alpha + 1.0)
-        t = np.empty(L)
-        t[0] = term_at(float(i0))
-        if L > 1:
-            t[1:] = t[0] * np.cumprod(r)
-        return t
+    def zeta_k(k: int):
+        sig = s + k
+        c1 = c2 = 0.5
+        poch = sig  # (sig)_(2m-1)
+        for m in range(8):
+            c1 += cf1[m] * poch
+            c2 += cf2[m] * poch
+            poch *= (sig + 2 * m + 1) * (sig + 2 * m + 2)
+        if not alternating:
+            z = q / (sm1 + k) + c1
+            return z, abs(cf1[8] * poch), abs(z)
+        w2 = shrink ** sig
+        dint = h * -math.expm1(-(sm1 + k) * lq) / (sm1 + k)
+        return (c1 - w2 * c2 + dint, abs(cf1[8] * poch) + w2 * abs(cf2[8] * poch),
+                abs(c1) + abs(w2 * c2) + abs(dint))
 
-    return chunk, (lambda N: abs(term_at(float(N))))
+    return zeta_k
+
+
+def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
+                     n: int, thr: float):
+    """sum_(i>=n) t_i at beta = +-1 as sum_k e_k Z_k, with its error bound.
+
+    l_n = L_n / q^n (q = n + c) with L_n = (-1)^(n+1) [(B_(n+1)(-a-c)
+    - B_(n+1)(1-c)) / (n(n+1)) - (alpha+1) (b-c)^n / n], then e_k / q^k from
+    k e_k = sum_n n L_n e_(k-n). The sum stops once two consecutive
+    contributions fall under thr, from k = 3 on (the k = 1 one is zero),
+    since odd orders nearly vanish when c is near -a/2. The bound adds
+    twice those two, the Euler-Maclaurin remainders, and the roundoff of
+    the prefactor exp(-lgamma(-a) - s log q) and of the series.
+    """
+    s = a + alpha + 2.0
+    q = n + c
+    u = 1.0 / q
+    x1, x2, y = -(a + c) * u, (1.0 - c) * u, (b - c) * u
+    px1, px2 = x1, x2
+    diffs = [0.0, x1 - x2]  # (x1^m - x2^m), m = 0, 1, ...
+    up = [1.0, u]  # u^m
+    nl = [0.0]  # n l_n
+    e = [1.0]
+    lg = math.lgamma(-a)
+    rho = _sign_recip_gamma_neg(a) * math.exp(-lg - s * math.log(q))
+    if beta > 0.0 and n % 2:
+        rho = -rho  # (-beta)^i alternates from (-1)^n
+    parts = []
+    em = mag = 0.0
+    zeta_k = _zeta_sums(s, (a + 1.0) + alpha, q, beta > 0.0)
+    for k in range(_TAIL_ORDERS + 1):
+        if k:
+            px1 *= x1
+            px2 *= x2
+            diffs.append(px1 - px2)
+            up.append(up[-1] * u)
+            if k == 1:
+                nl.append(0.0)  # L_1 = 0 by the choice of c
+            else:
+                # B_(k+1)(x1) - B_(k+1)(x2), over q^k
+                bdiff = q * sum(map(operator.mul, _BERN_ROWS[k - 1],
+                                    map(operator.mul, diffs, reversed(up))))
+                ell = bdiff / (k * (k + 1.0)) - (alpha + 1.0) * y ** k / k
+                nl.append(k * ell if k % 2 else -k * ell)
+            e.append(sum(map(operator.mul, nl[1:], reversed(e))) / k)
+        z, rem, zabs = zeta_k(k)
+        ce = rho * e[k]
+        parts.append(ce * z)
+        em += abs(ce) * rem
+        mag += abs(ce) * zabs
+        if (k >= 3 and abs(parts[-1]) <= thr and abs(parts[-2]) <= thr) or k == _TAIL_ORDERS:
+            break
+    tail = math.fsum(parts)
+    bound = (2.0 * (abs(parts[-1]) + abs(parts[-2])) + em
+             + _EPS * (2.0 * abs(lg) + 2.0 * s * math.log(q) + 2 * k + 16.0) * mag)
+    return tail, bound
+
+
+def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
+                  cap: int):
+    """Head of n terms plus the asymptotic tail at beta = +-1.
+
+    Past the head, t_i = ((-beta)^i / Gamma(-a)) f(i) with
+    f(i) = Gamma(i-a) / Gamma(i+1) / (b+i)^(alpha+1). In z = i + c,
+    log f = -s log z + sum_n L_n z^-n (Tricomi-Erdelyi, s = a+alpha+2), and
+    exp of that series is sum_k e_k z^-k, so the tail is sum_k e_k times a
+    Hurwitz zeta of order s+k (even/odd split at beta = +1). c zeroes L_1;
+    the head runs until z >= 6 max(|a+c|, |1-c|, |b-c|, 1), where the shifts
+    in the log series are small against z, or until cap terms.
+    """
+    s = a + alpha + 2.0
+    c = ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s
+    x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
+    k0 = max(2, math.ceil(a) + 2)
+    n = max(k0, math.ceil(1.0 - c), min(cap, math.ceil(max(6.0 * x, 32.0) - c)))
+
+    # head in chunks. Relative roundoff of t_i, in units of _EPS: t_0 carries
+    # 1 + (alpha+1)|ln b| (pow, and the rounding of alpha+1), the power
+    # factor 2 + (alpha+1)(3 + ln(1 + i/b)), the binomial product 4 a term.
+    # The first k0 terms carry the sign transients, and only their sum
+    # enters (an under-count where it cancels).
+    w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(n / b))
+    sums = []
+    roundoff = 0.0
+    t = b ** -(alpha + 1.0)  # t_i, the next term
+    i = 0
+    while i < n:
+        L = min(_CHUNK, n - i)
+        run, j = _terms(a, b, beta, alpha, i, t, L + 1)
+        terms = run[:L].tolist()
+        if i == 0:
+            roundoff = (w0 + 4.0 * k0) * abs(math.fsum(terms[:k0]))
+        lo = max(k0 - i, 0)
+        mags = np.abs(run[lo:L])
+        roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j[lo:L])
+        sums.append(math.fsum(terms))
+        t = float(run[L])
+        i += L
+    head = math.fsum(sums)
+
+    # For a > -1 the terms past i = a shrink: d/dx log f <= -s / (x+m) with
+    # m = max(1, b), so f(x) <= f(n) ((n+m)/(x+m))^s. The tail is then under
+    # |t_n| where it alternates (beta = +1) and under |t_n| (1 + (n+m)/(s-1))
+    # where it keeps one sign; one under thr is left out.
+    thr = 1e-3 * max(0.1 * target, _EPS * abs(head))
+    sm1 = (a + 1.0) + alpha  # s - 1 without the rounding of s near 1
+    rest = abs(t) * (1.0 if beta > 0.0 else 1.0 + (n + max(1.0, b)) / sm1)
+    if a > -1.0 and rest <= thr:
+        tail, tail_bound = 0.0, rest
+    else:
+        tail, tail_bound = _asymptotic_tail(a, b, beta, alpha, c, n, thr)
+    value = head + tail
+    return value, tail_bound + _EPS * (roundoff + abs(value)), n
 
 
 def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
                      cap: int = _DEFAULT_CAP) -> EvalResult:
     """Sum the weighted series for params, with a rigorous error bound.
 
-    Stops when the tail bound drops under max(target, 1e-13 |S|). At the
-    iteration cap the accelerated estimate is returned and the bound
-    honestly reports what was achieved instead of failing.
+    A geometric sum stops when its tail bound drops under
+    max(target, 1e-13 |S|), or after cap terms with the bound it reached.
+    At |beta| = 1 the head is at most cap terms long; a head cut short of
+    the asymptotic range shows in the bound instead of failing.
     """
     params.validate()
     a, b, beta, alpha = params.a, params.b, params.beta, params.alpha
@@ -286,18 +470,7 @@ def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
         value = math.fsum(pieces)
         bound = 4e-15 * math.fsum(abs(x) for x in pieces) + 1e-300
         return EvalResult(value, bound, k, "closed-form")
-    # power-law regime; sum a short head past any sign transients first
-    K = max(2, int(math.ceil(a)) + 2) if a > 0 else 2
-    head_terms = []
-    t = b ** -(alpha + 1.0)
-    for i in range(K):
-        head_terms.append(t)
-        t *= beta * (a - i) / (i + 1.0) * ((b + i) / (b + i + 1.0)) ** (alpha + 1.0)
-    chunk, tail_abs = _psi_chunk_builder(a, b, alpha, beta)
-    sigma = a + alpha + 2.0
-    value, bound, n = _checkpoint_loop(
-        chunk, tail_abs, K, sigma, target, cap,
-        alternating=(beta > 0), log_mod=False, b=b, head=math.fsum(head_terms))
+    value, bound, n = _powerlaw_psi(a, b, beta, alpha, target, cap)
     return EvalResult(value, bound, n, "direct")
 
 
@@ -348,7 +521,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *,
         head = -math.fsum(1.0 / (i * (b + i) ** (n + 1.0)) for i in range(1, 8))
         value, bound, N = _checkpoint_loop(
             chunk, lambda N: 1.0 / (N * (b + N) ** (n + 1.0)), 8, n + 2.0,
-            target, cap, alternating=False, log_mod=False, b=b, head=head)
+            target, cap, log_mod=False, b=b, head=head)
         return EvalResult(value, bound, N, "direct")
 
     if _is_nonneg_int(a):
@@ -382,7 +555,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *,
 
         value, bound, N = _checkpoint_loop(
             chunk, lambda N: abs(tail_term(float(N))), ia + 1, a + n + 2.0,
-            target, cap, alternating=False, log_mod=False, b=b, head=head)
+            target, cap, log_mod=False, b=b, head=head)
         return EvalResult(value, bound, N, "direct")
 
     # generic a: H_i(a) = psi(a+1) - psi(i-a) + pi cot(pi a) for i > a
@@ -419,7 +592,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *,
         head_terms.append((-1.0) ** i * t * Hi / (b + i) ** (n + 1.0))
     value, bound, N = _checkpoint_loop(
         chunk, lambda N: abs(base_at(float(N)) * H_at(float(N))), K,
-        a + n + 2.0, target, cap, alternating=False, log_mod=True, b=b,
+        a + n + 2.0, target, cap, log_mod=True, b=b,
         head=math.fsum(head_terms))
     return EvalResult(value, bound, N, "direct")
 

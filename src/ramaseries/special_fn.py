@@ -13,7 +13,7 @@ EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219
 PI = math.pi
 
-# Bernoulli numbers B_2, B_4, ..., B_16 (exactly representable fractions).
+# Bernoulli numbers B_2, B_4, ..., B_30 (ratios of exact integers).
 _BERNOULLI_EVEN = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -23,6 +23,13 @@ _BERNOULLI_EVEN = (
     -691.0 / 2730.0,
     7.0 / 6.0,
     -3617.0 / 510.0,
+    43867.0 / 798.0,
+    -174611.0 / 330.0,
+    854513.0 / 138.0,
+    -236364091.0 / 2730.0,
+    8553103.0 / 6.0,
+    -23749461029.0 / 870.0,
+    8615841276005.0 / 14322.0,
 )
 
 

@@ -174,6 +174,23 @@ def test_table_phida_fractional_grid_rejected():
     assert "phida needs a non-negative integer order" in r.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("eval", "integral", "--form", "F2", "--a", "0.5", "--b", "1", "--n", "0.5"),
+     "integral needs a non-negative integer order"),
+    (("eval", "integral", "--form", "F1", "--a", "0.5:1.5:0.5", "--b", "1", "--n", "0"),
+     "eval takes single values, got a range for --a"),
+    (("coeffs", "--p", "1", "--b", "1", "--m", "1..3"),
+     "coeffs takes single values, got a range for --m"),
+    (("coeffs", "--p", "1", "--b", "1", "--m", "2.5"), "coeffs needs an integer --m >= 1"),
+])
+def test_single_value_flags_rejected(args, message):
+    # a range or a fractional order must not be cut to its first or integer part
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
+
+
 @pytest.mark.parametrize("cmd", ["eval", "table"])
 @pytest.mark.parametrize("target, params", [
     ("phi", ("--a", "0.5", "--b", "1")),

@@ -7,7 +7,8 @@ regenerates them with
 
     python tests/test_golden.py
 
-and says in its change log which outputs moved and why.
+and says in its change log which outputs moved and why; it prints the
+name of every file whose bytes it changed.
 """
 
 import contextlib
@@ -84,7 +85,12 @@ if __name__ == "__main__":
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
+    files = {}
     for name, argv in sorted(CASES.items()):
-        codes[name], out = run(argv)
-        (GOLDEN / (name + ".out")).write_text(out)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+        codes[name], files[name + ".out"] = run(argv)
+    files["exit_codes.json"] = json.dumps(codes, indent=1, sort_keys=True) + "\n"
+    for fname, text in files.items():
+        path = GOLDEN / fname
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)
+            print(fname)

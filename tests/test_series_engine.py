@@ -185,3 +185,112 @@ def test_terms_capped_result_still_bounded():
     got = eval_phi(-0.5, 0.25, 0.0, cap=20_000)
     assert got.terms_used <= 20_000
     assert abs(got.value - 5.244115108584240) <= got.abs_error_bound
+
+
+def _powerlaw_reference(mp, a, b, beta, alpha):
+    """S(a, b, +-1, alpha) by mpmath: Beta or 2F1 at alpha = 0, else
+    (1/Gamma(alpha+1)) int_0^1 t^(b-1) (-ln t)^alpha (1+beta t)^a dt split
+    at t = 1/2, so the endpoint factor (1-t)^a is u^a in u = 1 - t."""
+    a, b, alpha = mp.mpf(a), mp.mpf(b), mp.mpf(alpha)
+    if alpha == 0:
+        return mp.beta(b, a + 1) if beta < 0 else mp.hyp2f1(-a, b, b + 1, -1) / b
+
+    def left(w):  # t = w^(1/b) absorbs t^(b-1)
+        t = w ** (1 / b)
+        return (-mp.log(t)) ** alpha * (1 + beta * t) ** a / b
+
+    if beta < 0:
+        p = 1 / (a + alpha + 1)  # u = w^p smooths u^(a+alpha) at u = 0
+
+        def right(w):
+            u = w ** p
+            return (1 - u) ** (b - 1) * (-mp.log1p(-u)) ** alpha * u ** a * p * w ** (p - 1)
+
+        right_end = mp.mpf(0.5) ** (1 / p)
+    else:
+        def right(u):
+            return (1 - u) ** (b - 1) * (-mp.log1p(-u)) ** alpha * (2 - u) ** a
+
+        right_end = mp.mpf(0.5)
+    total = mp.quad(left, [0, mp.mpf(0.5) ** b]) + mp.quad(right, [0, right_end])
+    return total / mp.gamma(alpha + 1)
+
+
+@st.composite
+def _powerlaw_cells(draw):
+    beta = draw(st.sampled_from([-1.0, 1.0]))
+    a_max = 60.0 if beta > 0 else 1.5
+    # a non-negative integer a terminates the series; test_finite_bound_known_false
+    a = draw(st.floats(min_value=-1.0, max_value=a_max, exclude_min=True)
+             .filter(lambda v: not (v >= 0.0 and v == math.floor(v))))
+    b = draw(st.floats(min_value=0.05, max_value=50.0))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)))
+    return a, b, beta, alpha
+
+
+@given(_powerlaw_cells())
+@settings(max_examples=40, deadline=None)
+def test_powerlaw_bound_holds_and_meets_target(cell):
+    # the asymptotic tail's bound must cover the true error and still meet
+    # the default target
+    mp = pytest.importorskip("mpmath")
+    a, b, beta, alpha = cell
+    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    with mp.workdps(30):
+        err = float(abs(got.value - _powerlaw_reference(mp, a, b, beta, alpha)))
+    assert err <= got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
+
+
+def test_powerlaw_tail_needs_even_orders():
+    # c = -a/2 here, so the odd orders of the tail nearly vanish; a sum
+    # stopped at the first small one misses the exact Beta value 10 by 1.8e-9
+    got = eval_phi(-0.9, 1.0, 0.0)
+    assert abs(got.value - 10.0) <= got.abs_error_bound <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="large-a head cancellation under-counted in the bound")
+def test_powerlaw_large_a_bound_known_false():
+    # the head terms near 1e14 cancel to 2e-2; the bound counts only the
+    # rounding of their sum
+    got = eval_phi(50.5, 1.0, 0.0)
+    assert abs(got.value - 1.0 / 51.5) <= got.abs_error_bound
+
+
+@pytest.mark.xfail(strict=True, reason="finite-sum bound ignores the rounding of alpha + 1")
+def test_finite_bound_known_false():
+    # one term 3^-(alpha+1): rounding alpha + 1 moves it by |ln 3| (alpha+1) u,
+    # 3e-17 here, above the bound eps (a+2) |t_0| = 2.4e-17
+    mp = pytest.importorskip("mpmath")
+    alpha = 1.0102002910092913
+    got = eval_phi(0.0, 3.0, alpha)
+    with mp.workdps(30):
+        err = abs(got.value - mp.mpf(3) ** -(mp.mpf(alpha) + 1))
+    assert err <= got.abs_error_bound
+
+
+@pytest.mark.parametrize("a, b, beta, alpha", [
+    (-0.5, 1.5, 0.998, 0), (2.5, 0.75, -0.999, 0), (1.3, 2.0, -0.99, 1), (-0.9, 4.0, -0.97, 2),
+])
+def test_near_unit_geometric_numpy_continuation(monkeypatch, a, b, beta, alpha):
+    # past the scalar prefix the sum goes on in numpy chunks; the scalar loop
+    # run to the end is the reference: same stopping term, same value to
+    # roundoff, and both within the bound of the mpmath value
+    mp = pytest.importorskip("mpmath")
+    from ramaseries import series_engine
+
+    params = SeriesParams(a, b, beta, float(alpha))
+    got = eval_psi_general(params, cap=200_000)
+    monkeypatch.setattr(series_engine, "_SCALAR_TERMS", 10**9)
+    loop = eval_psi_general(params, cap=200_000)
+    assert got.terms_used == loop.terms_used > 256
+    assert got.value == pytest.approx(loop.value, rel=1e-13, abs=1e-15)
+    with mp.workdps(30):
+        b_ = mp.mpf(b)
+        ref = mp.hyper([-mp.mpf(a)] + [b_] * (alpha + 1), [b_ + 1] * (alpha + 1),
+                       -mp.mpf(beta)) / b_ ** (alpha + 1)
+    assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12
+
+
+def test_near_unit_geometric_terms_pinned():
+    got = eval_psi_general(SeriesParams(-0.5, 1.5, 0.998, 0.0), cap=200_000)
+    assert got.terms_used == 10160
