@@ -31,7 +31,6 @@ from .series_engine import (
     EvalResult,
     SeriesParams,
     eval_phi,
-    eval_phi_da_direct,
     eval_phi_tilde,
     eval_psi_general,
 )
@@ -89,17 +88,28 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
     """Integer-order alternating-weight series by the log-derivative recursion.
 
     n*value_n = sum_{k=1}^n sigma_k * value_{n-k}, seeded with the beta-ratio
-    value_0 = Gamma(a+1)Gamma(b)/Gamma(a+b+1).  Error bound tracks the
-    propagated rounding of the seed and coefficients.
+    value_0 = Gamma(a+1)Gamma(b)/Gamma(a+b+1), through lgamma where a gamma
+    overflows.  Error bound tracks the propagated rounding of the seed and
+    coefficients.
     """
     if n < 0 or n != int(n):
         raise DomainError("order n must be a non-negative integer")
     n = int(n)
     if b <= 0.0 or a <= -1.0 or a + b + 1.0 <= 0.0:
         raise DomainError("need b > 0, a > -1, a + b + 1 > 0")
-    phi0 = beta_f(0.0, a, b)
+    try:
+        phi0 = beta_f(0.0, a, b)
+    except OverflowError:
+        phi0 = math.inf
+    err0 = 4e-16 * phi0
+    if phi0 == math.inf:
+        # every gamma argument is positive here; each lgamma carries an
+        # absolute error of a few units of its own size
+        lgs = (math.lgamma(b), math.lgamma(a + 1.0), -math.lgamma(a + b + 1.0))
+        phi0 = math.exp(math.fsum(lgs))
+        err0 = (4e-16 + 4.4e-16 * sum(map(abs, lgs))) * phi0
     vals = [phi0]
-    errs = [4e-16 * abs(phi0)]
+    errs = [err0]
     sig = [sigma(a, b, k) for k in range(1, n + 1)]
     for j in range(1, n + 1):
         terms = [sig[k - 1] * vals[j - k] for k in range(1, j + 1)]

@@ -18,16 +18,20 @@ Summation strategy by regime:
     even/odd Hurwitz split at beta = +1. The bound adds twice the last two
     orders kept, the Euler-Maclaurin remainders, and the roundoff of head
     and tail.
-  * the a-derivative: terms built in numpy chunks from a log-gamma fresh
-    start per chunk, partial sums recorded at doubling checkpoints, and a
-    least-squares fit of the tail family N^-(s0+k) * poly(log N) supplies
-    an accelerated value when the rigorous bound cannot reach the target
-    on its own. The reported bound is the rigorous unaccelerated one plus
-    the distance between the reported value and the raw partial sum.
+  * the a-derivative of the alternating series: the same head and tail,
+    differentiated in a. Head terms are t_i H_i with H_i a cumulative sum
+    of 1/(a-j); the tail is the a-derivative of the asymptotic tail, the
+    head long enough (N + c >= 40) for the differentiated Euler-Maclaurin
+    remainders to keep their bound. At a non-negative integer a the terms
+    past i = a are a power-law tail of their own, summed by the same
+    asymptotic tail with no derivative.
+
+Every bound above is a derived upper bound on the error, not a fit spread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -38,7 +42,6 @@ from ramaseries.special_fn import (_BERNOULLI_EVEN, DivergenceError,
                                    DomainError, digamma, hurwitz_zeta)
 
 _EPS = 1.1e-16
-_FIRST_CHECKPOINT = 2500
 _CHUNK = 32768
 _SCALAR_TERMS = 256  # geometric sums go to numpy chunks past this many terms
 _GEOMETRIC_CHUNK = 4096  # small: a geometric sum stops mid-chunk, and 32768 raised peak RSS
@@ -48,12 +51,12 @@ _DEFAULT_CAP = 10**7
 
 _BERNOULLI_OVER_FACT = [B / math.factorial(2 * m)
                         for m, B in enumerate(_BERNOULLI_EVEN[:9], 1)]
-# _BERN_ROWS[n-1][m]: coefficient of x^m in the Bernoulli polynomial
-# B_(n+1)(x) = sum_m C(n+1, m) B_(n+1-m) x^m
+# _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
+# B_n(x) = sum_m C(n, m) B_(n-m) x^m
 _BERNOULLI = [1.0, -0.5] + [_BERNOULLI_EVEN[j // 2 - 1] if j % 2 == 0 else 0.0
                             for j in range(2, _TAIL_ORDERS + 2)]
-_BERN_ROWS = [[math.comb(n + 1, m) * _BERNOULLI[n + 1 - m] for m in range(n + 2)]
-              for n in range(1, _TAIL_ORDERS + 1)]
+_BERN_ROWS = [[math.comb(n, m) * _BERNOULLI[n - m] for m in range(n + 1)]
+              for n in range(_TAIL_ORDERS + 2)]
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,9 @@ class SeriesParams:
     alpha: float
 
     def validate(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)
+                and math.isfinite(self.beta) and math.isfinite(self.alpha)):
+            raise DomainError(f"parameters must be finite, got {self}")
         if not self.b > 0.0:
             raise DomainError(f"b must be positive, got {self.b}")
         if abs(self.beta) > 1.0:
@@ -111,112 +117,24 @@ def _sign_recip_gamma_neg(a: float) -> float:
     return -1.0 if math.floor(a) % 2 == 0 else 1.0
 
 
-def _family_fit(checkpoints, s0, log_pow=0):
-    """Extrapolate the limit from partial sums S_N at doubling N.
-
-    Tail model: S - S_N ~ sum_{k=0..K} N^-(s0+k) * P_k(log N) with
-    deg P_k = log_pow. Least-squares over all checkpoints, columns scaled
-    to unit norm; the constant column is the limit. Returns (est, spread)
-    where spread is the K=1 vs K=2 fit disagreement, a self-consistency
-    proxy rather than a bound.
-    """
-    Ns = np.array([n for (n, _) in checkpoints], dtype=np.float64)
-    Ss = np.array([s for (_, s) in checkpoints], dtype=np.float64)
-    per = log_pow + 1
-    lns = np.log(Ns)
-
-    def fit(K):
-        cols = [np.ones_like(Ns)]
-        for k in range(K + 1):
-            p = Ns ** (-(s0 + k))
-            for j in range(log_pow, 0, -1):
-                cols.append(p * lns**j)
-            cols.append(p)
-        A = np.stack(cols, axis=1)
-        scale = np.linalg.norm(A, axis=0)
-        coef = np.linalg.lstsq(A / scale, Ss, rcond=None)[0] / scale
-        return coef[0]
-
-    max_K = (len(Ns) - 2) // per - 1  # keep at least one spare data point
-    if max_K < 1:
-        return Ss[-1], abs(Ss[-1] - Ss[0])
-    e1 = fit(1)
-    if max_K < 2:
-        return e1, abs(e1 - Ss[-1]) * 0.1
-    e2 = fit(2)
-    return e1, abs(e1 - e2)
-
-
-def _checkpoint_loop(chunk_terms, tail_abs, i_start, sigma, target, cap,
-                     log_mod, b, head):
-    """Chunked summation loop for the a-derivative's one-signed tail.
-
-    chunk_terms(i0, L) -> ndarray of terms t_i, i in [i0, i0+L).
-    tail_abs(N) -> |t_N|, used by the rigorous tail bounds.
-    Returns (value, bound, terms_summed).
-    """
-    chunk_sums = [head]
-    abs_roundoff = 0.0
-    checkpoints = []
-    next_cp = _FIRST_CHECKPOINT
-    while next_cp <= i_start:
-        next_cp *= 2
-    i0 = i_start
-    est_prev = None
-    plateau = 0
-    s0 = sigma - 1.0
-    while True:
-        cp_end = next_cp
-        while i0 < cp_end:
-            L = min(_CHUNK, cp_end - i0)
-            t = chunk_terms(i0, L)
-            chunk_sums.append(float(np.sum(t)))
-            # worst-case accumulated float64 noise for this chunk
-            abs_roundoff += _EPS * float(np.sum(np.abs(t) * (np.arange(L) + 8.0)))
-            i0 += L
-        N = i0
-        S = math.fsum(chunk_sums)
-        tN = tail_abs(N)
-        B = 1.5 * tN * (N + b) / (sigma - 1.0) + abs_roundoff
-        if log_mod:
-            B *= 1.0 + 1.0 / ((sigma - 1.0) * math.log(N + 2.0))
-        checkpoints.append((N, S))
-        tgt = max(target, 1e-13 * abs(S))
-        if len(checkpoints) >= 3:
-            est, spread = _family_fit(checkpoints, s0, 1 if log_mod else 0)
-        else:
-            est, spread = S, abs(S)
-        if B <= tgt:
-            value = S
-            break
-        if (est_prev is not None
-                and spread <= max(5e-14 * abs(est), 0.1 * tgt)
-                and abs(est - est_prev) <= max(5e-14 * abs(est), 0.1 * tgt)):
-            plateau += 1
-            if plateau >= 2 and len(checkpoints) >= 5:
-                value = est
-                break
-        else:
-            plateau = 0
-        est_prev = est
-        if 2 * N > cap:
-            value = est
-            break
-        next_cp = 2 * N
-    bound = B + abs(value - S)
-    return value, bound, N
-
-
 def _finite_psi(a: int, b: float, beta: float, alpha: float):
-    # terminating series: exactly a+1 terms
+    """Terminating series: exactly a+1 terms, summed by fsum.
+
+    Relative roundoff of t_i, in units of _EPS: t_0 carries 1 + (alpha+1)|ln b|
+    (pow, and the rounding of alpha + 1), each ratio 5 + 4(alpha+1) plus
+    (alpha+1) ln((b+i+1)/(b+i)) from the rounding of alpha + 1 in its power;
+    w0 covers the parts that do not grow with i, as in _powerlaw_psi.
+    """
     terms = []
     t = b ** -(alpha + 1.0)
     for i in range(a + 1):
         terms.append(t)
         t *= beta * (a - i) / (i + 1.0) * ((b + i) / (b + i + 1.0)) ** (alpha + 1.0)
     value = math.fsum(terms)
-    bound = _EPS * (a + 2) * math.fsum(abs(x) for x in terms)
-    return value, bound, a + 1
+    w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(a / b))
+    w1 = 5.0 + 4.0 * (alpha + 1.0)
+    roundoff = math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0, w1)))
+    return value, _EPS * (roundoff + abs(value)), a + 1
 
 
 def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
@@ -281,7 +199,8 @@ def _geometric_psi(a: float, b: float, beta: float, alpha: float, target: float,
 
 
 def _zeta_sums(s: float, sm1: float, q: float, alternating: bool):
-    """The function k -> (Z_k, remainder bound, magnitude).
+    """The functions k -> (Z_k, remainder bound, magnitude) and, for the
+    plain sum only, k -> (dZ_k/ds, remainder bound, magnitude).
 
     Z_k = q^(s+k) sum_(j>=0) (+-1)^j (q+j)^-(s+k), by Euler-Maclaurin at q
     with eight Bernoulli corrections: h^sig zeta(sig, p) = h (p/h)^(1-sig)
@@ -291,6 +210,14 @@ def _zeta_sums(s: float, sm1: float, q: float, alternating: bool):
     2^-sig (zeta(sig, q/2) - zeta(sig, (q+1)/2)); the integral terms of the
     two differ by an expm1, free of cancellation near sig = 1. The
     magnitude sums the absolute values of the pieces, for the roundoff.
+
+    dZ_k/ds differentiates the same pieces in sig, with d(sig)_(2m-1)/dsig
+    = (sig)_(2m-1) sum_(j<2m-1) 1/(sig+j). It is the Euler-Maclaurin sum of
+    q^sig (log q - log x) x^-sig at x = q+j. The remainder of the x^-sig log x
+    part lies between zero and its first omitted correction, at most log q
+    times that of Z_k, only where every even derivative of x^-sig log x up
+    to order 20 keeps one sign: where log q > sum_(j<20) 1/(sig+j), which
+    q >= 40 and sig > 1 satisfy. The caller's head sees to q >= 40.
     """
     h = 0.5 * q if alternating else q
     cf1 = [B * h ** (1 - 2 * m) for m, B in enumerate(_BERNOULLI_OVER_FACT, 1)]
@@ -298,6 +225,7 @@ def _zeta_sums(s: float, sm1: float, q: float, alternating: bool):
         if alternating else cf1
     shrink = h / (h + 0.5)  # (p2/h)^-sig for p2 = h + 1/2
     lq = math.log1p(1.0 / q)
+    two_lnq = 2.0 * math.log(q)
 
     def zeta_k(k: int):
         sig = s + k
@@ -315,62 +243,98 @@ def _zeta_sums(s: float, sm1: float, q: float, alternating: bool):
         return (c1 - w2 * c2 + dint, abs(cf1[8] * poch) + w2 * abs(cf2[8] * poch),
                 abs(c1) + abs(w2 * c2) + abs(dint))
 
-    return zeta_k
+    def dzeta_k(k: int):
+        sig = s + k
+        dc = dmag = 0.0
+        poch, hs = sig, 1.0 / sig  # (sig)_(2m-1), sum_(j<2m-1) 1/(sig+j)
+        for m in range(8):
+            dc += cf1[m] * poch * hs
+            dmag += abs(cf1[m] * poch * hs)
+            hs += 1.0 / (sig + 2 * m + 1) + 1.0 / (sig + 2 * m + 2)
+            poch *= (sig + 2 * m + 1) * (sig + 2 * m + 2)
+        dint = q / (sm1 + k) ** 2
+        return dc - dint, two_lnq * abs(cf1[8] * poch), dmag + dint
+
+    return zeta_k, dzeta_k
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
-                     n: int, thr: float):
+                     n: int, thr: float, lg: float, sign: float,
+                     psi: float | None = None):
     """sum_(i>=n) t_i at beta = +-1 as sum_k e_k Z_k, with its error bound.
 
+    t_i = sign exp(-lg) (-beta)^i f(i), f as in _powerlaw_psi: lg is
+    lgamma(-a) and sign that of 1/Gamma(-a) for the series itself.
     l_n = L_n / q^n (q = n + c) with L_n = (-1)^(n+1) [(B_(n+1)(-a-c)
     - B_(n+1)(1-c)) / (n(n+1)) - (alpha+1) (b-c)^n / n], then e_k / q^k from
     k e_k = sum_n n L_n e_(k-n). The sum stops once two consecutive
-    contributions fall under thr, from k = 3 on (the k = 1 one is zero),
-    since odd orders nearly vanish when c is near -a/2. The bound adds
+    contributions fall under thr, from k = 3 on (the k = 1 one of the
+    value is zero), since odd orders nearly vanish when c is near -a/2. The bound adds
     twice those two, the Euler-Maclaurin remainders, and the roundoff of
-    the prefactor exp(-lgamma(-a) - s log q) and of the series.
+    the prefactor exp(-lg - s log q) and of the series.
+
+    Given psi = digamma(-a) (beta = -1 only), it returns the a-derivative
+    of the tail instead, with n and c held: the prefactor gives
+    psi - log q, d(n l_n)/da = (-1)^n B_n(-a-c) / q^n (nonzero at n = 1)
+    feeds the same recursion for de_k, and dZ_k/ds comes from _zeta_sums.
+    Its contributions, stopping rule and bound are built the same way.
     """
     s = a + alpha + 2.0
     q = n + c
+    lnq = math.log(q)
     u = 1.0 / q
     x1, x2, y = -(a + c) * u, (1.0 - c) * u, (b - c) * u
-    px1, px2 = x1, x2
-    diffs = [0.0, x1 - x2]  # (x1^m - x2^m), m = 0, 1, ...
+    px1, px2 = [1.0, x1], x2  # x1^m, m = 0, 1, ...; x2^m
+    diffs = [0.0, x1 - x2]  # (x1^m - x2^m)
     up = [1.0, u]  # u^m
-    nl = [0.0]  # n l_n
-    e = [1.0]
-    lg = math.lgamma(-a)
-    rho = _sign_recip_gamma_neg(a) * math.exp(-lg - s * math.log(q))
+    nl, dnl = [0.0], [0.0]  # n l_n and its a-derivative
+    e, de = [1.0], [0.0]
+    rho = sign * math.exp(-lg - s * lnq)
     if beta > 0.0 and n % 2:
         rho = -rho  # (-beta)^i alternates from (-1)^n
     parts = []
     em = mag = 0.0
-    zeta_k = _zeta_sums(s, (a + 1.0) + alpha, q, beta > 0.0)
+    zeta_k, dzeta_k = _zeta_sums(s, (a + 1.0) + alpha, q, beta > 0.0)
     for k in range(_TAIL_ORDERS + 1):
         if k:
-            px1 *= x1
+            px1.append(px1[-1] * x1)
             px2 *= x2
-            diffs.append(px1 - px2)
+            diffs.append(px1[-1] - px2)
             up.append(up[-1] * u)
             if k == 1:
                 nl.append(0.0)  # L_1 = 0 by the choice of c
             else:
                 # B_(k+1)(x1) - B_(k+1)(x2), over q^k
-                bdiff = q * sum(map(operator.mul, _BERN_ROWS[k - 1],
+                bdiff = q * sum(map(operator.mul, _BERN_ROWS[k + 1],
                                     map(operator.mul, diffs, reversed(up))))
                 ell = bdiff / (k * (k + 1.0)) - (alpha + 1.0) * y ** k / k
                 nl.append(k * ell if k % 2 else -k * ell)
+            if psi is not None:
+                # B_k(-a-c) / q^k
+                bk = sum(map(operator.mul, _BERN_ROWS[k],
+                             map(operator.mul, px1, up[k::-1])))
+                dnl.append(-bk if k % 2 else bk)
+                de.append((sum(map(operator.mul, dnl[1:], e[::-1]))
+                           + sum(map(operator.mul, nl[1:], de[::-1]))) / k)
             e.append(sum(map(operator.mul, nl[1:], reversed(e))) / k)
         z, rem, zabs = zeta_k(k)
         ce = rho * e[k]
-        parts.append(ce * z)
-        em += abs(ce) * rem
-        mag += abs(ce) * zabs
+        if psi is None:
+            parts.append(ce * z)
+            em += abs(ce) * rem
+            mag += abs(ce) * zabs
+        else:
+            dz, drem, dzabs = dzeta_k(k)
+            dce = rho * ((psi - lnq) * e[k] + de[k])
+            parts.append(dce * z + ce * dz)
+            em += abs(dce) * rem + abs(ce) * drem
+            mag += (abs(rho) * ((abs(psi) + lnq) * abs(e[k]) + abs(de[k])) * zabs
+                    + abs(ce) * dzabs)
         if (k >= 3 and abs(parts[-1]) <= thr and abs(parts[-2]) <= thr) or k == _TAIL_ORDERS:
             break
     tail = math.fsum(parts)
     bound = (2.0 * (abs(parts[-1]) + abs(parts[-2])) + em
-             + _EPS * (2.0 * abs(lg) + 2.0 * s * math.log(q) + 2 * k + 16.0) * mag)
+             + _EPS * (2.0 * abs(lg) + 2.0 * s * lnq + 2 * k + 16.0) * mag)
     return tail, bound
 
 
@@ -426,7 +390,8 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
     if a > -1.0 and rest <= thr:
         tail, tail_bound = 0.0, rest
     else:
-        tail, tail_bound = _asymptotic_tail(a, b, beta, alpha, c, n, thr)
+        tail, tail_bound = _asymptotic_tail(a, b, beta, alpha, c, n, thr, math.lgamma(-a),
+                                            _sign_recip_gamma_neg(a))
     value = head + tail
     return value, tail_bound + _EPS * (roundoff + abs(value)), n
 
@@ -494,107 +459,85 @@ def eval_phi_tilde(a: float, b: float, alpha: float, *,
 def eval_phi_da_direct(a: float, b: float, n: int, *,
                        target: float = _DEFAULT_TARGET,
                        cap: int = _DEFAULT_CAP) -> EvalResult:
-    """Term-wise a-derivative of the alternating series, summed directly.
+    """Term-wise a-derivative of the alternating series, with a rigorous bound.
 
     Returns sum_{i>=1} (-1)^i C(a,i) H_i(a) / (b+i)^(n+1) with
-    H_i(a) = sum_{j<i} 1/(a-j). At a = 0 only the i-th term's j = 0
-    factor survives the C(a,i) zero, leaving -sum_{i>=1} 1/(i (b+i)^(n+1)).
-    At positive integer a the same term-wise limit splits into the i <= a
-    finite part plus an analytic continuation tail, so no harmonic factor
-    is ever evaluated at a zero denominator.
+    H_i(a) = sum_{j<i} 1/(a-j): the term t_i of S(a, b, -1, n) times
+    d/da log t_i = psi(-a) - psi(i-a). A head of N terms, t_i from _terms
+    times H_i from a cumulative sum, plus the a-derivative of
+    _asymptotic_tail with N and c held at the base a. N is chosen as for
+    the power law but with q = N + c >= 40 whatever the cap, so that the
+    Euler-Maclaurin remainder of the differentiated zeta sums keeps its
+    bound (see _zeta_sums). Each head term's roundoff is counted: that of
+    t_i as in _powerlaw_psi, and (i+2) sum_(j<i) |1/(a-j)| units for H_i.
+
+    At a non-negative integer a = m the i <= m terms keep H_i (its
+    denominators a-j stay >= 1), and past i = m the term-wise limit is
+    (-1)^(m+1) m! Gamma(i-m)/Gamma(i+1)/(b+i)^(n+1): the power-law terms with
+    (-1)^(m+1) m! in place of 1/Gamma(-a), whose tail is _asymptotic_tail
+    with no derivative. At a = 0 that leaves -sum_{i>=1} 1/(i (b+i)^(n+1)).
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(n)):
+        raise DomainError(f"a, b and n must be finite, got {a}, {b}, {n}")
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
-    n = int(n)
-    if a + n <= -1.0:
+    alpha = float(n)
+    if a + alpha <= -1.0:
         raise DivergenceError(
-            f"derivative series diverges: a + n = {a + n} <= -1")
+            f"derivative series diverges: a + n = {a + alpha} <= -1")
+    if abs(a) < 1e-150:
+        # 1/a would overflow, or t_i go subnormal; in the integral form the
+        # weight (1-e^-x)^a = exp(a ln(1-e^-x)) is 1 within 1e-140 wherever
+        # it matters, so the a = 0 value stands within its own roundoff
+        a = 0.0
+    s = a + alpha + 2.0
+    c = ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s
+    x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
+    N = max(math.ceil(a) + 2, math.ceil(40.0 - c), min(cap, math.ceil(6.0 * x - c)))
+    w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(N / b))
+    sums = []
+    roundoff = 0.0  # in units of _EPS
 
-    if a == 0.0:
-        # limit form: - sum_{i>=1} 1/(i (b+i)^(n+1))
-        def chunk(i0: int, L: int) -> np.ndarray:
-            idx = np.arange(i0, i0 + L, dtype=np.float64)
-            return -1.0 / (idx * (b + idx) ** (n + 1.0))
+    def head(i: int, t: float, stop: int, harmonic: bool) -> None:
+        # adds t_i H_i (t_i alone unless harmonic) for i in [i, stop) from t_i = t
+        nonlocal roundoff
+        h = habs = 0.0  # H_i, and sum_(j<i) |1/(a-j)| for its roundoff
+        while i < stop:
+            L = min(_CHUNK, stop - i)
+            run, j = _terms(a, b, -1.0, alpha, i, t, L + 1)
+            d = run[:L]
+            err = (w0 + 1.0 + 4.0 * j[:L]) * np.abs(d)
+            if harmonic:
+                inc = 1.0 / (a - j[:L - 1])  # never 1/0: j < a at integer a
+                H = np.cumsum(np.concatenate(([h], inc)))
+                A = np.cumsum(np.concatenate(([habs], np.abs(inc))))
+                err = err * np.abs(H) + (j[:L] + 2.0) * A * np.abs(d)
+                d = d * H
+                if i + L < stop:
+                    last = 1.0 / (a - j[L - 1])
+                    h, habs = H[-1] + last, A[-1] + abs(last)
+            sums.append(math.fsum(d.tolist()))
+            roundoff += float(err.sum())
+            t = float(run[L])
+            i += L
 
-        head = -math.fsum(1.0 / (i * (b + i) ** (n + 1.0)) for i in range(1, 8))
-        value, bound, N = _checkpoint_loop(
-            chunk, lambda N: 1.0 / (N * (b + N) ** (n + 1.0)), 8, n + 2.0,
-            target, cap, log_mod=False, b=b, head=head)
-        return EvalResult(value, bound, N, "direct")
-
+    t0 = b ** -(alpha + 1.0)
     if _is_nonneg_int(a):
-        ia = int(a)
-        # finite part: harmonic denominators a-j stay >= 1 for i <= a
-        finite = []
-        t = 1.0
-        Hi = 0.0
-        for i in range(1, ia + 1):
-            t *= (a - (i - 1)) / i
-            Hi += 1.0 / (a - (i - 1))
-            finite.append((-1.0) ** i * t * Hi / (b + i) ** (n + 1.0))
-        head = math.fsum(finite)
-        # term-wise limit past i = a: (-1)^(a+1) a! (i-a-1)!/i! / (b+i)^(n+1)
-        sgn = (-1.0) ** (ia + 1)
-        lg_fact_a = math.lgamma(a + 1.0)
-
-        def tail_term(i0: float) -> float:
-            return sgn * math.exp(lg_fact_a + math.lgamma(i0 - a)
-                                  - math.lgamma(i0 + 1.0)
-                                  - (n + 1.0) * math.log(b + i0))
-
-        def chunk(i0: int, L: int) -> np.ndarray:
-            idx = np.arange(i0, i0 + L - 1, dtype=np.float64)
-            r = (idx - a) / (idx + 1.0) * ((b + idx) / (b + idx + 1.0)) ** (n + 1.0)
-            t_arr = np.empty(L)
-            t_arr[0] = tail_term(float(i0))
-            if L > 1:
-                t_arr[1:] = t_arr[0] * np.cumprod(r)
-            return t_arr
-
-        value, bound, N = _checkpoint_loop(
-            chunk, lambda N: abs(tail_term(float(N))), ia + 1, a + n + 2.0,
-            target, cap, log_mod=False, b=b, head=head)
-        return EvalResult(value, bound, N, "direct")
-
-    # generic a: H_i(a) = psi(a+1) - psi(i-a) + pi cot(pi a) for i > a
-    lg_neg_a = math.lgamma(-a)
-    sgn = _sign_recip_gamma_neg(a)
-    psi_a1 = digamma(a + 1.0)
-    picot = math.pi / math.tan(math.pi * a)
-
-    def H_at(i0: float) -> float:
-        return psi_a1 - digamma(i0 - a) + picot
-
-    def base_at(i0: float) -> float:
-        mag = math.exp(math.lgamma(i0 - a) - math.lgamma(i0 + 1.0) - lg_neg_a
-                       - (n + 1.0) * math.log(b + i0))
-        return mag * sgn
-
-    def chunk(i0: int, L: int) -> np.ndarray:
-        idx = np.arange(i0, i0 + L - 1, dtype=np.float64)
-        r = (idx - a) / (idx + 1.0) * ((b + idx) / (b + idx + 1.0)) ** (n + 1.0)
-        base = np.empty(L)
-        base[0] = base_at(float(i0))
-        if L > 1:
-            base[1:] = base[0] * np.cumprod(r)
-        H = H_at(float(i0)) + np.concatenate(([0.0], np.cumsum(1.0 / (a - idx))))
-        return base * H
-
-    head_terms = []
-    t = 1.0
-    Hi = 0.0
-    K = 8
-    for i in range(1, K):
-        t *= (a - (i - 1)) / i
-        Hi += 1.0 / (a - (i - 1))
-        head_terms.append((-1.0) ** i * t * Hi / (b + i) ** (n + 1.0))
-    value, bound, N = _checkpoint_loop(
-        chunk, lambda N: abs(base_at(float(N)) * H_at(float(N))), K,
-        a + n + 2.0, target, cap, log_mod=True, b=b,
-        head=math.fsum(head_terms))
-    return EvalResult(value, bound, N, "direct")
+        m = int(a)
+        head(0, t0, m + 1, True)
+        t_next = (-1.0) ** (m + 1) / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
+        head(m + 1, t_next, N, False)
+        lg, sign, psi = -math.lgamma(a + 1.0), (-1.0) ** (m + 1), None
+    else:
+        head(0, t0, N, True)
+        lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
+    total = math.fsum(sums)
+    thr = 1e-3 * max(0.1 * target, _EPS * abs(total))
+    tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
+    value = total + tail
+    return EvalResult(value, tail_bound + _EPS * (roundoff + abs(value)), N, "direct")
 
 
 def convergence_report(params: SeriesParams) -> ConvergenceReport:

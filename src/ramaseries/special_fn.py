@@ -65,8 +65,9 @@ def digamma(x: float) -> float:
     if _is_nonpositive_int(x):
         raise DomainError(f"digamma pole at x = {x}")
     if x < 0.5:
-        # reflection keeps the shift count bounded for very negative x
-        return digamma(1.0 - x) - PI / math.tan(PI * x)
+        # reflection keeps the shift count bounded for very negative x; the
+        # exact reduction x - round(x) keeps pi cot(pi x) accurate near a pole
+        return digamma(1.0 - x) - PI / math.tan(PI * (x - round(x)))
     acc = 0.0
     while x < 15.0:
         acc -= 1.0 / x

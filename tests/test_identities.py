@@ -89,6 +89,17 @@ def test_recursion_first_worked_value():
     )
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 1e8), (1e6, 1.0)])
+def test_recursion_past_gamma_overflow(a, b):
+    # Gamma(b) or Gamma(a+1) overflows a float; the seed goes through lgamma
+    mp = pytest.importorskip("mpmath")
+    got = ramanujan_phi(a, b, 1)
+    with mp.workdps(30):
+        A, B = mp.mpf(a), mp.mpf(b)
+        ref = mp.beta(B, A + 1) * (mp.digamma(A + B + 1) - mp.digamma(B))
+        assert abs(got.value - ref) <= got.abs_error_bound <= 1e-5 * abs(ref)
+
+
 def test_recursion_domain():
     with pytest.raises(DomainError):
         ramanujan_phi(-1.5, 0.25, 1)

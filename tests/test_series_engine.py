@@ -256,16 +256,73 @@ def test_powerlaw_large_a_bound_known_false():
     assert abs(got.value - 1.0 / 51.5) <= got.abs_error_bound
 
 
-@pytest.mark.xfail(strict=True, reason="finite-sum bound ignores the rounding of alpha + 1")
-def test_finite_bound_known_false():
+def test_finite_bound_counts_alpha_rounding():
     # one term 3^-(alpha+1): rounding alpha + 1 moves it by |ln 3| (alpha+1) u,
-    # 3e-17 here, above the bound eps (a+2) |t_0| = 2.4e-17
+    # 3e-17 here, which a bound of eps (a+2) |t_0| = 2.4e-17 would miss
     mp = pytest.importorskip("mpmath")
     alpha = 1.0102002910092913
     got = eval_phi(0.0, 3.0, alpha)
     with mp.workdps(30):
         err = abs(got.value - mp.mpf(3) ** -(mp.mpf(alpha) + 1))
     assert err <= got.abs_error_bound
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, args, slot", [
+    (lambda *p: eval_psi_general(SeriesParams(*p)), [0.5, 1.0, -0.5, 0.0], slot)
+    for slot in range(4)
+] + [(eval_phi_da_direct, [0.5, 1.0, 0], slot) for slot in range(3)])
+def test_non_finite_input_rejected(call, args, slot, bad):
+    # a, b, beta, alpha of the series, a, b, n of the derivative: rejected
+    # before any term is summed
+    args = list(args)
+    args[slot] = bad
+    with pytest.raises(DomainError):
+        call(*args)
+
+
+def _deriv_reference(mp, a, b, n):
+    """(1/n!) int_0^inf x^n e^(-bx) (1-e^-x)^a ln(1-e^-x) dx by mp.quad; on
+    [0, 1] x = w^p, p = 1/(a+n+1), absorbs x^(a+n)."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    p = 1 / (a + n + 1)
+
+    def near(w):
+        x = w ** p
+        y = -mp.expm1(-x)
+        return p * mp.exp(-b * x) * (y / x) ** a * mp.log(y)
+
+    def far(x):
+        y = -mp.expm1(-x)
+        return x ** n * mp.exp(-b * x) * y ** a * mp.log(y)
+
+    return (mp.quad(near, [0, 1]) + mp.quad(far, [1, mp.inf])) / mp.factorial(n)
+
+
+@st.composite
+def _deriv_cells(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    a = draw(st.floats(min_value=-1.0 - n, max_value=1.5 - n, exclude_min=True)
+             .filter(lambda v: v != math.floor(v)))
+    return a, draw(st.floats(min_value=0.05, max_value=50.0)), n
+
+
+@given(_deriv_cells())
+@settings(max_examples=40, deadline=None)
+def test_derivative_bound_holds_and_meets_target(cell):
+    mp = pytest.importorskip("mpmath")
+    a, b, n = cell
+    got = eval_phi_da_direct(a, b, n)
+    with mp.workdps(30):
+        err = float(abs(got.value - _deriv_reference(mp, a, b, n)))
+    assert err <= got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
+
+
+@pytest.mark.parametrize("a, b, n, want", [(0.0, 1.0, 0, -1.0), (2.0, 1.0, 0, -1.0 / 9.0)])
+def test_derivative_integer_branch_pinned(a, b, n, want):
+    # d/da B(1, a+1) = -1/(a+1)^2; a = 0 is the a = m branch with m = 0
+    got = eval_phi_da_direct(a, b, n)
+    assert abs(got.value - want) <= got.abs_error_bound <= 1e-13
 
 
 @pytest.mark.parametrize("a, b, beta, alpha", [
