@@ -33,13 +33,7 @@ from .series_engine import (
     eval_phi_tilde,
     eval_psi_general,
 )
-from .special_fn import (
-    DivergenceError,
-    DomainError,
-    hurwitz_zeta,
-    lerch_phi,
-    s_prime,
-)
+from .special_fn import DivergenceError, DomainError, _hurwitz, _lerch, _s_prime
 from .verify import SUITE_NAMES, ordered_map, run_suite
 
 
@@ -184,15 +178,6 @@ def _flag(args: argparse.Namespace, axis: str) -> str:
     return given[0]
 
 
-def _wrap(value: float, rel_bound: float, method: str) -> EvalResult:
-    return EvalResult(
-        value=value,
-        abs_error_bound=rel_bound * max(1.0, abs(value)),
-        terms_used=1,
-        method=method,
-    )
-
-
 def _int_order(target: str, n: float) -> int:
     if n != int(n) or n < 0:
         raise DomainError("%s needs a non-negative integer order" % target)
@@ -201,12 +186,6 @@ def _int_order(target: str, n: float) -> int:
 
 def _phida(a: float, b: float, n: float) -> EvalResult:
     return eval_phi_da_direct(a, b, _int_order("phida", n))
-
-
-def _sprime(r: float) -> EvalResult:
-    if r != int(r) or r < 1:
-        raise DomainError("sprime needs a positive integer index")
-    return _wrap(s_prime(int(r)), 4e-15, "closed-form")
 
 
 # target -> (parameter axes, evaluator at one point), shared by eval and table.
@@ -218,9 +197,9 @@ _TARGETS = {
     "psi": (("a", "b", "beta", "alpha"),
             lambda a, b, beta, alpha: eval_psi_general(SeriesParams(a=a, b=b, beta=beta, alpha=alpha))),
     "phida": (("a", "b", "n"), _phida),
-    "zeta": (("s", "q"), lambda s, q: _wrap(hurwitz_zeta(s, q), 4e-15, "closed-form")),
-    "lerch": (("beta", "s", "q"), lambda beta, s, q: _wrap(lerch_phi(beta, s, q), 1e-13, "direct")),
-    "sprime": (("r",), _sprime),
+    "zeta": (("s", "q"), lambda s, q: EvalResult(*_hurwitz(s, q), "closed-form")),
+    "lerch": (("beta", "s", "q"), lambda beta, s, q: EvalResult(*_lerch(beta, s, q), "direct")),
+    "sprime": (("r",), lambda r: EvalResult(*_s_prime(r), "closed-form")),
 }
 
 

@@ -35,8 +35,10 @@ from .series_engine import (
     eval_psi_general,
 )
 from .special_fn import (
+    _EPS,
     DivergenceError,
     DomainError,
+    _hurwitz,
     beta_f,
     digamma,
     gamma,
@@ -68,6 +70,29 @@ class TrigResult:
     params: Tuple[float, float, float]
 
 
+def _sigma(a: float, b: float, k: int) -> Tuple[float, float]:
+    """sigma as (value, error bound). x = a + b + 1 rounds by at most
+    d = _EPS (|a| + b + 1), which moves psi(x) by <= (1/x + 1/x^2) d and
+    zeta(k, x) by <= k zeta(k, x) d / x; digamma is off by at most
+    5 _EPS (1/x + 4 + |ln x|) (3.7 against mpmath on [0.003, 316], the
+    verify series grid inside); each zeta carries the kernel's bound."""
+    if k < 1 or k != int(k):
+        raise DomainError("order k must be a positive integer")
+    if b <= 0.0 or a + b + 1.0 <= 0.0:
+        raise DomainError("need b > 0 and a + b + 1 > 0")
+    x = a + b + 1.0
+    dx = _EPS * (abs(a) + b + 1.0)
+    if k == 1:
+        value = digamma(x) - digamma(b)
+        err = (5.0 * _EPS * (1.0 / x + 1.0 / b + 8.0 + abs(math.log(x)) + abs(math.log(b)))
+               + (1.0 / x + 1.0 / (x * x)) * dx)
+    else:
+        z1, e1, _ = _hurwitz(float(k), b)
+        z2, e2, _ = _hurwitz(float(k), x)
+        value, err = z1 - z2, e1 + e2 + k * z2 / x * dx
+    return value, err + _EPS * abs(value)
+
+
 def sigma(a: float, b: float, k: int) -> float:
     """Closed form of the k-th interleaved difference sum.
 
@@ -75,13 +100,7 @@ def sigma(a: float, b: float, k: int) -> float:
     k >= 2.  The interleaved partial sums converge too slowly to use
     directly; they serve as the test oracle instead.
     """
-    if k < 1 or k != int(k):
-        raise DomainError("order k must be a positive integer")
-    if b <= 0.0 or a + b + 1.0 <= 0.0:
-        raise DomainError("need b > 0 and a + b + 1 > 0")
-    if k == 1:
-        return digamma(a + b + 1.0) - digamma(b)
-    return hurwitz_zeta(float(k), b) - hurwitz_zeta(float(k), a + b + 1.0)
+    return _sigma(a, b, k)[0]
 
 
 def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
@@ -89,8 +108,11 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
 
     n*value_n = sum_{k=1}^n sigma_k * value_{n-k}, seeded with the beta-ratio
     value_0 = Gamma(a+1)Gamma(b)/Gamma(a+b+1), through lgamma where a gamma
-    overflows.  Error bound tracks the propagated rounding of the seed and
-    coefficients.
+    overflows.  The bound propagates the seed's error and each sigma_k's
+    (see _sigma) and counts every rounding.  The seed's relative error, in
+    units of _EPS: 8 a math.gamma (7.2 at worst against mpmath on
+    [0.003, 40]), 2 for the product and quotient, and |y psi(y)| <=
+    1 + y (1 + |ln y|) times the rounding of y = a + 1 and a + b + 1.
     """
     if n < 0 or n != int(n):
         raise DomainError("order n must be a non-negative integer")
@@ -101,25 +123,27 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
         phi0 = beta_f(0.0, a, b)
     except OverflowError:
         phi0 = math.inf
-    err0 = 4e-16 * phi0
+    x = a + b + 1.0
+    err0 = _EPS * (26.0 + 0.5 * (1.0 + (a + 1.0) * (1.0 + abs(math.log(a + 1.0))))
+                   + (abs(a) + b + 1.0) * (1.0 / x + 1.0 + abs(math.log(x)))) * phi0
     if phi0 == math.inf:
         # every gamma argument is positive here; each lgamma carries an
         # absolute error of a few units of its own size
-        lgs = (math.lgamma(b), math.lgamma(a + 1.0), -math.lgamma(a + b + 1.0))
+        lgs = (math.lgamma(b), math.lgamma(a + 1.0), -math.lgamma(x))
         phi0 = math.exp(math.fsum(lgs))
         err0 = (4e-16 + 4.4e-16 * sum(map(abs, lgs))) * phi0
     vals = [phi0]
     errs = [err0]
-    sig = [sigma(a, b, k) for k in range(1, n + 1)]
+    sig = [_sigma(a, b, k) for k in range(1, n + 1)]
     for j in range(1, n + 1):
-        terms = [sig[k - 1] * vals[j - k] for k in range(1, j + 1)]
+        terms = [sig[k - 1][0] * vals[j - k] for k in range(1, j + 1)]
         vals.append(math.fsum(terms) / j)
-        prop = sum(abs(sig[k - 1]) * (errs[j - k] + 2e-16 * abs(vals[j - k]))
-                   for k in range(1, j + 1))
-        errs.append(prop / j)
+        prop = sum(abs(s) * errs[j - k] + (e + _EPS * abs(s)) * abs(vals[j - k])
+                   for k, (s, e) in enumerate(sig[:j], 1))
+        errs.append(prop / j + 2.0 * _EPS * abs(vals[j]))
     return EvalResult(
         value=vals[n],
-        abs_error_bound=errs[n] + 5e-17 * abs(vals[n]),
+        abs_error_bound=errs[n],
         terms_used=n + 1,
         method="recursion",
     )

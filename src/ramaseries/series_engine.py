@@ -10,7 +10,8 @@ Summation strategy by regime:
   * |beta| < 1: scalar compensated loop with a geometric tail bound; a sum
     longer than 256 terms goes on in numpy chunks under the same stopping
     rule.
-  * beta = -1, negative integer a: a finite Hurwitz zeta combination.
+  * beta = -1, negative integer a: a finite Hurwitz zeta combination,
+    each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
     A head of N terms (a numpy cumulative product of the term ratio) plus
     an asymptotic tail: the Tricomi-Erdelyi expansion of the gamma ratio
@@ -18,6 +19,11 @@ Summation strategy by regime:
     even/odd Hurwitz split at beta = +1. The bound adds twice the last two
     orders kept, the Euler-Maclaurin remainders, and the roundoff of head
     and tail.
+  * every Hurwitz value above comes from the one Euler-Maclaurin kernel,
+    special_fn._em_zeta (and its s-derivative _em_dzeta), with its
+    remainder bound.
+  * terms past double range raise DomainError, checked once per chunk sum
+    and once at return.
   * the a-derivative of the alternating series: the same head and tail,
     differentiated in a. Head terms are t_i H_i with H_i a cumulative sum
     of 1/(a-j); the tail is the a-derivative of the asymptotic tail, the
@@ -38,19 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ramaseries.special_fn import (_BERNOULLI_EVEN, DivergenceError,
-                                   DomainError, digamma, hurwitz_zeta)
+from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, DomainError,
+                                   _em_dzeta, _em_zeta, _hurwitz, digamma)
 
-_EPS = 1.1e-16
 _CHUNK = 32768
 _SCALAR_TERMS = 256  # geometric sums go to numpy chunks past this many terms
 _GEOMETRIC_CHUNK = 4096  # small: a geometric sum stops mid-chunk, and 32768 raised peak RSS
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
 _DEFAULT_TARGET = 1e-12
 _DEFAULT_CAP = 10**7
+_OVERFLOW = "the series terms overflow double precision"
 
-_BERNOULLI_OVER_FACT = [B / math.factorial(2 * m)
-                        for m, B in enumerate(_BERNOULLI_EVEN[:9], 1)]
 # _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
 # B_n(x) = sum_m C(n, m) B_(n-m) x^m
 _BERNOULLI = [1.0, -0.5] + [_BERNOULLI_EVEN[j // 2 - 1] if j % 2 == 0 else 0.0
@@ -117,6 +121,17 @@ def _sign_recip_gamma_neg(a: float) -> float:
     return -1.0 if math.floor(a) % 2 == 0 else 1.0
 
 
+def _fsum(xs) -> float:
+    """math.fsum, raising DomainError where the terms left double range."""
+    try:
+        total = math.fsum(xs)
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum past 1e308
+        total = math.nan
+    if not math.isfinite(total):
+        raise DomainError(_OVERFLOW)
+    return total
+
+
 def _finite_psi(a: int, b: float, beta: float, alpha: float):
     """Terminating series: exactly a+1 terms, summed by fsum.
 
@@ -130,7 +145,7 @@ def _finite_psi(a: int, b: float, beta: float, alpha: float):
     for i in range(a + 1):
         terms.append(t)
         t *= beta * (a - i) / (i + 1.0) * ((b + i) / (b + i + 1.0)) ** (alpha + 1.0)
-    value = math.fsum(terms)
+    value = _fsum(terms)
     w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(a / b))
     w1 = 5.0 + 4.0 * (alpha + 1.0)
     roundoff = math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0, w1)))
@@ -192,70 +207,12 @@ def _geometric_psi(a: float, b: float, beta: float, alpha: float, target: float,
                               | (used >= cap))
         m = int(stop[0]) + 1 if stop.size else L
         sums.append(float(np.sum(run[:m])))
+        if not math.isfinite(sums[-1]):
+            raise DomainError(_OVERFLOW)
         if stop.size:
-            return math.fsum(sums), float(bound[m - 1]), i + m
+            return _fsum(sums), float(bound[m - 1]), i + m
         i += L
         t = float(run[L])
-
-
-def _zeta_sums(s: float, sm1: float, q: float, alternating: bool):
-    """The functions k -> (Z_k, remainder bound, magnitude) and, for the
-    plain sum only, k -> (dZ_k/ds, remainder bound, magnitude).
-
-    Z_k = q^(s+k) sum_(j>=0) (+-1)^j (q+j)^-(s+k), by Euler-Maclaurin at q
-    with eight Bernoulli corrections: h^sig zeta(sig, p) = h (p/h)^(1-sig)
-    / (sig-1) + (p/h)^-sig (1/2 + sum_m B_2m/(2m)! (sig)_(2m-1) p^(1-2m)).
-    Every even derivative of x^-sig is positive, so the remainder lies
-    between zero and the first omitted correction. The alternating sum is
-    2^-sig (zeta(sig, q/2) - zeta(sig, (q+1)/2)); the integral terms of the
-    two differ by an expm1, free of cancellation near sig = 1. The
-    magnitude sums the absolute values of the pieces, for the roundoff.
-
-    dZ_k/ds differentiates the same pieces in sig, with d(sig)_(2m-1)/dsig
-    = (sig)_(2m-1) sum_(j<2m-1) 1/(sig+j). It is the Euler-Maclaurin sum of
-    q^sig (log q - log x) x^-sig at x = q+j. The remainder of the x^-sig log x
-    part lies between zero and its first omitted correction, at most log q
-    times that of Z_k, only where every even derivative of x^-sig log x up
-    to order 20 keeps one sign: where log q > sum_(j<20) 1/(sig+j), which
-    q >= 40 and sig > 1 satisfy. The caller's head sees to q >= 40.
-    """
-    h = 0.5 * q if alternating else q
-    cf1 = [B * h ** (1 - 2 * m) for m, B in enumerate(_BERNOULLI_OVER_FACT, 1)]
-    cf2 = [B * (h + 0.5) ** (1 - 2 * m) for m, B in enumerate(_BERNOULLI_OVER_FACT, 1)] \
-        if alternating else cf1
-    shrink = h / (h + 0.5)  # (p2/h)^-sig for p2 = h + 1/2
-    lq = math.log1p(1.0 / q)
-    two_lnq = 2.0 * math.log(q)
-
-    def zeta_k(k: int):
-        sig = s + k
-        c1 = c2 = 0.5
-        poch = sig  # (sig)_(2m-1)
-        for m in range(8):
-            c1 += cf1[m] * poch
-            c2 += cf2[m] * poch
-            poch *= (sig + 2 * m + 1) * (sig + 2 * m + 2)
-        if not alternating:
-            z = q / (sm1 + k) + c1
-            return z, abs(cf1[8] * poch), abs(z)
-        w2 = shrink ** sig
-        dint = h * -math.expm1(-(sm1 + k) * lq) / (sm1 + k)
-        return (c1 - w2 * c2 + dint, abs(cf1[8] * poch) + w2 * abs(cf2[8] * poch),
-                abs(c1) + abs(w2 * c2) + abs(dint))
-
-    def dzeta_k(k: int):
-        sig = s + k
-        dc = dmag = 0.0
-        poch, hs = sig, 1.0 / sig  # (sig)_(2m-1), sum_(j<2m-1) 1/(sig+j)
-        for m in range(8):
-            dc += cf1[m] * poch * hs
-            dmag += abs(cf1[m] * poch * hs)
-            hs += 1.0 / (sig + 2 * m + 1) + 1.0 / (sig + 2 * m + 2)
-            poch *= (sig + 2 * m + 1) * (sig + 2 * m + 2)
-        dint = q / (sm1 + k) ** 2
-        return dc - dint, two_lnq * abs(cf1[8] * poch), dmag + dint
-
-    return zeta_k, dzeta_k
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -271,13 +228,16 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     contributions fall under thr, from k = 3 on (the k = 1 one of the
     value is zero), since odd orders nearly vanish when c is near -a/2. The bound adds
     twice those two, the Euler-Maclaurin remainders, and the roundoff of
-    the prefactor exp(-lg - s log q) and of the series.
+    the prefactor exp(-lg - s log q) and of the series. Z_k = q^(s+k)
+    sum_(j>=0) (+-1)^j (q+j)^-(s+k) and its remainder come from the kernel
+    special_fn._em_zeta, plain at beta = -1 and alternating at beta = +1.
 
     Given psi = digamma(-a) (beta = -1 only), it returns the a-derivative
     of the tail instead, with n and c held: the prefactor gives
     psi - log q, d(n l_n)/da = (-1)^n B_n(-a-c) / q^n (nonzero at n = 1)
-    feeds the same recursion for de_k, and dZ_k/ds comes from _zeta_sums.
-    Its contributions, stopping rule and bound are built the same way.
+    feeds the same recursion for de_k, and dZ_k/ds comes from
+    special_fn._em_dzeta. Its contributions, stopping rule and bound are
+    built the same way.
     """
     s = a + alpha + 2.0
     q = n + c
@@ -294,7 +254,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
         rho = -rho  # (-beta)^i alternates from (-1)^n
     parts = []
     em = mag = 0.0
-    zeta_k, dzeta_k = _zeta_sums(s, (a + 1.0) + alpha, q, beta > 0.0)
+    sm1 = (a + 1.0) + alpha
     for k in range(_TAIL_ORDERS + 1):
         if k:
             px1.append(px1[-1] * x1)
@@ -317,14 +277,14 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
                 de.append((sum(map(operator.mul, dnl[1:], e[::-1]))
                            + sum(map(operator.mul, nl[1:], de[::-1]))) / k)
             e.append(sum(map(operator.mul, nl[1:], reversed(e))) / k)
-        z, rem, zabs = zeta_k(k)
+        z, rem, zabs = _em_zeta(s + k, sm1 + k, q, beta > 0.0)
         ce = rho * e[k]
         if psi is None:
             parts.append(ce * z)
             em += abs(ce) * rem
             mag += abs(ce) * zabs
         else:
-            dz, drem, dzabs = dzeta_k(k)
+            dz, drem, dzabs = _em_dzeta(s + k, sm1 + k, q)
             dce = rho * ((psi - lnq) * e[k] + de[k])
             parts.append(dce * z + ce * dz)
             em += abs(dce) * rem + abs(ce) * drem
@@ -346,7 +306,8 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
     f(i) = Gamma(i-a) / Gamma(i+1) / (b+i)^(alpha+1). In z = i + c,
     log f = -s log z + sum_n L_n z^-n (Tricomi-Erdelyi, s = a+alpha+2), and
     exp of that series is sum_k e_k z^-k, so the tail is sum_k e_k times a
-    Hurwitz zeta of order s+k (even/odd split at beta = +1). c zeroes L_1;
+    Hurwitz zeta of order s+k (even/odd split at beta = +1), from the
+    kernel special_fn._em_zeta in _asymptotic_tail. c zeroes L_1;
     the head runs until z >= 6 max(|a+c|, |1-c|, |b-c|, 1), where the shifts
     in the log series are small against z, or until cap terms.
     """
@@ -370,12 +331,12 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
         L = min(_CHUNK, n - i)
         run, j = _terms(a, b, beta, alpha, i, t, L + 1)
         terms = run[:L].tolist()
+        sums.append(_fsum(terms))
         if i == 0:
             roundoff = (w0 + 4.0 * k0) * abs(math.fsum(terms[:k0]))
         lo = max(k0 - i, 0)
         mags = np.abs(run[lo:L])
         roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j[lo:L])
-        sums.append(math.fsum(terms))
         t = float(run[L])
         i += L
     head = math.fsum(sums)
@@ -396,6 +357,31 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
     return value, tail_bound + _EPS * (roundoff + abs(value)), n
 
 
+def _negint_psi(k: int, b: float, alpha: float):
+    """beta = -1 at a = -k: the weight C(k-1+i, i) is a degree k-1 polynomial
+    in (b+i), so S = sum_r poly_r zeta(alpha+2-k+r, b) / (k-1)!. The bound
+    adds each zeta's bound and, in units of _EPS, 3k |poly|_r (|poly| from
+    |j - b|) for the coefficients, 2 for product and quotient, and sig L,
+    L = max(|ln b|, ln(b + 12)), for the rounding of sig = sm1 + 1; sm1 =
+    alpha - (k-1) + r keeps sig - 1 exact where it is small."""
+    poly, absp = [1.0], [1.0]
+    for j in range(1, k):
+        root = float(j) - b
+        poly = [x + y * root for x, y in zip(poly + [0.0], [0.0] + poly)]
+        absp = [x + y * abs(root) for x, y in zip(absp + [0.0], [0.0] + absp)]
+    fact = float(math.factorial(k - 1))
+    L = max(abs(math.log(b)), math.log(b + 12.0))
+    pieces, errs = [], []
+    for r, (c, cabs) in enumerate(zip(poly, absp)):
+        sm1 = (alpha - (k - 1)) + r
+        z, zb, _ = _hurwitz(sm1 + 1.0, b, sm1)
+        pieces.append(c * z / fact)
+        errs.append((abs(c) * (zb + _EPS * ((sm1 + 1.0) * L + 2.0) * z)
+                     + _EPS * 3.0 * k * cabs * z) / fact)
+    value = math.fsum(pieces)
+    return value, math.fsum(errs) + _EPS * abs(value), k
+
+
 def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
                      cap: int = _DEFAULT_CAP) -> EvalResult:
     """Sum the weighted series for params, with a rigorous error bound.
@@ -407,36 +393,22 @@ def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
     """
     params.validate()
     a, b, beta, alpha = params.a, params.b, params.beta, params.alpha
+    method = "direct"
     if _is_nonneg_int(a):
         value, bound, n = _finite_psi(int(a), b, beta, alpha)
-        return EvalResult(value, bound, n, "direct")
-    if abs(beta) < 1.0:
+    elif abs(beta) < 1.0:
         value, bound, n = _geometric_psi(a, b, beta, alpha, target, cap)
-        return EvalResult(value, bound, n, "direct")
-    if a + alpha <= -1.0:
+    elif a + alpha <= -1.0:
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
-    if beta == -1.0 and a < 0.0 and a == math.floor(a):
-        # negative integer upper parameter with alternating weight: every
-        # term is positive, the binomial weight is a degree k-1 polynomial
-        # in (b+i), and the sum is a finite Hurwitz zeta combination
-        k = int(-a)
-        poly = [1.0]
-        for j in range(1, k):
-            root = float(j) - b
-            nxt = [0.0] * (len(poly) + 1)
-            for idx, c in enumerate(poly):
-                nxt[idx] += c
-                nxt[idx + 1] += c * root
-            poly = nxt
-        fact = float(math.factorial(k - 1))
-        pieces = [c * hurwitz_zeta(alpha + 2.0 - k + r, b) / fact
-                  for r, c in enumerate(poly)]
-        value = math.fsum(pieces)
-        bound = 4e-15 * math.fsum(abs(x) for x in pieces) + 1e-300
-        return EvalResult(value, bound, k, "closed-form")
-    value, bound, n = _powerlaw_psi(a, b, beta, alpha, target, cap)
-    return EvalResult(value, bound, n, "direct")
+    elif beta == -1.0 and a == math.floor(a):
+        value, bound, n = _negint_psi(int(-a), b, alpha)
+        method = "closed-form"
+    else:
+        value, bound, n = _powerlaw_psi(a, b, beta, alpha, target, cap)
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise DomainError(_OVERFLOW)
+    return EvalResult(value, bound, n, method)
 
 
 def eval_phi(a: float, b: float, alpha: float, *, target: float = _DEFAULT_TARGET,
@@ -468,7 +440,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *,
     _asymptotic_tail with N and c held at the base a. N is chosen as for
     the power law but with q = N + c >= 40 whatever the cap, so that the
     Euler-Maclaurin remainder of the differentiated zeta sums keeps its
-    bound (see _zeta_sums). Each head term's roundoff is counted: that of
+    bound (see special_fn._em_dzeta). Each head term's roundoff is counted: that of
     t_i as in _powerlaw_psi, and (i+2) sum_(j<i) |1/(a-j)| units for H_i.
 
     At a non-negative integer a = m the i <= m terms keep H_i (its
@@ -518,7 +490,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *,
                 if i + L < stop:
                     last = 1.0 / (a - j[L - 1])
                     h, habs = H[-1] + last, A[-1] + abs(last)
-            sums.append(math.fsum(d.tolist()))
+            sums.append(_fsum(d.tolist()))
             roundoff += float(err.sum())
             t = float(run[L])
             i += L

@@ -205,3 +205,31 @@ def test_order_flag_either_spelling(cmd, target, params):
     assert both.returncode == 2
     assert both.stdout == ""
     assert "not both" in both.stderr
+
+
+def _scalar_reference(mp, target, point):
+    if target == "zeta":
+        return mp.zeta(*point)
+    if target == "sprime":
+        return mp.dirichlet(point[0], [0, 1, 0, -1])  # 1 - 3^-r + 5^-r - ...
+    beta, s, q = point
+    return mp.zeta(s, q) if beta == 1.0 else mp.lerchphi(beta, s, q)
+
+
+@pytest.mark.parametrize("target, point", [
+    ("zeta", (1.05, 0.05)), ("zeta", (8.0, 20.0)), ("zeta", (2.0, 1.0)),
+] + [("sprime", (float(r),)) for r in range(1, 13)] + [
+    ("lerch", (-1.0, s, q)) for s in (0.3, 1.0, 2.5) for q in (0.5, 3.0)
+] + [("lerch", (1.0, 2.5, 0.5)), ("lerch", (-0.5, 1.0, 1.0)), ("lerch", (0.999999, 1.0, 1.0))])
+def test_eval_target_bound_holds(target, point):
+    # every scalar eval target reports a derived bound; at beta = 0.999999
+    # the loop stops at 10^6 terms, 0.22 short, and its bound covers that
+    mp = pytest.importorskip("mpmath")
+    from ramaseries.cli import _TARGETS
+
+    got = _TARGETS[target][1](*point)
+    with mp.workdps(40):
+        ref = _scalar_reference(mp, target, point)
+        assert abs(got.value - ref) <= got.abs_error_bound
+    if point[0] != 0.999999:
+        assert got.abs_error_bound <= 1e-13 * abs(got.value)

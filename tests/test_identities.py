@@ -5,6 +5,7 @@ either the direct summation engine, a brute-force partial sum, or a
 quadrature oracle.
 """
 
+import itertools
 import math
 
 import pytest
@@ -65,6 +66,21 @@ def test_sigma_k1_telescoped():
     assert sigma(a, b, 1) == pytest.approx(digamma(a + b + 1.0) - digamma(b), rel=1e-14)
 
 
+def test_sigma_bound_holds_on_series_grid():
+    # the digamma constant of _sigma's bound, and the kernel's zeta bounds,
+    # on the grid the verify series suite runs
+    mp = pytest.importorskip("mpmath")
+    from ramaseries.identities import _sigma
+    from ramaseries.verify import _SERIES_A, _SERIES_B
+
+    with mp.workdps(40):
+        for a, b, k in itertools.product(_SERIES_A, _SERIES_B, (1, 2, 3)):
+            value, bound = _sigma(a, b, k)
+            A, B = mp.mpf(a), mp.mpf(b)
+            ref = mp.digamma(A + B + 1) - mp.digamma(B) if k == 1 else mp.zeta(k, B) - mp.zeta(k, A + B + 1)
+            assert abs(value - ref) <= bound <= 1e-12 * abs(ref), (a, b, k)
+
+
 def test_sigma_set_matches_scalar():
     ss = SigmaSet.build(0.5, 1.0, 5)
     for k in range(1, 6):
@@ -98,6 +114,18 @@ def test_recursion_past_gamma_overflow(a, b):
         A, B = mp.mpf(a), mp.mpf(b)
         ref = mp.beta(B, A + 1) * (mp.digamma(A + B + 1) - mp.digamma(B))
         assert abs(got.value - ref) <= got.abs_error_bound <= 1e-5 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b, n", [(0.5, 2.0, 1), (-0.9, 2.5, 1), (-0.9, 1.0, 5), (-0.5, 2.5, 2)])
+def test_recursion_bound_holds(a, b, n):
+    # cells where the bound once left out the rounding of sigma_k, of the
+    # gamma seed or of the running sums
+    mp = pytest.importorskip("mpmath")
+    got = ramanujan_phi(a, b, n)
+    with mp.workdps(40):
+        A, B = mp.mpf(a), mp.mpf(b)
+        ref = (-1) ** n * mp.diff(lambda y: mp.beta(y, A + 1), B, n) / mp.factorial(n)
+        assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12 * abs(ref)
 
 
 def test_recursion_domain():

@@ -72,19 +72,20 @@ def test_negative_integer_a_reduces_to_zeta():
 def test_negative_integer_a_vs_independent_sum():
     mp = pytest.importorskip("mpmath")
     # the defining integral, by quadrature independent of the zeta reduction;
-    # x^(alpha+a) = x^-0.5 at each cell is integrable at 0
-    cells = ((-3.0, 4.0, 2.5), (-2.0, 1.5, 1.5), (-4.0, 2.0, 3.5))
+    # x = w^2 smooths x^(alpha+a) = x^-0.5 at each cell; k = -a = 1..4 at
+    # b = 0.1 and 10 are the edges of the closed form's band
+    cells = [(-3.0, 4.0, 2.5), (-2.0, 1.5, 1.5), (-4.0, 2.0, 3.5)]
+    cells += [(-float(k), b, k - 0.5) for k in range(1, 5) for b in (0.1, 10.0)]
     with mp.workdps(30):
         for a, b, alpha in cells:
-            ref = float(
-                mp.quad(
-                    lambda x: x ** alpha * mp.exp(-b * x) * (-mp.expm1(-x)) ** a,
-                    [0, 1, mp.inf],
-                )
-                / mp.gamma(alpha + 1)
-            )
+            ref = mp.quad(
+                lambda w: 2 * w ** (2 * alpha + 1) * mp.exp(-b * w * w) * (-mp.expm1(-w * w)) ** a,
+                [0, 1, mp.inf],
+            ) / mp.gamma(alpha + 1)
             got = eval_phi(a, b, alpha)
-            assert got.value == pytest.approx(ref, rel=1e-11)
+            assert got.method == "closed-form"
+            assert got.value == pytest.approx(float(ref), rel=1e-11)
+            assert abs(got.value - ref) <= got.abs_error_bound <= 1e-13 * abs(got.value), (a, b)
 
 
 def test_slow_powerlaw_value():
@@ -277,6 +278,22 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     # before any term is summed
     args = list(args)
     args[slot] = bad
+    with pytest.raises(DomainError):
+        call(*args)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("call, args", [
+    (eval_phi, (1e6, 1.0, 0.0)),
+    (eval_phi_da_direct, (2000.5, 1.0, 0)),
+    (eval_phi_tilde, (2000.5, 1.0, 0.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (2000.5, 1.0, -0.5, 0.0)),
+])
+def test_overflow_raises_domain_error(call, args):
+    # the terms pass 1e308 before they cancel: finite sum, derivative head,
+    # power-law head and geometric loop each raise rather than return inf or
+    # fail inside fsum
     with pytest.raises(DomainError):
         call(*args)
 
