@@ -252,14 +252,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _record_row(rec: VerificationRecord) -> Dict[str, object]:
-    spec = rec.spec
-    ident = spec if isinstance(spec, str) else "%s %s" % (
-        spec.form,
-        " ".join("%s=%s" % (k, _fmt(float(v), 6)) if isinstance(v, float) else "%s=%s" % (k, v)
-                 for k, v in sorted(spec.params.items())),
-    )
     return {
-        "id": ident,
+        "id": rec.spec,
         "series_value": rec.series_value,
         "oracle_value": rec.oracle_value,
         "residual": rec.residual,

@@ -81,20 +81,20 @@ def _dd_powi(xh: float, xl: float, n: int) -> tuple[float, float]:
 class CoeffTriangle:
     """Dense triangle of reduction coefficients for fixed (p, b).
 
-    rows[m-1][k-1] holds A[m][k], 1 <= k <= m <= M, correctly rounded from
-    the exact dyadic recurrence.  rows_lo carries the rounding remainders so
-    evaluators can reconstruct entries to double-double accuracy.
+    rows[m-1][k-1] holds A[m][k], 1 <= k <= m <= len(rows), correctly rounded
+    from the exact dyadic recurrence.  rows_lo carries the rounding
+    remainders so evaluators can reconstruct entries to double-double
+    accuracy.
     """
 
     p: float
     b: float
     rows: tuple[tuple[float, ...], ...]
-    M: int
-    rows_lo: tuple[tuple[float, ...], ...] = field(repr=False, default=())
+    rows_lo: tuple[tuple[float, ...], ...] = field(repr=False)
 
     def entry(self, m: int, k: int) -> float:
-        if not (1 <= k <= m <= self.M):
-            raise DomainError(f"entry ({m},{k}) outside triangle of depth {self.M}")
+        if not (1 <= k <= m <= len(self.rows)):
+            raise DomainError(f"entry ({m},{k}) outside triangle of depth {len(self.rows)}")
         return self.rows[m - 1][k - 1]
 
 
@@ -130,7 +130,7 @@ def build(p: float, b: float, M: int) -> CoeffTriangle:
             raise DomainError("non-finite coefficient; depth too large for these inputs")
         rows.append(hi)
         rows_lo.append(tuple(float(v - Fraction(h)) for v, h in zip(row, hi)))
-    return CoeffTriangle(p=p, b=b, rows=tuple(rows), M=M, rows_lo=tuple(rows_lo))
+    return CoeffTriangle(p=p, b=b, rows=tuple(rows), rows_lo=tuple(rows_lo))
 
 
 def lhs_poly(tri: CoeffTriangle, m: int, t: float) -> float:
@@ -143,14 +143,13 @@ def lhs_poly(tri: CoeffTriangle, m: int, t: float) -> float:
     p) stay finite there; a nonzero coefficient against a negative power of
     (1-t) at t = 1 is a genuine pole and raises.
     """
-    if m < 0 or m > tri.M - 1:
-        raise DomainError(f"row m={m} not available in triangle of depth {tri.M}")
+    if not 0 <= m < len(tri.rows):
+        raise DomainError(f"row m={m} not available in triangle of depth {len(tri.rows)}")
     t = float(t)
     p = tri.p
     if m == 0:
         return (1.0 - t) ** p
-    row = tri.rows[m]
-    row_lo = tri.rows_lo[m] if tri.rows_lo else tuple(0.0 for _ in row)
+    row, row_lo = tri.rows[m], tri.rows_lo[m]
     if t == 1.0:
         total = 0.0
         for k in range(1, m + 2):

@@ -23,6 +23,7 @@ from .quadrature import (
     IntegralSpec,
     VerificationRecord,
     integrate_decay,
+    inverse_factor_direct,
     make_record,
     oracle_value,
 )
@@ -162,14 +163,7 @@ def _repro_x3() -> Tuple[VerificationRecord, VerificationRecord]:
 def _repro_5_7() -> Tuple[VerificationRecord, VerificationRecord]:
     # sum over j of 1/(j (1+j)^2) is positive; the display equates it to the
     # parameter derivative itself instead of its negative
-    total = 0.0
-    comp = 0.0
-    for j in range(1, 60000):
-        y = 1.0 / (j * (1.0 + j) ** 2) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    orc = total + 1.0 / (2.0 * 59999.0 ** 2)
+    orc = inverse_factor_direct(1.0, 2)
     printed = identities.phi_da_closed(0.0, 1.0, 1)
     corrected = identities.inverse_factor_sum(1.0, 2)
     return _pair("(5.7)", printed, corrected, orc, 1e-9)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .coeff_triangle import build as build_triangle
 from .quadrature import (
@@ -49,25 +49,11 @@ _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class SigmaSet:
-    """Log-derivative coefficients sigma_1..sigma_n for fixed (a, b)."""
-
-    a: float
-    b: float
-    values: Tuple[float, ...]
-
-    @classmethod
-    def build(cls, a: float, b: float, n: int) -> "SigmaSet":
-        return cls(a=a, b=b, values=tuple(sigma(a, b, k) for k in range(1, n + 1)))
-
-
-@dataclass(frozen=True)
 class TrigResult:
     """Cosine- and sine-part values of an oscillatory integral pair."""
 
     lambda_c: float
     lambda_s: float
-    params: Tuple[float, float, float]
 
 
 def _sigma(a: float, b: float, k: int) -> Tuple[float, float]:
@@ -178,18 +164,13 @@ def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> Verifica
     tri = build_triangle(p, b, m + 1)
     row = tri.rows[m]
     lhs_terms = []
-    lhs_bound = 0.0
-    used = 0
     for k in range(1, m + 2):
         coeff = row[k - 1] * (-beta) ** (k - 1)
         inst = eval_psi_general(
             SeriesParams(a=p - k + 1.0, b=b + k - 1.0, beta=beta, alpha=mu + m)
         )
         lhs_terms.append(coeff * inst.value)
-        lhs_bound += abs(coeff) * inst.abs_error_bound
-        used += inst.terms_used
     rhs = eval_psi_general(SeriesParams(a=p, b=b, beta=beta, alpha=mu))
-    used += rhs.terms_used
     lhs = math.fsum(lhs_terms)
     tol = 1e-9 * max(1.0, abs(rhs.value))
     return make_record(_shift_id(p, b, beta, mu, m), lhs, rhs.value, tol)
@@ -258,13 +239,11 @@ def inverse_factor_sum(b: float, n: int) -> float:
     return -phi_da_closed(0.0, b, int(n) - 1)
 
 
-def interchange_check(a: float, b: float, m: int = 1) -> VerificationRecord:
+def interchange_check(a: float, b: float) -> VerificationRecord:
     """Confront the two readings of mixed differentiation order at n = 0:
     the parameter derivative against -1 times the order-1 series with its
-    first two parameters swapped (a,b) -> (b-1, a+1).  First order only.
+    first two parameters swapped (a,b) -> (b-1, a+1).
     """
-    if m != 1:
-        raise DomainError("only first-order interchange is supported")
     lhs = phi_da_closed(a, b, 0)
     rhs = -ramanujan_phi(b - 1.0, a + 1.0, 1).value
     tol = 1e-9 * max(1.0, abs(rhs))
@@ -284,6 +263,25 @@ def _phase(x: float) -> Tuple[float, float]:
     return math.sin(0.5 * math.pi * x), math.cos(0.5 * math.pi * x)
 
 
+def _trig_b(a: int, w: float, alpha: float, freq: str, whole_alpha: bool = False) -> float:
+    """The series argument (w-a)/2 of a trig closed form, after checking that
+    a is a positive integer, the frequency (named freq) exceeds a, and
+    alpha >= 0 (an integer if whole_alpha)."""
+    if a < 1 or a != int(a):
+        raise DomainError("need a a positive integer")
+    if not w > a:
+        raise DomainError(f"need frequency {freq} > a")
+    if alpha < 0.0 or (whole_alpha and alpha != int(alpha)):
+        raise DomainError("need integer alpha >= 0" if whole_alpha else "need alpha >= 0")
+    return 0.5 * (w - a)
+
+
+def _scale_phase(a: int, alpha: float, theta: float) -> Tuple[float, float, float]:
+    """The trig scale factor 2^(-a-alpha-1) Gamma(alpha+1), and the sine and
+    cosine of the phase theta pi/2."""
+    return (2.0 ** (-a - alpha - 1.0) * gamma(alpha + 1.0), *_phase(theta))
+
+
 def trig_lambda(a: int, w: float, alpha: float) -> TrigResult:
     """Closed forms for int x^alpha sin^a(x) {cos,sin}(wx) dx (regularized).
 
@@ -298,21 +296,9 @@ def trig_lambda(a: int, w: float, alpha: float) -> TrigResult:
     conjugated phase factor in the source chain led to w = 2b - a and a
     detached a-alpha phase, which the oracle rejects (see errata).
     """
-    if a < 1 or a != int(a):
-        raise DomainError("need a a positive integer")
-    if not w > a:
-        raise DomainError("need frequency w > a")
-    if alpha < 0.0:
-        raise DomainError("need alpha >= 0")
-    bphi = 0.5 * (w - a)
-    val = eval_phi(float(a), bphi, alpha).value
-    s = 2.0 ** (-a - alpha - 1.0) * gamma(alpha + 1.0)
-    sin_t, cos_t = _phase(a + alpha)
-    return TrigResult(
-        lambda_c=-s * val * sin_t,
-        lambda_s=s * val * cos_t,
-        params=(float(a), float(w), float(alpha)),
-    )
+    val = eval_phi(float(a), _trig_b(a, w, alpha, "w"), alpha).value
+    s, sin_t, cos_t = _scale_phase(a, alpha, a + alpha)
+    return TrigResult(lambda_c=-s * val * sin_t, lambda_s=s * val * cos_t)
 
 
 def trig_cos(a: int, v: float, alpha: float) -> TrigResult:
@@ -322,21 +308,9 @@ def trig_cos(a: int, v: float, alpha: float) -> TrigResult:
     alpha) with positive weights, and phase alpha alone.  These pass the
     oracle as printed in the source.
     """
-    if a < 1 or a != int(a):
-        raise DomainError("need a a positive integer")
-    if not v > a:
-        raise DomainError("need frequency v > a")
-    if alpha < 0.0:
-        raise DomainError("need alpha >= 0")
-    bphi = 0.5 * (v - a)
-    val = eval_phi_tilde(float(a), bphi, alpha).value
-    s = 2.0 ** (-a - alpha - 1.0) * gamma(alpha + 1.0)
-    sin_t, cos_t = _phase(alpha)
-    return TrigResult(
-        lambda_c=-s * val * sin_t,
-        lambda_s=s * val * cos_t,
-        params=(float(a), float(v), float(alpha)),
-    )
+    val = eval_phi_tilde(float(a), _trig_b(a, v, alpha, "v"), alpha).value
+    s, sin_t, cos_t = _scale_phase(a, alpha, alpha)
+    return TrigResult(lambda_c=-s * val * sin_t, lambda_s=s * val * cos_t)
 
 
 def log_sin_integral(a: int, w: float, alpha: float) -> Tuple[float, float]:
@@ -349,19 +323,12 @@ def log_sin_integral(a: int, w: float, alpha: float) -> Tuple[float, float]:
     rotates by pi/2.  Integer alpha only (the parameter-derivative closed
     form is integer-order).
     """
-    if a < 1 or a != int(a):
-        raise DomainError("need a a positive integer")
-    if not w > a:
-        raise DomainError("need frequency w > a")
-    if alpha < 0.0 or alpha != int(alpha):
-        raise DomainError("need integer alpha >= 0")
+    bphi = _trig_b(a, w, alpha, "w", whole_alpha=True)
     n = int(alpha)
-    bphi = 0.5 * (w - a)
     phi_val = eval_phi(float(a), bphi, float(n)).value
     phi_up = eval_phi(float(a), bphi, float(n + 1)).value
     dtotal = phi_da_closed(float(a), bphi, n) + 0.5 * (n + 1.0) * phi_up
-    s = 2.0 ** (-a - n - 1.0) * gamma(n + 1.0)
-    sin_t, cos_t = _phase(a + n)
+    s, sin_t, cos_t = _scale_phase(a, n, a + n)
     half_pi = 0.5 * math.pi
     core = dtotal - _LN2 * phi_val
     d_c = -s * (core * sin_t + half_pi * phi_val * cos_t)

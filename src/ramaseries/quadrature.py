@@ -1,6 +1,6 @@
 """Numerical integration oracles used to confront series evaluations.
 
-Three independent routes:
+Independent routes:
 
 * tanh-sinh rule on (0,1) for integrands with algebraic-log endpoint
   behavior, reused for exponential-decay and two-sided integrals through
@@ -8,7 +8,8 @@ Three independent routes:
 * regularized (Abel) evaluation for conditionally convergent oscillatory
   integrals: damp by exp(-eps x), integrate over pi-length panels, then
   extrapolate eps -> 0,
-* closed-form dispatch table mapping tagged integral forms to the routes.
+* closed-form dispatch table mapping tagged integral forms to the routes,
+* direct summation of the inverse-factor series sum_j 1/(j (b+j)^n).
 
 Endpoint care: tanh-sinh abscissae cluster within 1e-270 of the endpoints,
 far below float spacing around 1.0, so the rule always evaluates through
@@ -27,9 +28,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .series_engine import EvalResult, SeriesParams
-from .special_fn import DomainError
+from .special_fn import _EPS, DomainError
 
-_EPS = 1.1e-16
 _MAX_LEVEL = 12
 _UNIT_TARGET = 1e-11
 
@@ -80,21 +80,17 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 
 def integrate_unit(
     f: Callable[[float], float],
-    sigma0: float = 0.0,
-    sigma1: float = 0.0,
     *,
     f_right: Optional[Callable[[float], float]] = None,
     target: float = _UNIT_TARGET,
 ) -> EvalResult:
-    """Integrate f over (0,1) with endpoint behavior t^sigma0 (1-t)^sigma1 (logs allowed).
+    """Integrate f over (0,1), integrable singularities and logs at either end allowed.
 
     f receives the abscissa for the left half; f_right receives the distance
     d and must return the integrand at t = 1-d.  Error estimate comes from
     successive level differences; hitting the level cap returns the achieved
     estimate rather than raising.
     """
-    if not (sigma0 > -1.0 and sigma1 > -1.0):
-        raise DomainError("endpoint exponents must exceed -1")
     if f_right is None:
         f_right = lambda d: f(1.0 - d)
     evals = 0
@@ -145,12 +141,7 @@ def _decay_halves(f: Callable[[float], float]):
     return left, right
 
 
-def integrate_decay(
-    f: Callable[[float], float],
-    b: float,
-    *,
-    target: float = _UNIT_TARGET,
-) -> EvalResult:
+def integrate_decay(f: Callable[[float], float], b: float) -> EvalResult:
     """Integrate f over (0, inf) where f is dominated by x^alpha e^(-bx) (logs allowed).
 
     Substitution t = e^(-x) maps to the unit interval with left-endpoint
@@ -160,23 +151,19 @@ def integrate_decay(
     if not b > 0.0:
         raise DomainError("decay rate b must be positive")
     left, right = _decay_halves(f)
-    return integrate_unit(left, b - 1.0, 0.0, f_right=right, target=target)
+    return integrate_unit(left, f_right=right)
 
 
-def integrate_two_sided(
-    f: Callable[[float], float],
-    *,
-    target: float = 1e-10,
-) -> EvalResult:
+def integrate_two_sided(f: Callable[[float], float]) -> EvalResult:
     """Integrate f over the whole line given two-sided exponential decay.
 
-    Split at 0; each half runs through the exponential substitution.  The
-    caller guarantees genuine decay on both sides.
+    Split at 0; each half runs through the exponential substitution to
+    5e-11.  The caller guarantees genuine decay on both sides.
     """
     left_l, left_r = _decay_halves(lambda x: f(-x))
     right_l, right_r = _decay_halves(f)
-    pos = integrate_unit(right_l, -0.999, 0.0, f_right=right_r, target=0.5 * target)
-    neg = integrate_unit(left_l, -0.999, 0.0, f_right=left_r, target=0.5 * target)
+    pos = integrate_unit(right_l, f_right=right_r, target=5e-11)
+    neg = integrate_unit(left_l, f_right=left_r, target=5e-11)
     return EvalResult(
         value=pos.value + neg.value,
         abs_error_bound=pos.abs_error_bound + neg.abs_error_bound,
@@ -219,26 +206,17 @@ def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
     return float(T[-1])
 
 
-def abel_oscillatory(
-    f: Callable[[np.ndarray], np.ndarray],
-    eps_schedule=None,
-    *,
-    log_singular: bool = False,
-) -> EvalResult:
+def abel_oscillatory(f: Callable[[np.ndarray], np.ndarray], *,
+                     log_singular: bool = False) -> EvalResult:
     """Regularized value of int_0^inf f(x) dx for trig-product integrands.
 
-    Computes F(eps) = int f(x) e^(-eps x) dx on a shared panel grid covering
-    (0, 40/eps_min), pi-length Gauss panels (tanh-sinh panels when f carries
-    log|sin| factors), then extrapolates the geometric eps schedule to 0.
-    The reported bound is the difference of the last two extrapolants plus
-    the analytic truncation tail.
+    Computes F(eps) = int f(x) e^(-eps x) dx for eps = 0.2 * 0.5^k, k < 7,
+    on a shared panel grid covering (0, 40/eps_min), pi-length Gauss panels
+    (tanh-sinh panels when f carries log|sin| factors), then extrapolates
+    eps to 0.  The reported bound is the difference of the last two
+    extrapolants plus the analytic truncation tail.
     """
-    if eps_schedule is None:
-        eps = 0.2 * 0.5 ** np.arange(7)
-    else:
-        eps = np.asarray(list(eps_schedule), dtype=float)
-        if len(eps) < 3 or np.any(eps <= 0.0):
-            raise DomainError("eps schedule must hold at least 3 positive values")
+    eps = 0.2 * 0.5 ** np.arange(7)
     x_max = 40.0 / eps.min()
     n_panels = int(np.ceil(x_max / np.pi))
     rule = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
@@ -353,7 +331,7 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
             out = (1.0 - d) ** a * d ** (b - 1.0) * math.log(d) ** n
             return out * math.log1p(-d) if with_logt else out
 
-        return integrate_unit(f_left, a, b - 1.0, f_right=f_right)
+        return integrate_unit(f_left, f_right=f_right)
     if form == "F3":
         sp = _series_params(spec, -1.0)
         a, b, alpha = sp.a, sp.b, sp.alpha
@@ -402,8 +380,25 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
             den = (1.0 + u) * (1.0 + beta * u)
             return x * x * math.exp(-b * x) / den
 
-        return integrate_two_sided(f12, target=1e-10)
+        return integrate_two_sided(f12)
     raise DomainError(f"unsupported integral form tag {form!r}")
+
+
+def inverse_factor_direct(b: float, n: int) -> float:
+    """sum_{j>=1} 1/(j (b+j)^n) by direct summation, independent of the
+    identity layer: a 100000-term head by a sorted fsum, the rest by
+    Euler-Maclaurin with the integral mapped to a finite interval (u = 1/x)
+    and 16 Gauss nodes."""
+    N = 100_000
+    j = np.arange(1, N + 1, dtype=np.float64)
+    head = float(math.fsum(np.sort(1.0 / (j * (b + j) ** n))))
+    x0 = float(N + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 / x0
+    u = half * (nodes + 1.0)
+    integ = float(np.sum(weights * half * u ** (n - 1) / (1.0 + b * u) ** n))
+    correction = 0.5 / (x0 * (b + x0) ** n)
+    return head + integ + correction
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +408,7 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
 class VerificationRecord:
     """One adjudicated identity: a claimed value against an independent oracle."""
 
-    spec: Union[IntegralSpec, str]
+    spec: str
     series_value: float
     oracle_value: float
     residual: float
@@ -423,7 +418,7 @@ class VerificationRecord:
 
 
 def make_record(
-    spec: Union[IntegralSpec, str],
+    spec: str,
     series_value: float,
     oracle: float,
     tolerance: float,

@@ -51,7 +51,7 @@ _CHUNK = 32768
 _SCALAR_TERMS = 256  # geometric sums go to numpy chunks past this many terms
 _GEOMETRIC_CHUNK = 4096  # small: a geometric sum stops mid-chunk, and 32768 raised peak RSS
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
-_DEFAULT_TARGET = 1e-12
+_TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
 _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
 
@@ -152,6 +152,7 @@ def _finite_psi(a: int, b: float, beta: float, alpha: float):
     return value, _EPS * (roundoff + abs(value)), a + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
            n: int):
     """Terms t_i0 .. t_(i0+n-1) from t_i0 = t0, and their indices i.
@@ -159,7 +160,9 @@ def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
     The binomial factor is a cumulative product of beta (a-j)/(j+1), the
     power factor ((b+i0)/(b+i))^(alpha+1) is taken in closed form, so the
     relative error of t_i grows by at most 4 units of roundoff a term past
-    what the power factor carries (see _powerlaw_psi).
+    what the power factor carries (see _powerlaw_psi). Past double range
+    the terms come out inf, without a numpy warning; the callers raise
+    DomainError on their sums.
     """
     j = np.arange(i0, i0 + n, dtype=np.float64)
     r = np.empty(n)
@@ -168,8 +171,8 @@ def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
     return np.cumprod(r) * ((b + i0) / (b + j)) ** (alpha + 1.0), j
 
 
-def _geometric_psi(a: float, b: float, beta: float, alpha: float, target: float,
-                   cap: int):
+def _geometric_psi(a: float, b: float, beta: float, alpha: float, cap: int):
+    target = _TARGET
     total = 0.0
     comp = 0.0
     t = b ** -(alpha + 1.0)
@@ -193,26 +196,27 @@ def _geometric_psi(a: float, b: float, beta: float, alpha: float, target: float,
     # long sums go on in numpy chunks under the same stopping rule, checked
     # after every term: run[m] is added to make i+m+1 terms, run[m+1] is next
     sums = [total, -comp]
-    while True:
-        L = min(_GEOMETRIC_CHUNK, i)
-        run, j = _terms(a, b, beta, alpha, i, t, L + 1)
-        used = j[1:]
-        partial = np.abs(math.fsum(sums) + np.cumsum(run[:L]))
-        rhat = abs(beta) * np.maximum(1.0, (used - a) / (used + 1.0))
-        nxt = np.abs(run[1:])
-        ok = rhat < 1.0
-        bound = np.where(ok, nxt / np.where(ok, 1.0 - rhat, 1.0) + _EPS * used * partial,
-                         nxt * used)
-        stop = np.flatnonzero((ok & (bound <= np.maximum(target, 1e-13 * partial)))
-                              | (used >= cap))
-        m = int(stop[0]) + 1 if stop.size else L
-        sums.append(float(np.sum(run[:m])))
-        if not math.isfinite(sums[-1]):
-            raise DomainError(_OVERFLOW)
-        if stop.size:
-            return _fsum(sums), float(bound[m - 1]), i + m
-        i += L
-        t = float(run[L])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises DomainError below
+        while True:
+            L = min(_GEOMETRIC_CHUNK, i)
+            run, j = _terms(a, b, beta, alpha, i, t, L + 1)
+            used = j[1:]
+            partial = np.abs(math.fsum(sums) + np.cumsum(run[:L]))
+            rhat = abs(beta) * np.maximum(1.0, (used - a) / (used + 1.0))
+            nxt = np.abs(run[1:])
+            ok = rhat < 1.0
+            bound = np.where(ok, nxt / np.where(ok, 1.0 - rhat, 1.0) + _EPS * used * partial,
+                             nxt * used)
+            stop = np.flatnonzero((ok & (bound <= np.maximum(target, 1e-13 * partial)))
+                                  | (used >= cap))
+            m = int(stop[0]) + 1 if stop.size else L
+            sums.append(float(np.sum(run[:m])))
+            if not math.isfinite(sums[-1]):
+                raise DomainError(_OVERFLOW)
+            if stop.size:
+                return _fsum(sums), float(bound[m - 1]), i + m
+            i += L
+            t = float(run[L])
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -298,8 +302,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     return tail, bound
 
 
-def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
-                  cap: int):
+def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     """Head of n terms plus the asymptotic tail at beta = +-1.
 
     Past the head, t_i = ((-beta)^i / Gamma(-a)) f(i) with
@@ -345,7 +348,7 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, target: float,
     # m = max(1, b), so f(x) <= f(n) ((n+m)/(x+m))^s. The tail is then under
     # |t_n| where it alternates (beta = +1) and under |t_n| (1 + (n+m)/(s-1))
     # where it keeps one sign; one under thr is left out.
-    thr = 1e-3 * max(0.1 * target, _EPS * abs(head))
+    thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(head))
     sm1 = (a + 1.0) + alpha  # s - 1 without the rounding of s near 1
     rest = abs(t) * (1.0 if beta > 0.0 else 1.0 + (n + max(1.0, b)) / sm1)
     if a > -1.0 and rest <= thr:
@@ -382,12 +385,11 @@ def _negint_psi(k: int, b: float, alpha: float):
     return value, math.fsum(errs) + _EPS * abs(value), k
 
 
-def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
-                     cap: int = _DEFAULT_CAP) -> EvalResult:
+def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Sum the weighted series for params, with a rigorous error bound.
 
     A geometric sum stops when its tail bound drops under
-    max(target, 1e-13 |S|), or after cap terms with the bound it reached.
+    max(1e-12, 1e-13 |S|), or after cap terms with the bound it reached.
     At |beta| = 1 the head is at most cap terms long; a head cut short of
     the asymptotic range shows in the bound instead of failing.
     """
@@ -397,7 +399,7 @@ def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
     if _is_nonneg_int(a):
         value, bound, n = _finite_psi(int(a), b, beta, alpha)
     elif abs(beta) < 1.0:
-        value, bound, n = _geometric_psi(a, b, beta, alpha, target, cap)
+        value, bound, n = _geometric_psi(a, b, beta, alpha, cap)
     elif a + alpha <= -1.0:
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
@@ -405,32 +407,27 @@ def eval_psi_general(params: SeriesParams, *, target: float = _DEFAULT_TARGET,
         value, bound, n = _negint_psi(int(-a), b, alpha)
         method = "closed-form"
     else:
-        value, bound, n = _powerlaw_psi(a, b, beta, alpha, target, cap)
+        value, bound, n = _powerlaw_psi(a, b, beta, alpha, cap)
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise DomainError(_OVERFLOW)
     return EvalResult(value, bound, n, method)
 
 
-def eval_phi(a: float, b: float, alpha: float, *, target: float = _DEFAULT_TARGET,
-             cap: int = _DEFAULT_CAP) -> EvalResult:
+def eval_phi(a: float, b: float, alpha: float, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Alternating-weight series sum_i (-1)^i C(a,i) / (b+i)^(alpha+1)."""
-    return eval_psi_general(SeriesParams(a, b, -1.0, alpha), target=target, cap=cap)
+    return eval_psi_general(SeriesParams(a, b, -1.0, alpha), cap=cap)
 
 
-def eval_phi_tilde(a: float, b: float, alpha: float, *,
-                   target: float = _DEFAULT_TARGET,
-                   cap: int = _DEFAULT_CAP) -> EvalResult:
+def eval_phi_tilde(a: float, b: float, alpha: float, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Plus-weight series sum_i C(a,i) / (b+i)^(alpha+1).
 
     Every term carries the plain binomial sign pattern of expanding
     (1 + e^-x)^a; there is no trailing alternation.
     """
-    return eval_psi_general(SeriesParams(a, b, 1.0, alpha), target=target, cap=cap)
+    return eval_psi_general(SeriesParams(a, b, 1.0, alpha), cap=cap)
 
 
-def eval_phi_da_direct(a: float, b: float, n: int, *,
-                       target: float = _DEFAULT_TARGET,
-                       cap: int = _DEFAULT_CAP) -> EvalResult:
+def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Term-wise a-derivative of the alternating series, with a rigorous bound.
 
     Returns sum_{i>=1} (-1)^i C(a,i) H_i(a) / (b+i)^(n+1) with
@@ -506,7 +503,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *,
         head(0, t0, N, True)
         lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
     total = math.fsum(sums)
-    thr = 1e-3 * max(0.1 * target, _EPS * abs(total))
+    thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
     tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
     value = total + tail
     return EvalResult(value, tail_bound + _EPS * (roundoff + abs(value)), N, "direct")

@@ -15,11 +15,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import errata as errata_mod
 from . import identities
-from .quadrature import IntegralSpec, VerificationRecord, make_record, oracle_value
+from .quadrature import (IntegralSpec, VerificationRecord, inverse_factor_direct, make_record,
+                         oracle_value)
 from .series_engine import SeriesParams, eval_phi, eval_phi_da_direct, eval_psi_general
 from .special_fn import (
     DivergenceError,
@@ -58,21 +57,6 @@ _TWOSIDED_B = (0.25, 0.5, 0.75)
 _TWOSIDED_BETA = (0.0, 0.25, 0.5)
 
 
-def _inverse_factor_direct(b: float, n: int) -> float:
-    # head by compensated block sums, tail by Euler-Maclaurin with the
-    # integral mapped to a finite interval (u = 1/x) and Gauss nodes
-    N = 100_000
-    j = np.arange(1, N + 1, dtype=np.float64)
-    head = float(math.fsum(np.sort(1.0 / (j * (b + j) ** n))))
-    x0 = float(N + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    half = 0.5 / x0
-    u = half * (nodes + 1.0)
-    integ = float(np.sum(weights * half * u ** (n - 1) / (1.0 + b * u) ** n))
-    correction = 0.5 / (x0 * (b + x0) ** n)
-    return head + integ + correction
-
-
 def _run_task(task: Task) -> Tuple[int, Optional[VerificationRecord]]:
     ordinal, op, args, tol = task
     try:
@@ -105,12 +89,12 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
         return make_record(f"deriv a={a:g} b={b:g} n={n}", closed, direct, 1e-7)
     if op == "invsum":
         b, n = args
-        orc = _inverse_factor_direct(b, n)
+        orc = inverse_factor_direct(b, n)
         val = identities.inverse_factor_sum(b, n)
         return make_record(f"invsum b={b:g} n={n}", val, orc, 1e-9)
     if op == "invsum-expansion":
         b, n = args
-        orc = _inverse_factor_direct(b, n)
+        orc = inverse_factor_direct(b, n)
         val = (digamma(b + 1.0) + EULER_GAMMA) / b ** n - math.fsum(
             hurwitz_zeta(k + 1.0, b + 1.0) * b ** (k - n) for k in range(1, n)
         )

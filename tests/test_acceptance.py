@@ -24,10 +24,10 @@ from ramaseries.identities import (
     phi_da_closed,
     ramanujan_phi,
 )
-from ramaseries.quadrature import IntegralSpec, oracle_value
+from ramaseries.quadrature import IntegralSpec, inverse_factor_direct, oracle_value
 from ramaseries.series_engine import SeriesParams, eval_phi, eval_phi_da_direct
 from ramaseries.special_fn import digamma, gamma, hurwitz_zeta, lerch_phi, s_prime
-from ramaseries.verify import _inverse_factor_direct, run_suite
+from ramaseries.verify import run_suite
 
 PHI0 = gamma(0.25) ** 2 / math.sqrt(2.0 * math.pi)
 
@@ -172,7 +172,7 @@ def test_criterion_10_inverse_factor_sums():
     worst = 0.0
     for b in (0.5, 1.0, 2.0):
         for n in (1, 2, 3):
-            direct = _inverse_factor_direct(b, n)
+            direct = inverse_factor_direct(b, n)
             closed = inverse_factor_sum(b, n)
             expansion = (digamma(b + 1.0) + 0.5772156649015329) * b ** (-float(n))
             for k in range(1, n):

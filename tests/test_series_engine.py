@@ -282,8 +282,6 @@ def test_non_finite_input_rejected(call, args, slot, bad):
         call(*args)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("call, args", [
     (eval_phi, (1e6, 1.0, 0.0)),
     (eval_phi_da_direct, (2000.5, 1.0, 0)),
