@@ -8,8 +8,8 @@ same machinery sums the term-wise a-derivative of phi.
 Summation strategy by regime:
   * non-negative integer a: the series terminates, summed exactly.
   * |beta| < 1: scalar compensated loop with a geometric tail bound; a sum
-    longer than 256 terms goes on in numpy chunks under the same stopping
-    rule.
+    not done after 256 terms is summed again as a head plus the asymptotic
+    tail below, its Hurwitz sums damped by |beta|^j (lam = -log|beta|).
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
@@ -21,9 +21,12 @@ Summation strategy by regime:
     and tail.
   * every Hurwitz value above comes from the one Euler-Maclaurin kernel,
     special_fn._em_zeta (and its s-derivative _em_dzeta), with its
-    remainder bound.
+    remainder bound; its damped form _em_damped takes the exponential
+    integral e^x E_sig(x) as integral term and sums alternating sums by
+    Euler-Boole.
   * terms past double range raise DomainError, checked once per chunk sum
-    and once at return.
+    and once at return; where only the bare binomial product leaves it,
+    _terms takes the terms from logs and counts their roundoff.
   * the a-derivative of the alternating series: the same head and tail,
     differentiated in a. Head terms are t_i H_i with H_i a cumulative sum
     of 1/(a-j); the tail is the a-derivative of the asymptotic tail, the
@@ -45,12 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, DomainError,
-                                   _em_dzeta, _em_zeta, _hurwitz, digamma)
+                                   _em_damped, _em_dzeta, _em_zeta, _expint_orders, _hurwitz,
+                                   digamma)
 
-_CHUNK = 32768
-_SCALAR_TERMS = 256  # geometric sums go to numpy chunks past this many terms
-_GEOMETRIC_CHUNK = 4096  # small: a geometric sum stops mid-chunk, and 32768 raised peak RSS
+_CHUNK = 4096  # numpy chunk of a long head; on longer ones a threaded BLAS dot can take ms
+_SCALAR_TERMS = 256  # geometric sums go to a head and the damped tail past this many terms
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
+_DIRECT = 1 << 20  # most terms of a damped tail sum summed directly before the kernel
 _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
 _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
@@ -152,89 +156,99 @@ def _finite_psi(a: int, b: float, beta: float, alpha: float):
     return value, _EPS * (roundoff + abs(value)), a + 1
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
-           n: int):
-    """Terms t_i0 .. t_(i0+n-1) from t_i0 = t0, and their indices i.
+           n: int, u0: float = 0.0):
+    """Terms t_i0 .. t_(i0+n-1) from t_i0 = t0, their indices i, and the
+    extra roundoff of each (None where there is none).
 
-    The binomial factor is a cumulative product of beta (a-j)/(j+1), the
+    The binomial factor is a cumulative product P of beta (a-j)/(j+1), the
     power factor ((b+i0)/(b+i))^(alpha+1) is taken in closed form, so the
     relative error of t_i grows by at most 4 units of roundoff a term past
-    what the power factor carries (see _powerlaw_psi). Past double range
-    the terms come out inf, without a numpy warning; the callers raise
-    DomainError on their sums.
+    what the power factor carries (see _powerlaw_psi). Where P alone leaves
+    double range (very negative a, large alpha), the terms from there on
+    are sign exp(log|P_m| + cumsum log|ratio| + (alpha+1) log((b+i0)/(b+i))),
+    and the extra units of each are the roundoff of the logs, of every
+    partial sum and of the exponent; u0 is the extra of t0, which every term
+    inherits. Past double range the terms come out inf, without a numpy
+    warning; the callers raise DomainError on their sums.
     """
     j = np.arange(i0, i0 + n, dtype=np.float64)
     r = np.empty(n)
     r[0] = t0
     np.divide(beta * (a - j[:-1]), j[1:], out=r[1:])
-    return np.cumprod(r) * ((b + i0) / (b + j)) ** (alpha + 1.0), j
+    p = np.cumprod(r)
+    power = ((b + i0) / (b + j)) ** (alpha + 1.0)
+    m = n if np.isfinite(p[-1]) else int(np.argmin(np.isfinite(p)))
+    if not 0 < m < n:
+        return p * power, j, None if not u0 else np.full(n, u0)
+    lp = math.log(abs(p[m - 1]))
+    lr, lw = np.log(np.abs(r[m:])), np.log((b + i0) / (b + j[m:]))
+    ls = lp + np.cumsum(lr)
+    ex = ls + (alpha + 1.0) * lw
+    t = p * power
+    t[m:] = math.copysign(1.0, p[m - 1]) * np.cumprod(np.sign(r[m:])) * np.exp(ex)
+    xu = np.full(n, u0)
+    xu[m:] += (abs(lp) + np.cumsum(3.0 + np.abs(lr) + np.abs(ls))
+               + (alpha + 1.0) * (4.0 + 2.0 * np.abs(lw)) + np.abs(ex) + 1.0)
+    return t, j, xu
 
 
 def _geometric_psi(a: float, b: float, beta: float, alpha: float, cap: int):
+    """|beta| < 1: a scalar compensated loop under a geometric tail bound;
+    a sum not done after _SCALAR_TERMS terms goes to _powerlaw_psi, whose
+    tail the damped kernel sums."""
     target = _TARGET
     total = 0.0
     comp = 0.0
-    t = b ** -(alpha + 1.0)
-    i = 0
-    while i < _SCALAR_TERMS:
+    ab, p = abs(beta), alpha + 1.0
+    t = b ** -p
+    for j in range(_SCALAR_TERMS):  # adds t_j, then i = j + 1 terms are in
         y = t - comp
         tmp = total + y
         comp = (tmp - total) - y
         total = tmp
-        t *= beta * (a - i) / (i + 1.0) * ((b + i) / (b + i + 1.0)) ** (alpha + 1.0)
-        i += 1
+        t *= beta * (a - j) / (j + 1.0) * ((b + j) / (b + j + 1.0)) ** p
+        i = j + 1
         # uniform ratio bound: the (b+i) factor only shrinks, the binomial
         # factor approaches 1 from whichever side sign(-a-1) dictates
-        rhat = abs(beta) * max(1.0, (i - a) / (i + 1.0))
+        r = (i - a) / (i + 1.0)
+        rhat = ab * r if r > 1.0 else ab
         if rhat < 1.0:
             bound = abs(t) / (1.0 - rhat) + _EPS * i * abs(total)
-            if bound <= max(target, 1e-13 * abs(total)) or i >= cap:
+            if bound <= target or bound <= 1e-13 * abs(total) or i >= cap:
                 return total, bound, i
         elif i >= cap:
             return total, abs(t) * i, i
-    # long sums go on in numpy chunks under the same stopping rule, checked
-    # after every term: run[m] is added to make i+m+1 terms, run[m+1] is next
-    sums = [total, -comp]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises DomainError below
-        while True:
-            L = min(_GEOMETRIC_CHUNK, i)
-            run, j = _terms(a, b, beta, alpha, i, t, L + 1)
-            used = j[1:]
-            partial = np.abs(math.fsum(sums) + np.cumsum(run[:L]))
-            rhat = abs(beta) * np.maximum(1.0, (used - a) / (used + 1.0))
-            nxt = np.abs(run[1:])
-            ok = rhat < 1.0
-            bound = np.where(ok, nxt / np.where(ok, 1.0 - rhat, 1.0) + _EPS * used * partial,
-                             nxt * used)
-            stop = np.flatnonzero((ok & (bound <= np.maximum(target, 1e-13 * partial)))
-                                  | (used >= cap))
-            m = int(stop[0]) + 1 if stop.size else L
-            sums.append(float(np.sum(run[:m])))
-            if not math.isfinite(sums[-1]):
-                raise DomainError(_OVERFLOW)
-            if stop.size:
-                return _fsum(sums), float(bound[m - 1]), i + m
-            i += L
-            t = float(run[L])
+    return _powerlaw_psi(a, b, beta, alpha, cap)
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
                      n: int, thr: float, lg: float, sign: float,
                      psi: float | None = None):
-    """sum_(i>=n) t_i at beta = +-1 as sum_k e_k Z_k, with its error bound.
+    """sum_(i>=n) t_i as sum_k e_k Z_k, with its error bound.
 
     t_i = sign exp(-lg) (-beta)^i f(i), f as in _powerlaw_psi: lg is
     lgamma(-a) and sign that of 1/Gamma(-a) for the series itself.
     l_n = L_n / q^n (q = n + c) with L_n = (-1)^(n+1) [(B_(n+1)(-a-c)
     - B_(n+1)(1-c)) / (n(n+1)) - (alpha+1) (b-c)^n / n], then e_k / q^k from
-    k e_k = sum_n n L_n e_(k-n). The sum stops once two consecutive
+    k e_k = sum_n n L_n e_(k-n); L_1 = 0 where s > 1 (c from _shift). The
+    sum stops once two consecutive
     contributions fall under thr, from k = 3 on (the k = 1 one of the
     value is zero), since odd orders nearly vanish when c is near -a/2. The bound adds
     twice those two, the Euler-Maclaurin remainders, and the roundoff of
-    the prefactor exp(-lg - s log q) and of the series. Z_k = q^(s+k)
-    sum_(j>=0) (+-1)^j (q+j)^-(s+k) and its remainder come from the kernel
-    special_fn._em_zeta, plain at beta = -1 and alternating at beta = +1.
+    the prefactor exp(-lg - s log q - lam n) and of the series. Z_k =
+    q^(s+k) sum_(j>=0) (+-1)^j e^(-lam j) (q+j)^-(s+k), lam = -log|beta|,
+    and its remainder come from the kernel special_fn._em_zeta (its damped
+    form _em_damped where lam > 0), plain at beta < 0 and alternating at
+    beta > 0. Where the damped kernel needs lam q >= 1 (at beta < 0 for its
+    exponential-integral fraction, at s <= 0 for its remainder), the first
+    J = 1/lam - q terms of each Z_k are summed directly as
+    exp(-lam j - (s+k) log(1 + j/q)), each within
+    2 lam j + 3 |s+k| log(1 + j/q) + 4 units, plus 20 + log2 J for numpy's
+    pairwise sum (8-way runs of 16 in blocks of 128), and the kernel takes
+    the rest at q + J; the integral terms of all orders there come from
+    one special_fn._expint_orders.
 
     Given psi = digamma(-a) (beta = -1 only), it returns the a-derivative
     of the tail instead, with n and c held: the prefactor gives
@@ -253,7 +267,14 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     up = [1.0, u]  # u^m
     nl, dnl = [0.0], [0.0]  # n l_n and its a-derivative
     e, de = [1.0], [0.0]
-    rho = sign * math.exp(-lg - s * lnq)
+    lam = -math.log(abs(beta)) if abs(beta) < 1.0 else 0.0
+    rho = sign * math.exp(-lg - s * lnq - lam * n)  # |beta|^n at |beta| < 1
+    J = min(max(0, math.ceil(1.0 / lam - q)), _DIRECT) if lam and (beta < 0.0 or s <= 0.0) else 0
+    q1 = q + J
+    if J:
+        jj = np.arange(J, dtype=np.float64)
+        damp, lx, lx1 = -lam * jj, np.log1p(jj / q), math.log1p(J / q)
+    orders = _expint_orders(s, q1 * lam, _TAIL_ORDERS) if lam and beta < 0.0 else None
     if beta > 0.0 and n % 2:
         rho = -rho  # (-beta)^i alternates from (-1)^n
     parts = []
@@ -265,7 +286,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
             px2 *= x2
             diffs.append(px1[-1] - px2)
             up.append(up[-1] * u)
-            if k == 1:
+            if k == 1 and s > 1.0:
                 nl.append(0.0)  # L_1 = 0 by the choice of c
             else:
                 # B_(k+1)(x1) - B_(k+1)(x2), over q^k
@@ -281,7 +302,22 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
                 de.append((sum(map(operator.mul, dnl[1:], e[::-1]))
                            + sum(map(operator.mul, nl[1:], de[::-1]))) / k)
             e.append(sum(map(operator.mul, nl[1:], reversed(e))) / k)
-        z, rem, zabs = _em_zeta(s + k, sm1 + k, q, beta > 0.0)
+        if lam:
+            z, rem, zabs = _em_damped(s + k, q1, lam, beta > 0.0, orders and orders[k])
+        else:
+            z, rem, zabs = _em_zeta(s + k, sm1 + k, q1, beta > 0.0)
+        if J:  # Z_k(q) = sum_(j<J) (+-1)^j e^(-lam j) (1 + j/q)^-sig + w Z_k(q + J)
+            sig = s + k
+            direct = np.exp(damp - sig * lx)
+            if beta > 0.0:
+                direct[1::2] *= -1.0
+            w = math.exp(-lam * J - sig * lx1) * (-1.0 if beta > 0.0 and J % 2 else 1.0)
+            dabs = float(np.abs(direct).sum())
+            units = 2.0 * lam * J + 3.0 * abs(sig) * lx1 + 24.0 + math.log2(J)
+            z, rem, zabs = (float(direct.sum()) + w * z,
+                            abs(w) * (rem + _EPS * (lam * J + 2.0 * abs(sig) * lx1 + 4.0) * zabs)
+                            + _EPS * units * dabs,
+                            dabs + abs(w) * zabs)
         ce = rho * e[k]
         if psi is None:
             parts.append(ce * z)
@@ -298,24 +334,35 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
             break
     tail = math.fsum(parts)
     bound = (2.0 * (abs(parts[-1]) + abs(parts[-2])) + em
-             + _EPS * (2.0 * abs(lg) + 2.0 * s * lnq + 2 * k + 16.0) * mag)
+             + _EPS * (2.0 * abs(lg) + 2.0 * abs(s) * lnq + 2.0 * lam * n + 2 * k + 16.0) * mag)
     return tail, bound
 
 
+def _shift(a: float, b: float, alpha: float, s: float) -> float:
+    """The shift c of the tail's variable z = i + c: ((alpha+1) b -
+    a(a+1)/2) / s, which zeroes L_1, where s > 1 (always at beta = +-1);
+    c = b otherwise, where that c runs off to infinity as s -> 0 or does
+    not exist."""
+    return ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s if s > 1.0 else b
+
+
+@np.errstate(over="ignore", invalid="ignore")  # terms past 1e308 raise DomainError in the caller
 def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
-    """Head of n terms plus the asymptotic tail at beta = +-1.
+    """Head of n terms plus the asymptotic tail: at beta = +-1, and for the
+    geometric sums (|beta| < 1) that the scalar loop left unfinished.
 
     Past the head, t_i = ((-beta)^i / Gamma(-a)) f(i) with
     f(i) = Gamma(i-a) / Gamma(i+1) / (b+i)^(alpha+1). In z = i + c,
     log f = -s log z + sum_n L_n z^-n (Tricomi-Erdelyi, s = a+alpha+2), and
     exp of that series is sum_k e_k z^-k, so the tail is sum_k e_k times a
-    Hurwitz zeta of order s+k (even/odd split at beta = +1), from the
-    kernel special_fn._em_zeta in _asymptotic_tail. c zeroes L_1;
-    the head runs until z >= 6 max(|a+c|, |1-c|, |b-c|, 1), where the shifts
-    in the log series are small against z, or until cap terms.
+    Hurwitz zeta of order s+k (even/odd split at beta > 0), damped by
+    |beta|^j below |beta| = 1, from the kernels special_fn._em_zeta and
+    _em_damped in _asymptotic_tail. The head runs until z >= 6 max(|a+c|,
+    |1-c|, |b-c|, 1), where the shifts in the log series are small against
+    z, or until cap terms.
     """
     s = a + alpha + 2.0
-    c = ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s
+    c = _shift(a, b, alpha, s)
     x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
     k0 = max(2, math.ceil(a) + 2)
     n = max(k0, math.ceil(1.0 - c), min(cap, math.ceil(max(6.0 * x, 32.0) - c)))
@@ -323,16 +370,18 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     # head in chunks. Relative roundoff of t_i, in units of _EPS: t_0 carries
     # 1 + (alpha+1)|ln b| (pow, and the rounding of alpha+1), the power
     # factor 2 + (alpha+1)(3 + ln(1 + i/b)), the binomial product 4 a term.
-    # The first k0 terms carry the sign transients, and only their sum
-    # enters (an under-count where it cancels).
+    # The first k0 terms carry the sign transients. At beta = +-1 only their
+    # sum enters (an under-count where it cancels); below, each term counts.
     w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(n / b))
+    if abs(beta) < 1.0:
+        k0 = 0
     sums = []
-    roundoff = 0.0
+    roundoff = u = 0.0  # u: extra units that t carries (see _terms)
     t = b ** -(alpha + 1.0)  # t_i, the next term
     i = 0
     while i < n:
         L = min(_CHUNK, n - i)
-        run, j = _terms(a, b, beta, alpha, i, t, L + 1)
+        run, j, xu = _terms(a, b, beta, alpha, i, t, L + 1, u)
         terms = run[:L].tolist()
         sums.append(_fsum(terms))
         if i == 0:
@@ -340,6 +389,9 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
         lo = max(k0 - i, 0)
         mags = np.abs(run[lo:L])
         roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j[lo:L])
+        if xu is not None:
+            roundoff += float(np.abs(run[:L]) @ xu[:L])
+            u = float(xu[L])
         t = float(run[L])
         i += L
     head = math.fsum(sums)
@@ -350,8 +402,10 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     # where it keeps one sign; one under thr is left out.
     thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(head))
     sm1 = (a + 1.0) + alpha  # s - 1 without the rounding of s near 1
-    rest = abs(t) * (1.0 if beta > 0.0 else 1.0 + (n + max(1.0, b)) / sm1)
-    if a > -1.0 and rest <= thr:
+    rest = math.inf
+    if a > -1.0:  # then sm1 > 0
+        rest = abs(t) * (1.0 if beta > 0.0 else 1.0 + (n + max(1.0, b)) / sm1)
+    if rest <= thr:
         tail, tail_bound = 0.0, rest
     else:
         tail, tail_bound = _asymptotic_tail(a, b, beta, alpha, c, n, thr, math.lgamma(-a),
@@ -389,9 +443,10 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     """Sum the weighted series for params, with a rigorous error bound.
 
     A geometric sum stops when its tail bound drops under
-    max(1e-12, 1e-13 |S|), or after cap terms with the bound it reached.
-    At |beta| = 1 the head is at most cap terms long; a head cut short of
-    the asymptotic range shows in the bound instead of failing.
+    max(1e-12, 1e-13 |S|); one not done after 256 terms (or after cap, if
+    smaller) goes to a head and an asymptotic tail, as at |beta| = 1. cap
+    limits that head: a head cut short of the asymptotic range shows in the
+    bound instead of failing.
     """
     params.validate()
     a, b, beta, alpha = params.a, params.b, params.beta, params.alpha
@@ -462,22 +517,26 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
         # it matters, so the a = 0 value stands within its own roundoff
         a = 0.0
     s = a + alpha + 2.0
-    c = ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s
+    c = _shift(a, b, alpha, s)
     x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
     N = max(math.ceil(a) + 2, math.ceil(40.0 - c), min(cap, math.ceil(6.0 * x - c)))
     w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(N / b))
     sums = []
     roundoff = 0.0  # in units of _EPS
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError below
     def head(i: int, t: float, stop: int, harmonic: bool) -> None:
         # adds t_i H_i (t_i alone unless harmonic) for i in [i, stop) from t_i = t
         nonlocal roundoff
-        h = habs = 0.0  # H_i, and sum_(j<i) |1/(a-j)| for its roundoff
+        h = habs = u = 0.0  # H_i, and sum_(j<i) |1/(a-j)| for its roundoff; u as in _powerlaw_psi
         while i < stop:
             L = min(_CHUNK, stop - i)
-            run, j = _terms(a, b, -1.0, alpha, i, t, L + 1)
+            run, j, xu = _terms(a, b, -1.0, alpha, i, t, L + 1, u)
             d = run[:L]
-            err = (w0 + 1.0 + 4.0 * j[:L]) * np.abs(d)
+            units = w0 + 1.0 + 4.0 * j[:L]
+            if xu is not None:
+                units, u = units + xu[:L], float(xu[L])
+            err = units * np.abs(d)
             if harmonic:
                 inc = 1.0 / (a - j[:L - 1])  # never 1/0: j < a at integer a
                 H = np.cumsum(np.concatenate(([h], inc)))
@@ -505,8 +564,10 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
     total = math.fsum(sums)
     thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
     tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
-    value = total + tail
-    return EvalResult(value, tail_bound + _EPS * (roundoff + abs(value)), N, "direct")
+    value, bound = total + tail, tail_bound + _EPS * (roundoff + abs(total + tail))
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise DomainError(_OVERFLOW)
+    return EvalResult(value, bound, N, "direct")
 
 
 def convergence_report(params: SeriesParams) -> ConvergenceReport:

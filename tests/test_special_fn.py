@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramaseries.special_fn import (
+    _EPS,
     DivergenceError,
     DomainError,
+    _em_damped,
+    _em_zeta,
     beta_f,
     digamma,
     gamma,
@@ -125,6 +128,36 @@ def test_lerch_domain():
         lerch_phi(1.5, 1.0, 1.0)
     with pytest.raises(DivergenceError):
         lerch_phi(-1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.05])
+@pytest.mark.parametrize("sig", [-2.5, -0.5, 0.3, 1.0, 1.04, 3.7, 12.0])
+def test_damped_kernel_vs_lerchphi(sig, lam, alternating):
+    # q where the near-unit tail calls the kernel: the head's q >= 32 for
+    # the alternating sums at sig > 0, else lam q >= 1. At 30 digits
+    # mp.lerchphi returns 0 for the plain sum at sig = 12, lam <= 1e-3
+    mp = pytest.importorskip("mpmath")
+    q = 32.0 if alternating and sig > 0.0 else max(32.0, 1.0 / lam)
+    z, rem, mag = _em_damped(sig, q, lam, alternating, None)
+    with mp.workdps(60 if sig > 10.0 and not alternating else 30):
+        beta = (-1 if alternating else 1) * mp.exp(-mp.mpf(lam))
+        ref = mp.lerchphi(beta, sig, q) * mp.mpf(q) ** sig
+        assert ref != 0
+        assert abs(z - ref) <= rem + _EPS * mag
+
+
+@pytest.mark.parametrize("args, want", [
+    ((1.5, 0.5, 40.0, False), ("0x1.4203332017a57p+6", "0x1.4ec95d38797afp-87", "0x1.4203332017a57p+6")),
+    ((2.7, 1.7000000000000002, 33.25, True),
+     ("0x1.0a6162603ffb6p-1", "0x1.c382159267469p-61", "0x1.77b5d3a9176e2p+0")),
+    ((1.04, 0.04000000000000001, 1000.0, True),
+     ("0x1.00221425d6f74p-1", "0x1.4c3deb2cd769dp-150", "0x1.7fe39fcd03850p+0")),
+    ((12.0, 11.0, 64.0, False), ("0x1.955ce6ce95fc8p+2", "0x1.f458368000000p-77", "0x1.955ce6ce95fc8p+2")),
+])
+def test_undamped_kernel_unchanged(args, want):
+    # the beta = +-1 kernel, bit for bit as before the damped form was added
+    assert tuple(x.hex() for x in _em_zeta(*args)) == want
 
 
 def test_s_prime_golden():
