@@ -5,20 +5,23 @@ with C(a,i) the generalized binomial coefficient. beta = -1 gives the
 alternating-weight series phi, beta = +1 its plus-weight twin, and the
 same machinery sums the term-wise a-derivative of phi.
 
-Summation strategy by regime:
-  * non-negative integer a: the series terminates, summed exactly.
-  * |beta| < 1: scalar compensated loop with a geometric tail bound; a sum
-    not done after 256 terms is summed again as a head plus the asymptotic
-    tail below, its Hurwitz sums damped by |beta|^j (lam = -log|beta|).
+Summation strategy by regime, in two term loops (_scalar_psi, _head):
+  * non-negative integer a: the series terminates; the scalar loop runs its
+    a + 1 terms to the exact zero t_(a+1) = 0 and sums them by fsum.
+  * |beta| < 1: the same scalar loop, stopped by a geometric tail bound
+    whose ratio bound holds where the terms still grow (i < a); the
+    roundoff of every term is counted once it stops. A sum not done after
+    256 terms is summed again as a head plus the asymptotic tail below,
+    its Hurwitz sums damped by |beta|^j (lam = -log|beta|).
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
-    A head of N terms (a numpy cumulative product of the term ratio) plus
-    an asymptotic tail: the Tricomi-Erdelyi expansion of the gamma ratio
-    in C(a,i) turns sum_(i>=N) t_i into sum_k e_k zeta(s+k, N+c), with the
-    even/odd Hurwitz split at beta = +1. The bound adds twice the last two
-    orders kept, the Euler-Maclaurin remainders, and the roundoff of head
-    and tail.
+    A head of N terms (_head: numpy chunks of the term ratio's cumulative
+    product) plus an asymptotic tail: the Tricomi-Erdelyi expansion of the
+    gamma ratio in C(a,i) turns sum_(i>=N) t_i into sum_k e_k zeta(s+k,
+    N+c), with the even/odd Hurwitz split at beta = +1. The bound adds
+    twice the last two orders kept, the Euler-Maclaurin remainders, and the
+    roundoff of head and tail.
   * every Hurwitz value above comes from the one Euler-Maclaurin kernel,
     special_fn._em_zeta (and its s-derivative _em_dzeta), with its
     remainder bound; its damped form _em_damped takes the exponential
@@ -28,12 +31,12 @@ Summation strategy by regime:
     and once at return; where only the bare binomial product leaves it,
     _terms takes the terms from logs and counts their roundoff.
   * the a-derivative of the alternating series: the same head and tail,
-    differentiated in a. Head terms are t_i H_i with H_i a cumulative sum
-    of 1/(a-j); the tail is the a-derivative of the asymptotic tail, the
-    head long enough (N + c >= 40) for the differentiated Euler-Maclaurin
-    remainders to keep their bound. At a non-negative integer a the terms
-    past i = a are a power-law tail of their own, summed by the same
-    asymptotic tail with no derivative.
+    differentiated in a. The same _head, with the same length rule, sums
+    t_i H_i with H_i a cumulative sum of 1/(a-j); the tail is the
+    a-derivative of the asymptotic tail, the head long enough (N + c >= 40)
+    for the differentiated Euler-Maclaurin remainders to keep their bound.
+    At a non-negative integer a the terms past i = a are a power-law tail
+    of their own, summed by the same asymptotic tail with no derivative.
 
 Every bound above is a derived upper bound on the error, not a fit spread.
 """
@@ -51,8 +54,8 @@ from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, Domai
                                    _em_damped, _em_dzeta, _em_zeta, _expint_orders, _hurwitz,
                                    digamma)
 
-_CHUNK = 4096  # numpy chunk of a long head; on longer ones a threaded BLAS dot can take ms
-_SCALAR_TERMS = 256  # geometric sums go to a head and the damped tail past this many terms
+_CHUNK = 4096  # numpy chunk of _head; on longer ones its threaded BLAS dot can take ms
+_SCALAR_TERMS = 256  # _scalar_psi hands a geometric sum to _powerlaw_psi past this many terms
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
 _DIRECT = 1 << 20  # most terms of a damped tail sum summed directly before the kernel
 _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
@@ -136,24 +139,49 @@ def _fsum(xs) -> float:
     return total
 
 
-def _finite_psi(a: int, b: float, beta: float, alpha: float):
-    """Terminating series: exactly a+1 terms, summed by fsum.
+def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int):
+    """Term by term, summed by fsum: a non-negative integer a runs its a + 1
+    terms to the exact zero t_(a+1) = 0; any other a (|beta| < 1) stops once
+    its geometric tail bound meets the target, or after _SCALAR_TERMS terms
+    (or cap) goes to _powerlaw_psi. Past term i the ratio |t_(j+1) / t_j| =
+    |beta| |a-j| / (j+1) ((b+j) / (b+j+1))^(alpha+1) stays under
+    |beta| max(|i-a| / (i+1), 1): |a-j| / (j+1) falls while j < a, and past
+    a stays under 1 (a > -1) or falls (a < -1).
 
     Relative roundoff of t_i, in units of _EPS: t_0 carries 1 + (alpha+1)|ln b|
-    (pow, and the rounding of alpha + 1), each ratio 5 + 4(alpha+1) plus
-    (alpha+1) ln((b+i+1)/(b+i)) from the rounding of alpha + 1 in its power;
-    w0 covers the parts that do not grow with i, as in _powerlaw_psi.
+    (pow, and the rounding of alpha + 1), each ratio 5 + 3(alpha+1), one
+    more for a - j at non-integer a (w1 = 5 + 4(alpha+1) holds both, since
+    alpha + 1 >= 1), and (alpha+1) ln((b+j+1)/(b+j)) from the rounding of
+    alpha + 1; those sum to (alpha+1) ln(1 + i/b), which w0 takes at the
+    last index. Once the loop stops, the bound adds
+    eps (sum_i (w0 + w1 i) |t_i| + |S|) to the tail.
     """
+    ab, p = abs(beta), alpha + 1.0
+    finite = _is_nonneg_int(a)
     terms = []
-    t = b ** -(alpha + 1.0)
-    for i in range(a + 1):
+    total = tail = 0.0
+    t = b ** -p
+    for j in range(int(a) + 1 if finite else min(cap, _SCALAR_TERMS)):
         terms.append(t)
-        t *= beta * (a - i) / (i + 1.0) * ((b + i) / (b + i + 1.0)) ** (alpha + 1.0)
+        total += t
+        t *= beta * (a - j) / (j + 1.0) * ((b + j) / (b + j + 1.0)) ** p
+        if finite:
+            continue
+        i = j + 1
+        r = abs(i - a) / (i + 1.0)
+        rhat = ab * r if r > 1.0 else ab
+        if rhat < 1.0:
+            tail = abs(t) / (1.0 - rhat)
+            stop = tail + _EPS * i * abs(total)
+            if stop <= _TARGET or stop <= 1e-13 * abs(total) or i >= cap:
+                break
+    else:
+        if not finite:
+            return _powerlaw_psi(a, b, beta, alpha, cap)
     value = _fsum(terms)
-    w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(a / b))
-    w1 = 5.0 + 4.0 * (alpha + 1.0)
-    roundoff = math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0, w1)))
-    return value, _EPS * (roundoff + abs(value)), a + 1
+    w0 = 3.0 + p * (3.0 + abs(math.log(b)) + math.log1p((len(terms) - 1) / b))
+    roundoff = math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0, 5.0 + 4.0 * p)))
+    return value, tail + _EPS * (roundoff + abs(value)), len(terms)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -165,7 +193,7 @@ def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
     The binomial factor is a cumulative product P of beta (a-j)/(j+1), the
     power factor ((b+i0)/(b+i))^(alpha+1) is taken in closed form, so the
     relative error of t_i grows by at most 4 units of roundoff a term past
-    what the power factor carries (see _powerlaw_psi). Where P alone leaves
+    what the power factor carries (see _head_length). Where P alone leaves
     double range (very negative a, large alpha), the terms from there on
     are sign exp(log|P_m| + cumsum log|ratio| + (alpha+1) log((b+i0)/(b+i))),
     and the extra units of each are the roundoff of the logs, of every
@@ -194,33 +222,48 @@ def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
     return t, j, xu
 
 
-def _geometric_psi(a: float, b: float, beta: float, alpha: float, cap: int):
-    """|beta| < 1: a scalar compensated loop under a geometric tail bound;
-    a sum not done after _SCALAR_TERMS terms goes to _powerlaw_psi, whose
-    tail the damped kernel sums."""
-    target = _TARGET
-    total = 0.0
-    comp = 0.0
-    ab, p = abs(beta), alpha + 1.0
-    t = b ** -p
-    for j in range(_SCALAR_TERMS):  # adds t_j, then i = j + 1 terms are in
-        y = t - comp
-        tmp = total + y
-        comp = (tmp - total) - y
-        total = tmp
-        t *= beta * (a - j) / (j + 1.0) * ((b + j) / (b + j + 1.0)) ** p
-        i = j + 1
-        # uniform ratio bound: the (b+i) factor only shrinks, the binomial
-        # factor approaches 1 from whichever side sign(-a-1) dictates
-        r = (i - a) / (i + 1.0)
-        rhat = ab * r if r > 1.0 else ab
-        if rhat < 1.0:
-            bound = abs(t) / (1.0 - rhat) + _EPS * i * abs(total)
-            if bound <= target or bound <= 1e-13 * abs(total) or i >= cap:
-                return total, bound, i
-        elif i >= cap:
-            return total, abs(t) * i, i
-    return _powerlaw_psi(a, b, beta, alpha, cap)
+@np.errstate(over="ignore", invalid="ignore")  # terms past 1e308 raise DomainError in the callers
+def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop: int,
+          w0: float, k0: int = 0, harmonic: bool = False):
+    """sum_(i<=k<stop) t_k from t_i = t, in numpy chunks of _terms; with
+    harmonic (from i = 0) sum t_k H_k, H_k = sum_(j<k) 1/(a-j). Returns the
+    sum, its roundoff in units of _EPS, and t_stop.
+
+    Relative roundoff of t_k, in units of _EPS: w0 (see _head_length; a
+    harmonic caller adds one for the product t_k H_k), 4 a term for the
+    binomial product, and the extra units _terms reports. Of the first k0
+    terms, which carry the sign transients, only their sum enters (an
+    under-count where it cancels). H_k adds (k+2) sum_(j<k) |1/(a-j)| units
+    of |t_k|.
+    """
+    sums = []
+    roundoff = u = h = habs = 0.0  # u: extra units that t carries (see _terms)
+    while i < stop:
+        L = min(_CHUNK, stop - i)
+        run, j, xu = _terms(a, b, beta, alpha, i, t, L + 1, u)
+        d, j = run[:L], j[:L]
+        if harmonic:
+            inc = 1.0 / (a - j[:-1])  # never 1/0: j < a at integer a
+            H = np.cumsum(np.concatenate(([h], inc)))
+            A = np.cumsum(np.concatenate(([habs], np.abs(inc))))
+            roundoff += float(((j + 2.0) * A) @ np.abs(d))
+            d = d * H
+            if i + L < stop:
+                last = 1.0 / (a - j[-1])
+                h, habs = H[-1] + last, A[-1] + abs(last)
+        terms = d.tolist()
+        if i == 0:
+            roundoff += (w0 + 4.0 * k0) * abs(math.fsum(terms[:k0]))
+        lo = max(k0 - i, 0)
+        mags = np.abs(d[lo:])
+        roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j[lo:])
+        if xu is not None:
+            roundoff += float(np.abs(d) @ xu[:L])
+            u = float(xu[L])
+        sums.append(_fsum(terms))
+        t = float(run[L])
+        i += L
+    return math.fsum(sums), roundoff, t
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -232,8 +275,8 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     lgamma(-a) and sign that of 1/Gamma(-a) for the series itself.
     l_n = L_n / q^n (q = n + c) with L_n = (-1)^(n+1) [(B_(n+1)(-a-c)
     - B_(n+1)(1-c)) / (n(n+1)) - (alpha+1) (b-c)^n / n], then e_k / q^k from
-    k e_k = sum_n n L_n e_(k-n); L_1 = 0 where s > 1 (c from _shift). The
-    sum stops once two consecutive
+    k e_k = sum_n n L_n e_(k-n); L_1 = 0 where s > 1 (c from
+    _head_length). The sum stops once two consecutive
     contributions fall under thr, from k = 3 on (the k = 1 one of the
     value is zero), since odd orders nearly vanish when c is near -a/2. The bound adds
     twice those two, the Euler-Maclaurin remainders, and the roundoff of
@@ -338,12 +381,25 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     return tail, bound
 
 
-def _shift(a: float, b: float, alpha: float, s: float) -> float:
-    """The shift c of the tail's variable z = i + c: ((alpha+1) b -
-    a(a+1)/2) / s, which zeroes L_1, where s > 1 (always at beta = +-1);
-    c = b otherwise, where that c runs off to infinity as s -> 0 or does
-    not exist."""
-    return ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s if s > 1.0 else b
+def _head_length(a: float, b: float, alpha: float, qmin: float, cap: int):
+    """The shift c of the tail's variable z = i + c, the head length n, and
+    w0, the roundoff units of a head term that do not grow with its index.
+
+    c = ((alpha+1) b - a(a+1)/2) / s zeroes L_1 where s = a + alpha + 2 > 1
+    (always at beta = +-1); c = b otherwise, where that c runs off to
+    infinity as s -> 0 or does not exist. The head passes the sign
+    transients (n >= ceil(a) + 2) and q = n + c >= qmin, and runs to
+    z >= max(6 max(|a+c|, |1-c|, |b-c|, 1), 32), where the shifts in the log
+    series are small against z, or to cap terms. In units of _EPS, t_0
+    carries 1 + (alpha+1)|ln b| (pow, and the rounding of alpha + 1), the
+    power factor 2 + (alpha+1)(3 + ln(1 + i/b)).
+    """
+    s = a + alpha + 2.0
+    c = ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s if s > 1.0 else b
+    x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
+    n = max(2, math.ceil(a) + 2, math.ceil(qmin - c),
+            min(cap, math.ceil(max(6.0 * x, 32.0) - c)))
+    return c, n, 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(n / b))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # terms past 1e308 raise DomainError in the caller
@@ -357,44 +413,14 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     exp of that series is sum_k e_k z^-k, so the tail is sum_k e_k times a
     Hurwitz zeta of order s+k (even/odd split at beta > 0), damped by
     |beta|^j below |beta| = 1, from the kernels special_fn._em_zeta and
-    _em_damped in _asymptotic_tail. The head runs until z >= 6 max(|a+c|,
-    |1-c|, |b-c|, 1), where the shifts in the log series are small against
-    z, or until cap terms.
+    _em_damped in _asymptotic_tail. The head is _head_length's, q >= 1.
+    At beta = +-1 the roundoff of its first ceil(a) + 2 terms, which carry
+    the sign transients, enters by their sum only (an under-count where it
+    cancels); below, each term counts.
     """
-    s = a + alpha + 2.0
-    c = _shift(a, b, alpha, s)
-    x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
-    k0 = max(2, math.ceil(a) + 2)
-    n = max(k0, math.ceil(1.0 - c), min(cap, math.ceil(max(6.0 * x, 32.0) - c)))
-
-    # head in chunks. Relative roundoff of t_i, in units of _EPS: t_0 carries
-    # 1 + (alpha+1)|ln b| (pow, and the rounding of alpha+1), the power
-    # factor 2 + (alpha+1)(3 + ln(1 + i/b)), the binomial product 4 a term.
-    # The first k0 terms carry the sign transients. At beta = +-1 only their
-    # sum enters (an under-count where it cancels); below, each term counts.
-    w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(n / b))
-    if abs(beta) < 1.0:
-        k0 = 0
-    sums = []
-    roundoff = u = 0.0  # u: extra units that t carries (see _terms)
-    t = b ** -(alpha + 1.0)  # t_i, the next term
-    i = 0
-    while i < n:
-        L = min(_CHUNK, n - i)
-        run, j, xu = _terms(a, b, beta, alpha, i, t, L + 1, u)
-        terms = run[:L].tolist()
-        sums.append(_fsum(terms))
-        if i == 0:
-            roundoff = (w0 + 4.0 * k0) * abs(math.fsum(terms[:k0]))
-        lo = max(k0 - i, 0)
-        mags = np.abs(run[lo:L])
-        roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j[lo:L])
-        if xu is not None:
-            roundoff += float(np.abs(run[:L]) @ xu[:L])
-            u = float(xu[L])
-        t = float(run[L])
-        i += L
-    head = math.fsum(sums)
+    c, n, w0 = _head_length(a, b, alpha, 1.0, cap)
+    k0 = max(2, math.ceil(a) + 2) if abs(beta) == 1.0 else 0
+    head, roundoff, t = _head(a, b, beta, alpha, 0, b ** -(alpha + 1.0), n, w0, k0)
 
     # For a > -1 the terms past i = a shrink: d/dx log f <= -s / (x+m) with
     # m = max(1, b), so f(x) <= f(n) ((n+m)/(x+m))^s. The tail is then under
@@ -442,19 +468,19 @@ def _negint_psi(k: int, b: float, alpha: float):
 def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Sum the weighted series for params, with a rigorous error bound.
 
-    A geometric sum stops when its tail bound drops under
-    max(1e-12, 1e-13 |S|); one not done after 256 terms (or after cap, if
-    smaller) goes to a head and an asymptotic tail, as at |beta| = 1. cap
-    limits that head: a head cut short of the asymptotic range shows in the
-    bound instead of failing.
+    A terminating sum (non-negative integer a) runs all its terms. A
+    geometric sum stops when its tail bound, plus eps i |S|, drops under
+    max(1e-12, 1e-13 |S|); its reported bound then counts the roundoff of
+    every term, which a cancelling sum can lift past that target. One not
+    done after 256 terms (or after cap, if smaller) goes to a head and an
+    asymptotic tail, as at |beta| = 1. cap limits that head: a head cut
+    short of the asymptotic range shows in the bound instead of failing.
     """
     params.validate()
     a, b, beta, alpha = params.a, params.b, params.beta, params.alpha
     method = "direct"
-    if _is_nonneg_int(a):
-        value, bound, n = _finite_psi(int(a), b, beta, alpha)
-    elif abs(beta) < 1.0:
-        value, bound, n = _geometric_psi(a, b, beta, alpha, cap)
+    if _is_nonneg_int(a) or abs(beta) < 1.0:
+        value, bound, n = _scalar_psi(a, b, beta, alpha, cap)
     elif a + alpha <= -1.0:
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
@@ -493,7 +519,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
     the power law but with q = N + c >= 40 whatever the cap, so that the
     Euler-Maclaurin remainder of the differentiated zeta sums keeps its
     bound (see special_fn._em_dzeta). Each head term's roundoff is counted: that of
-    t_i as in _powerlaw_psi, and (i+2) sum_(j<i) |1/(a-j)| units for H_i.
+    t_i as in _head, and (i+2) sum_(j<i) |1/(a-j)| units for H_i.
 
     At a non-negative integer a = m the i <= m terms keep H_i (its
     denominators a-j stay >= 1), and past i = m the term-wise limit is
@@ -501,11 +527,8 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
     (-1)^(m+1) m! in place of 1/Gamma(-a), whose tail is _asymptotic_tail
     with no derivative. At a = 0 that leaves -sum_{i>=1} 1/(i (b+i)^(n+1)).
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(n)):
-        raise DomainError(f"a, b and n must be finite, got {a}, {b}, {n}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if n != int(n) or n < 0:
+    SeriesParams(a, b, -1.0, float(n)).validate()
+    if n != int(n):
         raise DomainError(f"n must be a non-negative integer, got {n}")
     alpha = float(n)
     if a + alpha <= -1.0:
@@ -516,52 +539,18 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
         # weight (1-e^-x)^a = exp(a ln(1-e^-x)) is 1 within 1e-140 wherever
         # it matters, so the a = 0 value stands within its own roundoff
         a = 0.0
-    s = a + alpha + 2.0
-    c = _shift(a, b, alpha, s)
-    x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
-    N = max(math.ceil(a) + 2, math.ceil(40.0 - c), min(cap, math.ceil(6.0 * x - c)))
-    w0 = 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(N / b))
-    sums = []
-    roundoff = 0.0  # in units of _EPS
-
-    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError below
-    def head(i: int, t: float, stop: int, harmonic: bool) -> None:
-        # adds t_i H_i (t_i alone unless harmonic) for i in [i, stop) from t_i = t
-        nonlocal roundoff
-        h = habs = u = 0.0  # H_i, and sum_(j<i) |1/(a-j)| for its roundoff; u as in _powerlaw_psi
-        while i < stop:
-            L = min(_CHUNK, stop - i)
-            run, j, xu = _terms(a, b, -1.0, alpha, i, t, L + 1, u)
-            d = run[:L]
-            units = w0 + 1.0 + 4.0 * j[:L]
-            if xu is not None:
-                units, u = units + xu[:L], float(xu[L])
-            err = units * np.abs(d)
-            if harmonic:
-                inc = 1.0 / (a - j[:L - 1])  # never 1/0: j < a at integer a
-                H = np.cumsum(np.concatenate(([h], inc)))
-                A = np.cumsum(np.concatenate(([habs], np.abs(inc))))
-                err = err * np.abs(H) + (j[:L] + 2.0) * A * np.abs(d)
-                d = d * H
-                if i + L < stop:
-                    last = 1.0 / (a - j[L - 1])
-                    h, habs = H[-1] + last, A[-1] + abs(last)
-            sums.append(_fsum(d.tolist()))
-            roundoff += float(err.sum())
-            t = float(run[L])
-            i += L
-
+    c, N, w0 = _head_length(a, b, alpha, 40.0, cap)
     t0 = b ** -(alpha + 1.0)
     if _is_nonneg_int(a):
         m = int(a)
-        head(0, t0, m + 1, True)
+        total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, m + 1, w0 + 1.0, harmonic=True)
         t_next = (-1.0) ** (m + 1) / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
-        head(m + 1, t_next, N, False)
+        rest, rest_roundoff, _ = _head(a, b, -1.0, alpha, m + 1, t_next, N, w0 + 1.0)
+        total, roundoff = math.fsum((total, rest)), roundoff + rest_roundoff
         lg, sign, psi = -math.lgamma(a + 1.0), (-1.0) ** (m + 1), None
     else:
-        head(0, t0, N, True)
+        total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, N, w0 + 1.0, harmonic=True)
         lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
-    total = math.fsum(sums)
     thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
     tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
     value, bound = total + tail, tail_bound + _EPS * (roundoff + abs(total + tail))

@@ -231,7 +231,7 @@ def _powerlaw_reference(mp, a, b, beta, alpha):
 def _powerlaw_cells(draw):
     beta = draw(st.sampled_from([-1.0, 1.0]))
     a_max = 60.0 if beta > 0 else 1.5
-    # a non-negative integer a terminates the series; test_finite_bound_known_false
+    # a non-negative integer a terminates the series, summed by the scalar loop
     a = draw(st.floats(min_value=-1.0, max_value=a_max, exclude_min=True)
              .filter(lambda v: not (v >= 0.0 and v == math.floor(v))))
     b = draw(st.floats(min_value=0.05, max_value=50.0))
@@ -419,17 +419,16 @@ def test_near_unit_bound_holds_and_meets_target(cell):
     # (test_near_unit_growing_terms_target_known_missed)
     mp = pytest.importorskip("mpmath")
     a, b, beta, alpha = cell
-    # a sum the scalar prefix finishes keeps that loop's own bound
-    # (test_geometric_scalar_bound_known_false); the rest take this route
+    # the target holds for the head-and-tail route; a cancelling sum that
+    # the scalar loop finishes reports more roundoff than its stop test
+    # counts, so there only the bound is checked
     with mock.patch.object(series_engine, "_powerlaw_psi", wraps=series_engine._powerlaw_psi) as route:
         got = eval_psi_general(SeriesParams(a, b, beta, alpha))
-    if not route.called:
-        return
     assert got.terms_used < 10**7
     with mp.workdps(30):
         err = float(abs(got.value - _geometric_reference(mp, a, b, beta, alpha)))
     assert err <= got.abs_error_bound
-    if a + alpha > -1.0 or beta < 0.0:
+    if route.called and (a + alpha > -1.0 or beta < 0.0):
         assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
 
 
@@ -442,12 +441,49 @@ def test_near_unit_growing_terms_target_known_missed():
     assert got.abs_error_bound <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the scalar geometric loop counts eps i |S| of roundoff")
-def test_geometric_scalar_bound_known_false():
-    # one term: t_1 is 1e-31 of t_0, and the loop stops with eps |S| as its
-    # bound, short of the rounding of alpha + 1 in b^-(alpha+1)
+def test_geometric_scalar_bound_counts_alpha_rounding():
+    # one term: t_1 is 1e-31 of t_0, and the loop stops; eps |S| alone would
+    # fall short of the rounding of alpha + 1 in b^-(alpha+1)
     mp = pytest.importorskip("mpmath")
     a, b, beta, alpha = 4.434438273403613e-31, 3.0, -0.96875, 0.5676146692362861
+    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    with mp.workdps(30):
+        err = abs(got.value - _geometric_reference(mp, a, b, beta, alpha))
+    assert err <= got.abs_error_bound
+
+
+@pytest.mark.parametrize("a, b, beta, alpha", [(30.5, 1e20, 0.9, 0.0), (30.5, 1e6, 0.9, 3.0)])
+def test_geometric_ratio_bound_below_a(a, b, beta, alpha):
+    # for i < a the term ratio is beta (a-i)/(i+1) ((b+i)/(b+i+1))^(alpha+1),
+    # 27 at i = 0 here: the terms grow to i = 14 before they shrink, so a
+    # stop after the first term would return 1e-20 (1e-24) for 3.2e-12
+    # (3.2e-16)
+    mp = pytest.importorskip("mpmath")
+    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    with mp.workdps(30):
+        err = abs(got.value - _geometric_reference(mp, a, b, beta, alpha))
+    assert err <= got.abs_error_bound <= 1e-12
+
+
+@st.composite
+def _scalar_cells(draw):
+    a = draw(st.one_of(st.integers(min_value=0, max_value=60).map(float),
+                       st.floats(min_value=-1.0, max_value=60.0, exclude_min=True)))
+    beta = draw(st.floats(min_value=-0.9, max_value=0.9))
+    b = draw(st.floats(min_value=0.05, max_value=50.0))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)))
+    return a, b, beta, alpha
+
+
+@given(_scalar_cells())
+@example((4.434438273403613e-31, 3.0, -0.96875, 0.5676146692362861))
+@example((49.18342754451926, 0.6497015607178162, -0.3525025091829982, 0.0))  # terms to 3e4, sum 0.21
+@settings(max_examples=40, deadline=None)
+def test_scalar_bound_holds(cell):
+    # terminating sums and |beta| <= 0.9: the bound covers the true error,
+    # the roundoff of cancelling terms included
+    mp = pytest.importorskip("mpmath")
+    a, b, beta, alpha = cell
     got = eval_psi_general(SeriesParams(a, b, beta, alpha))
     with mp.workdps(30):
         err = abs(got.value - _geometric_reference(mp, a, b, beta, alpha))
