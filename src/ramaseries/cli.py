@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,7 +78,8 @@ def _parse_range(text: str, name: str) -> List[float]:
             lo, hi, step = (float(p) for p in parts)
         except ValueError:
             raise DomainError("bad range for --%s: %r" % (name, text))
-        if step <= 0 or hi < lo:
+        # inf or nan would never pass hi, and the grid would grow without end
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise DomainError("bad range for --%s: %r" % (name, text))
         out = []
         k = 0
@@ -94,7 +96,16 @@ def _parse_range(text: str, name: str) -> List[float]:
         raise DomainError("bad value for --%s: %r" % (name, text))
 
 
-_PARAM_FLAGS = ("a", "b", "beta", "alpha", "n", "m", "s", "q", "r", "w", "v", "p", "mu")
+_AXIS_FLAGS = ("a", "b", "beta", "alpha", "n", "s", "q", "r")  # the axes of _TARGETS
+_PARAM_FLAGS = _AXIS_FLAGS + ("w", "v", "part", "form")  # those of eval, integral included
+
+# integral form -> the parameter flags its oracle reads (see quadrature.oracle_value)
+_FORM_FLAGS = {
+    **dict.fromkeys(("F1", "F2", "F3", "F4", "F5", "F6"), ("a", "b", "beta", "alpha", "n")),
+    **dict.fromkeys(("F7", "F8", "F9", "F10"), ("a", "w", "v", "alpha")),
+    "F11": ("a", "w", "v", "alpha", "part"),
+    "F12": ("b", "beta"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,38 +115,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--format", choices=("text", "csv", "jsonl"), default="text")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        for flag in _PARAM_FLAGS:
-            sp.add_argument("--" + flag, type=str, default=None)
-        sp.add_argument("--part", type=str, default=None)
-        sp.add_argument("--form", type=str, default=None)
+    def add(name, help, run, targets, flags):
+        # each subcommand gets only the flags it reads, and argparse rejects the
+        # rest; with abbreviations --w would still be read as --workers
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        if targets:
+            sp.add_argument("target", choices=targets)
+        for flag in flags:
+            if flag == "format":
+                sp.add_argument("--format", choices=("text", "csv", "jsonl"), default="text")
+            else:
+                sp.add_argument("--" + flag, type={"tol": float, "workers": int}.get(flag, str),
+                                default=None)
+        sp.set_defaults(run=run)
 
-    p_eval = sub.add_parser("eval", help="evaluate one quantity at a point")
-    p_eval.add_argument("target", choices=tuple(_TARGETS) + ("integral",))
-    common(p_eval)
-    p_eval.set_defaults(run=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("target", choices=("all",) + SUITE_NAMES)
-    common(p_verify)
-    p_verify.set_defaults(run=cmd_verify)
-
-    p_table = sub.add_parser("table", help="evaluate over a parameter grid")
-    p_table.add_argument("target", choices=tuple(_TARGETS))
-    common(p_table)
-    p_table.set_defaults(run=cmd_table)
-
-    p_coeffs = sub.add_parser("coeffs", help="print the coefficient triangle")
-    common(p_coeffs)
-    p_coeffs.set_defaults(run=cmd_coeffs)
-
-    p_err = sub.add_parser("errata", help="reproduce catalogued discrepancies")
-    common(p_err)
-    p_err.set_defaults(run=cmd_errata)
-
+    add("eval", "evaluate one quantity at a point", cmd_eval, tuple(_TARGETS) + ("integral",),
+        ("format",) + _PARAM_FLAGS)
+    add("verify", "run a verification suite", cmd_verify, ("all",) + SUITE_NAMES,
+        ("format", "tol", "workers"))
+    add("table", "evaluate over a parameter grid", cmd_table, tuple(_TARGETS),
+        ("format", "workers") + _AXIS_FLAGS)
+    add("coeffs", "print the coefficient triangle", cmd_coeffs, None, ("p", "b", "m"))
+    add("errata", "reproduce catalogued discrepancies", cmd_errata, None, ("format",))
     return ap
 
 
@@ -160,6 +161,14 @@ def _single(args: argparse.Namespace, name: str) -> Optional[float]:
     if len(vals) != 1:
         raise DomainError("%s takes single values, got a range for --%s" % (args.command, name))
     return vals[0]
+
+
+def _reject_unread(args: argparse.Namespace, read: Sequence[str]) -> None:
+    """DomainError for a parameter flag of eval or table outside read, the
+    flags the target reads."""
+    for nm in _PARAM_FLAGS:
+        if getattr(args, nm, None) is not None and nm not in read:
+            raise DomainError("%s %s does not take --%s" % (args.command, args.target, nm))
 
 
 def _flag(args: argparse.Namespace, axis: str) -> str:
@@ -204,17 +213,17 @@ _TARGETS = {
 
 
 def _eval_integral(args: argparse.Namespace) -> EvalResult:
-    if args.form is None:
+    if args.form not in _FORM_FLAGS:
         raise DomainError("eval integral requires --form (one of F1..F12)")
+    flags = _FORM_FLAGS[args.form]
+    _reject_unread(args, flags + ("form",))
     ip: Dict[str, object] = {}
-    for nm in ("a", "b", "beta", "alpha", "n", "w", "v", "mu"):
-        value = _single(args, nm)
+    for nm in flags:
+        value = args.part if nm == "part" else _single(args, nm)
         if value is not None:
             ip[nm] = value
     if "n" in ip:
         ip["n"] = _int_order("integral", ip["n"])
-    if args.part is not None:
-        ip["part"] = args.part
     return oracle_value(IntegralSpec(form=args.form, params=ip))
 
 
@@ -223,7 +232,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         res = _eval_integral(args)
     else:
         axes, evaluate = _TARGETS[args.target]
-        res = evaluate(*(_single(args, _flag(args, axis)) for axis in axes))
+        names = [_flag(args, axis) for axis in axes]
+        _reject_unread(args, names)
+        res = evaluate(*(_single(args, nm) for nm in names))
     if args.format == "jsonl":
         print(
             json.dumps(
@@ -311,7 +322,7 @@ def _emit_records(records: Sequence[VerificationRecord], fmt: str) -> Tuple[int,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    records = run_suite(args.target, tol=args.tol, workers=args.workers)
+    records = run_suite(args.target, tol=args.tol, workers=_resolve_workers(args.workers))
     _, nfail = _emit_records(records, args.format)
     return 1 if nfail else 0
 
@@ -326,13 +337,12 @@ def _table_task(item: Tuple[int, str, Tuple[float, ...]]) -> Tuple[int, str, flo
 
 def cmd_table(args: argparse.Namespace) -> int:
     axes = _TARGETS[args.target][0]
-    grids = []
-    for axis in axes:
-        nm = _flag(args, axis)
-        grids.append(_parse_range(getattr(args, nm), nm))
+    names = [_flag(args, axis) for axis in axes]
+    _reject_unread(args, names)
+    grids = [_parse_range(getattr(args, nm), nm) for nm in names]
     points = list(itertools.product(*grids))
     tasks = [(i, args.target, pt) for i, pt in enumerate(points)]
-    raw = ordered_map(_table_task, tasks, args.workers)
+    raw = ordered_map(_table_task, tasks, _resolve_workers(args.workers))
 
     header = list(axes) + ["value", "status"]
     if args.format == "jsonl":
@@ -402,7 +412,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-        args.workers = _resolve_workers(args.workers)
         return args.run(args)
     except (DomainError, DivergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)

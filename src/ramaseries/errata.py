@@ -197,13 +197,13 @@ def two_sided_closed(b: float, beta: float) -> float:
     """
     s = math.sin(math.pi * b)
     cth = math.cos(math.pi * b)
-    k0 = math.pi / s
-    k1 = math.pi ** 2 * cth / s ** 2
-    k2 = math.pi ** 3 * (2.0 - s * s) / s ** 3
+    K0 = math.pi / s
+    K1 = math.pi ** 2 * cth / s ** 2
+    K2 = math.pi ** 3 * (2.0 - s * s) / s ** 3
     if beta == 0.0:
-        return k2
+        return K2
     c = -math.log(beta)
-    return (k2 - beta ** (1.0 - b) * (k2 - 2.0 * c * k1 + c * c * k0)) / (1.0 - beta)
+    return (K2 - beta ** (1.0 - b) * (K2 - 2.0 * c * K1 + c * c * K0)) / (1.0 - beta)
 
 
 def _repro_two_sided() -> Tuple[VerificationRecord, VerificationRecord]:

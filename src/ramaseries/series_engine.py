@@ -224,17 +224,16 @@ def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
 
 @np.errstate(over="ignore", invalid="ignore")  # terms past 1e308 raise DomainError in the callers
 def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop: int,
-          w0: float, k0: int = 0, harmonic: bool = False):
+          w0: float, harmonic: bool = False):
     """sum_(i<=k<stop) t_k from t_i = t, in numpy chunks of _terms; with
     harmonic (from i = 0) sum t_k H_k, H_k = sum_(j<k) 1/(a-j). Returns the
     sum, its roundoff in units of _EPS, and t_stop.
 
     Relative roundoff of t_k, in units of _EPS: w0 (see _head_length; a
     harmonic caller adds one for the product t_k H_k), 4 a term for the
-    binomial product, and the extra units _terms reports. Of the first k0
-    terms, which carry the sign transients, only their sum enters (an
-    under-count where it cancels). H_k adds (k+2) sum_(j<k) |1/(a-j)| units
-    of |t_k|.
+    binomial product, and the extra units _terms reports, each weighed by
+    |t_k|, so a head that cancels counts the roundoff of its largest terms.
+    H_k adds (k+2) sum_(j<k) |1/(a-j)| units of |t_k|.
     """
     sums = []
     roundoff = u = h = habs = 0.0  # u: extra units that t carries (see _terms)
@@ -251,16 +250,12 @@ def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop:
             if i + L < stop:
                 last = 1.0 / (a - j[-1])
                 h, habs = H[-1] + last, A[-1] + abs(last)
-        terms = d.tolist()
-        if i == 0:
-            roundoff += (w0 + 4.0 * k0) * abs(math.fsum(terms[:k0]))
-        lo = max(k0 - i, 0)
-        mags = np.abs(d[lo:])
-        roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j[lo:])
+        mags = np.abs(d)
+        roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j)
         if xu is not None:
-            roundoff += float(np.abs(d) @ xu[:L])
+            roundoff += float(mags @ xu[:L])
             u = float(xu[L])
-        sums.append(_fsum(terms))
+        sums.append(_fsum(d.tolist()))
         t = float(run[L])
         i += L
     return math.fsum(sums), roundoff, t
@@ -414,13 +409,9 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     Hurwitz zeta of order s+k (even/odd split at beta > 0), damped by
     |beta|^j below |beta| = 1, from the kernels special_fn._em_zeta and
     _em_damped in _asymptotic_tail. The head is _head_length's, q >= 1.
-    At beta = +-1 the roundoff of its first ceil(a) + 2 terms, which carry
-    the sign transients, enters by their sum only (an under-count where it
-    cancels); below, each term counts.
     """
     c, n, w0 = _head_length(a, b, alpha, 1.0, cap)
-    k0 = max(2, math.ceil(a) + 2) if abs(beta) == 1.0 else 0
-    head, roundoff, t = _head(a, b, beta, alpha, 0, b ** -(alpha + 1.0), n, w0, k0)
+    head, roundoff, t = _head(a, b, beta, alpha, 0, b ** -(alpha + 1.0), n, w0)
 
     # For a > -1 the terms past i = a shrink: d/dx log f <= -s / (x+m) with
     # m = max(1, b), so f(x) <= f(n) ((n+m)/(x+m))^s. The tail is then under

@@ -124,14 +124,14 @@ def _expint_orders(s: float, x: float, K: int):
     Each direction damps the error it carries (by x/sig up, sig/(x+1) down),
     and below sig = 0 every term it adds is positive; the bounds carry that
     propagation and each step's roundoff."""
-    k0 = max(0, math.ceil(x - s), math.floor(-s) + 1)
-    g, e = [0.0] * (max(K, k0) + 1), [0.0] * (max(K, k0) + 1)
-    g[k0], e[k0] = _expint_cf(s + k0, x)
-    for k in range(k0, K):
+    kf = max(0, math.ceil(x - s), math.floor(-s) + 1)
+    g, e = [0.0] * (max(K, kf) + 1), [0.0] * (max(K, kf) + 1)
+    g[kf], e[kf] = _expint_cf(s + kf, x)
+    for k in range(kf, K):
         sig, xg = s + k, x * g[k]
         g[k + 1] = (1.0 - xg) / sig
         e[k + 1] = (x * e[k] + _EPS * (2.0 * xg + 1.0)) / sig + _EPS * g[k + 1]
-    for k in range(k0 - 1, -1, -1):
+    for k in range(kf - 1, -1, -1):
         sig = s + k
         sg = abs(sig * g[k + 1])
         g[k] = (1.0 - sig * g[k + 1]) / x
@@ -246,7 +246,10 @@ def _hurwitz(s: float, q: float, sm1: float | None = None, alternating: bool = F
     sm1 = s - 1.0 if sm1 is None else sm1
     if not ((sm1 > 0.0 or alternating) and q > 0.0):
         raise DomainError(f"hurwitz_zeta needs s > 1 and q > 0, got s = {s}, q = {q}")
-    ts = [(q + j) ** -s for j in range(_HEAD)]
+    try:
+        ts = [(q + j) ** -s for j in range(_HEAD)]
+    except OverflowError:  # q + j < 1 to a large power
+        raise DomainError(f"hurwitz_zeta({s}, {q}) overflows double precision") from None
     mag = sum(ts)
     head = sum(ts[0::2]) - sum(ts[1::2]) if alternating else mag
     Q = q + _HEAD
@@ -254,13 +257,17 @@ def _hurwitz(s: float, q: float, sm1: float | None = None, alternating: bool = F
     z, rem, zmag = _em_zeta(s, sm1, Q, alternating)
     value = head + w * z
     roundoff = (0.5 * s + 1.0 + _HEAD) * mag + (0.5 * s + 8.0) * w * zmag + abs(value)
-    return value, w * rem + _EPS * roundoff, _HEAD
+    bound = w * rem + _EPS * roundoff
+    if not math.isfinite(bound):  # inf also where the value is
+        raise DomainError(f"hurwitz_zeta({s}, {q}) overflows double precision")
+    return value, bound, _HEAD
 
 
 def hurwitz_zeta(s: float, q: float) -> float:
     """Hurwitz zeta sum_{j>=0} (q+j)^(-s) for s > 1, q > 0: 12 summed terms,
     then the Euler-Maclaurin kernel at q + 12. _hurwitz adds the derived
-    bound, the kernel's remainder plus the roundoff."""
+    bound, the kernel's remainder plus the roundoff. DomainError where the
+    value or its bound leaves double range."""
     return _hurwitz(s, q)[0]
 
 
@@ -278,27 +285,33 @@ def _lerch(beta: float, s: float, b: float):
         return _hurwitz(s, b, alternating=True)
     c = 2.0 + 0.5 * abs(s)  # a term's roundoff: j units for beta^j, c for the rest
     total = comp = err = 0.0
-    p, j, r = 1.0, 0, b ** -s  # beta^j, j, (b+j)^-s
     rhat, bound = abs(beta), math.inf  # term-ratio bound, tail bound
-    while True:
-        t = p * r
-        y = t - comp
-        tmp = total + y
-        comp = (tmp - total) - y
-        total = tmp
-        err += (j + c) * abs(t)
-        p *= beta
-        j += 1
-        r = (b + j) ** -s
-        if s < 0.0:  # the power factor grows; clamp its ratio at 1 once it falls
-            rhat = abs(beta) * max(1.0, ((b + j + 1.0) / (b + j)) ** -s)
-        if rhat < 1.0:
-            bound = abs(p) * r / (1.0 - rhat)
-            if bound <= 1e-17 * abs(total) + 5e-324:
+    try:
+        p, j, r = 1.0, 0, b ** -s  # beta^j, j, (b+j)^-s
+        while True:
+            t = p * r
+            y = t - comp
+            tmp = total + y
+            comp = (tmp - total) - y
+            total = tmp
+            err += (j + c) * abs(t)
+            p *= beta
+            j += 1
+            r = (b + j) ** -s
+            if s < 0.0:  # the power factor grows; clamp its ratio at 1 once it falls
+                rhat = abs(beta) * max(1.0, ((b + j + 1.0) / (b + j)) ** -s)
+            if rhat < 1.0:
+                bound = abs(p) * r / (1.0 - rhat)
+                if bound <= 1e-17 * abs(total) + 5e-324:
+                    break
+            if j > 1_000_000:
                 break
-        if j > 1_000_000:
-            break
-    return total, bound + _EPS * (err + 2.0 * abs(total)), j
+    except OverflowError:  # a power (b+j)^-s past double range
+        err = math.inf
+    bound += _EPS * (err + 2.0 * abs(total))
+    if not math.isfinite(bound):
+        raise DomainError(f"lerch_phi({beta}, {s}, {b}) overflows double precision")
+    return total, bound, j
 
 
 def lerch_phi(beta: float, s: float, b: float) -> float:
@@ -308,17 +321,23 @@ def lerch_phi(beta: float, s: float, b: float) -> float:
     the alternating kernel at b + 12. |beta| < 1 sums with compensation until
     a geometric tail bound falls under 1e-17 |sum|, or for 10^6 terms. _lerch
     adds the bound: the kernel's remainder or the loop's last tail bound (so
-    a stop at 10^6 terms shows), plus the roundoff.
+    a stop at 10^6 terms shows), plus the roundoff. DomainError where the
+    value or its bound leaves double range.
     """
     return _lerch(beta, s, b)[0]
 
 
 def _s_prime(r: float):
     """s_prime as (value, bound, terms)."""
-    if r != int(r) or r < 1:
+    if not (1 <= r < math.inf and r == int(r)):
         raise DomainError(f"sprime needs a positive integer index, got {r}")
     if r == 1:
         return PI / 4.0, _EPS * PI / 4.0, 1
+    if r >= 20:
+        # the rest, under 7^-r, is below _EPS / 8 here; the Hurwitz route's
+        # 4^r would leave double range from r = 512
+        value = 1.0 - 3.0 ** -r + 5.0 ** -r
+        return value, 7.0 ** -r + _EPS * 2.0 * value, 3
     v1, b1, n1 = _hurwitz(float(r), 0.25)
     v2, b2, n2 = _hurwitz(float(r), 0.75)
     f = 4.0 ** -int(r)  # exact
@@ -327,8 +346,10 @@ def _s_prime(r: float):
 
 def s_prime(r: int) -> float:
     """Alternating odd-denominator sum 1 - 3^(-r) + 5^(-r) - ...: pi/4 at
-    r = 1, else 4^(-r) (zeta(r,1/4) - zeta(r,3/4)). _s_prime adds the bound,
-    the two Hurwitz bounds plus the rounding of the difference (or of pi/4)."""
+    r = 1, 4^(-r) (zeta(r,1/4) - zeta(r,3/4)) up to r = 19, and its first
+    three terms from r = 20. _s_prime adds the bound: the two Hurwitz bounds
+    plus the rounding of the difference (or of pi/4), or 7^(-r) for the rest
+    of the alternating sum plus the rounding of its three terms."""
     return _s_prime(r)[0]
 
 

@@ -220,7 +220,9 @@ def _scalar_reference(mp, target, point):
     ("zeta", (1.05, 0.05)), ("zeta", (8.0, 20.0)), ("zeta", (2.0, 1.0)),
 ] + [("sprime", (float(r),)) for r in range(1, 13)] + [
     ("lerch", (-1.0, s, q)) for s in (0.3, 1.0, 2.5) for q in (0.5, 3.0)
-] + [("lerch", (1.0, 2.5, 0.5)), ("lerch", (-0.5, 1.0, 1.0)), ("lerch", (0.999999, 1.0, 1.0))])
+] + [("lerch", (1.0, 2.5, 0.5)), ("lerch", (-0.5, 1.0, 1.0)), ("lerch", (0.999999, 1.0, 1.0))] + [
+    ("sprime", (508.0,)), ("sprime", (600.0,)),  # where the Hurwitz route's 4^r overflowed
+])
 def test_eval_target_bound_holds(target, point):
     # every scalar eval target reports a derived bound; at beta = 0.999999
     # the loop stops at 10^6 terms, 0.22 short, and its bound covers that
@@ -233,3 +235,45 @@ def test_eval_target_bound_holds(target, point):
         assert abs(got.value - ref) <= got.abs_error_bound
     if point[0] != 0.999999:
         assert got.abs_error_bound <= 1e-13 * abs(got.value)
+
+
+# a base command line per subcommand (and integral form), and the flags it reads
+_READS = {
+    ("eval", "phi", "--a=-0.5", "--b", "0.25", "--n", "1"): {"format", "a", "b", "alpha", "n"},
+    ("eval", "zeta", "--s", "2", "--q", "1"): {"format", "s", "q"},
+    ("eval", "integral", "--form", "F1", "--a=-0.5", "--b", "0.25", "--n", "1"):
+        {"format", "form", "a", "b", "beta", "alpha", "n"},
+    ("eval", "integral", "--form", "F7", "--a", "1", "--w", "2"): {"format", "form", "a", "w", "v", "alpha"},
+    ("table", "sprime", "--r", "1..3"): {"format", "workers", "r"},
+    ("verify", "shifts"): {"format", "tol", "workers"},
+    ("coeffs", "--p", "2", "--b", "2"): {"p", "b", "m"},
+    ("errata",): {"format"},
+}
+_FLAGS = ("format", "tol", "workers", "a", "b", "beta", "alpha", "n", "m", "s", "q", "r",
+          "w", "v", "p", "mu", "part", "form")
+_VALUES = {"format": "jsonl", "part": "c", "form": "F9"}
+
+
+@pytest.mark.parametrize("base, flag", [
+    (base, flag) for base, read in _READS.items() for flag in _FLAGS if flag not in read
+])
+def test_unread_flag_exits_2(base, flag, capsys):
+    # a flag the command would ignore is an error, before anything runs
+    from ramaseries import cli
+
+    try:
+        code = cli.main([*base, "--" + flag, _VALUES.get(flag, "1")])
+    except SystemExit as exc:  # argparse: the subcommand has no such flag
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ["0:inf:1", "0:nan:1", "-inf:0:1", "0:1:nan", "nan:1:1", "0:1:inf"])
+def test_non_finite_range_rejected(text):
+    # inf or nan never passes hi, so the grid would grow until memory ran out
+    from ramaseries.cli import _parse_range
+    from ramaseries.special_fn import DomainError
+
+    with pytest.raises(DomainError):
+        _parse_range(text, "a")

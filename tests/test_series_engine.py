@@ -198,73 +198,11 @@ def test_terms_capped_result_still_bounded():
     assert abs(got.value - 5.244115108584240) <= got.abs_error_bound
 
 
-def _powerlaw_reference(mp, a, b, beta, alpha):
-    """S(a, b, +-1, alpha) by mpmath: Beta or 2F1 at alpha = 0, else
-    (1/Gamma(alpha+1)) int_0^1 t^(b-1) (-ln t)^alpha (1+beta t)^a dt split
-    at t = 1/2, so the endpoint factor (1-t)^a is u^a in u = 1 - t."""
-    a, b, alpha = mp.mpf(a), mp.mpf(b), mp.mpf(alpha)
-    if alpha == 0:
-        return mp.beta(b, a + 1) if beta < 0 else mp.hyp2f1(-a, b, b + 1, -1) / b
-
-    def left(w):  # t = w^(1/b) absorbs t^(b-1)
-        t = w ** (1 / b)
-        return (-mp.log(t)) ** alpha * (1 + beta * t) ** a / b
-
-    if beta < 0:
-        p = 1 / (a + alpha + 1)  # u = w^p smooths u^(a+alpha) at u = 0
-
-        def right(w):
-            u = w ** p
-            return (1 - u) ** (b - 1) * (-mp.log1p(-u)) ** alpha * u ** a * p * w ** (p - 1)
-
-        right_end = mp.mpf(0.5) ** (1 / p)
-    else:
-        def right(u):
-            return (1 - u) ** (b - 1) * (-mp.log1p(-u)) ** alpha * (2 - u) ** a
-
-        right_end = mp.mpf(0.5)
-    total = mp.quad(left, [0, mp.mpf(0.5) ** b]) + mp.quad(right, [0, right_end])
-    return total / mp.gamma(alpha + 1)
-
-
-@st.composite
-def _powerlaw_cells(draw):
-    beta = draw(st.sampled_from([-1.0, 1.0]))
-    a_max = 60.0 if beta > 0 else 1.5
-    # a non-negative integer a terminates the series, summed by the scalar loop
-    a = draw(st.floats(min_value=-1.0, max_value=a_max, exclude_min=True)
-             .filter(lambda v: not (v >= 0.0 and v == math.floor(v))))
-    b = draw(st.floats(min_value=0.05, max_value=50.0))
-    alpha = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)))
-    return a, b, beta, alpha
-
-
-@given(_powerlaw_cells())
-@settings(max_examples=40, deadline=None)
-def test_powerlaw_bound_holds_and_meets_target(cell):
-    # the asymptotic tail's bound must cover the true error and still meet
-    # the default target
-    mp = pytest.importorskip("mpmath")
-    a, b, beta, alpha = cell
-    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
-    with mp.workdps(30):
-        err = float(abs(got.value - _powerlaw_reference(mp, a, b, beta, alpha)))
-    assert err <= got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
-
-
 def test_powerlaw_tail_needs_even_orders():
     # c = -a/2 here, so the odd orders of the tail nearly vanish; a sum
     # stopped at the first small one misses the exact Beta value 10 by 1.8e-9
     got = eval_phi(-0.9, 1.0, 0.0)
     assert abs(got.value - 10.0) <= got.abs_error_bound <= 1e-12
-
-
-@pytest.mark.xfail(strict=True, reason="large-a head cancellation under-counted in the bound")
-def test_powerlaw_large_a_bound_known_false():
-    # the head terms near 1e14 cancel to 2e-2; the bound counts only the
-    # rounding of their sum
-    got = eval_phi(50.5, 1.0, 0.0)
-    assert abs(got.value - 1.0 / 51.5) <= got.abs_error_bound
 
 
 def test_finite_bound_counts_alpha_rounding():
@@ -350,28 +288,33 @@ def test_derivative_integer_branch_pinned(a, b, n, want):
     assert abs(got.value - want) <= got.abs_error_bound <= 1e-13
 
 
-def _geometric_reference(mp, a, b, beta, alpha):
-    """S(a, b, beta, alpha) at |beta| < 1 by mpmath: 2F1 at alpha = 0, else
-    (1/Gamma(alpha+1)) int_0^1 t^(b-1) (-ln t)^alpha (1+beta t)^a dt split
-    at t = 1/2, with breaks at u = 1 - t = (1-|beta|) 10^k where
-    (1+beta t)^a peaks for beta near -1. At integer alpha >= 1 the
+def _reference(mp, a, b, beta, alpha):
+    """S(a, b, beta, alpha) by mpmath: 2F1 at alpha = 0 (Gauss's Beta value
+    at beta = -1), else (1/Gamma(alpha+1)) int_0^1 t^(b-1) (-ln t)^alpha
+    (1+beta t)^a dt split at t = 1/2. On the right half, in u = 1 - t, the
+    factor (1+beta-beta u)^a peaks for beta near -1, so there are breaks at
+    u = (1-|beta|) 10^k; at beta = -1 it is u^a, and u = w^p, p =
+    1/(a+alpha+1), smooths u^(a+alpha) at u = 0. At integer alpha >= 1 the
     integral agrees with mp.hyper to 1e-31, and mp.hyper takes 3 s at
     |beta| = 1 - 1e-5."""
     a, b, beta = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
     if alpha == 0:
         return mp.hyp2f1(-a, b, b + 1, -beta) / b
     alpha = mp.mpf(alpha)
+    p = 1 / (a + alpha + 1) if beta == -1 else 1
 
     def left(w):  # t = w^(1/b) absorbs t^(b-1)
         t = w ** (1 / b)
         return (-mp.log(t)) ** alpha * (1 + beta * t) ** a / b
 
-    def right(u):
-        return (1 - u) ** (b - 1) * (-mp.log1p(-u)) ** alpha * (1 + beta - beta * u) ** a
+    def right(w):
+        u = w ** p
+        return ((1 - u) ** (b - 1) * (-mp.log1p(-u)) ** alpha * (1 + beta - beta * u) ** a
+                * p * w ** (p - 1))
 
     d = 1 - abs(beta)
-    breaks = [0] + [d * 10 ** k for k in range(8) if d * 10 ** k < 0.5] + [mp.mpf(0.5)]
-    total = mp.quad(left, [0, mp.mpf(0.5) ** b]) + mp.quad(right, breaks)
+    breaks = [0] + [d * 10 ** k for k in range(8) if 0 < d * 10 ** k < 0.5] + [mp.mpf(0.5)]
+    total = mp.quad(left, [0, mp.mpf(0.5) ** b]) + mp.quad(right, [u ** (1 / p) for u in breaks])
     return total / mp.gamma(alpha + 1)
 
 
@@ -396,42 +339,6 @@ def test_near_unit_geometric_terms_pinned():
     assert got.terms_used == 31
 
 
-@st.composite
-def _near_unit_cells(draw):
-    one_minus = draw(st.floats(min_value=1e-5, max_value=0.05))
-    beta = math.copysign(1.0 - one_minus, draw(st.sampled_from([-1.0, 1.0])))
-    a = draw(st.floats(min_value=-3.0, max_value=12.0, exclude_min=True, exclude_max=True)
-             .filter(lambda v: v != math.floor(v)))
-    b = draw(st.floats(min_value=0.05, max_value=50.0))
-    alpha = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0.0, max_value=5.0)))
-    return a, b, beta, alpha
-
-
-@given(_near_unit_cells())
-@example((-3.5, 1.0, 0.99, 0.0))
-@example((-1.5, 1.0, -0.98, 0.5))  # s = 1 exactly, as at a = -1, alpha = 0
-@settings(max_examples=40, deadline=None)
-def test_near_unit_bound_holds_and_meets_target(cell):
-    # the bound covers the true error everywhere, and meets the target
-    # except where a + alpha <= -1 and beta > 0: there the terms grow to
-    # about lam^(a+alpha+1) before they decay, alternate and cancel, and
-    # their counted roundoff passes the target
-    # (test_near_unit_growing_terms_target_known_missed)
-    mp = pytest.importorskip("mpmath")
-    a, b, beta, alpha = cell
-    # the target holds for the head-and-tail route; a cancelling sum that
-    # the scalar loop finishes reports more roundoff than its stop test
-    # counts, so there only the bound is checked
-    with mock.patch.object(series_engine, "_powerlaw_psi", wraps=series_engine._powerlaw_psi) as route:
-        got = eval_psi_general(SeriesParams(a, b, beta, alpha))
-    assert got.terms_used < 10**7
-    with mp.workdps(30):
-        err = float(abs(got.value - _geometric_reference(mp, a, b, beta, alpha)))
-    assert err <= got.abs_error_bound
-    if route.called and (a + alpha > -1.0 or beta < 0.0):
-        assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
-
-
 @pytest.mark.xfail(strict=True, reason="counted roundoff of growing, cancelling terms passes the target")
 def test_near_unit_growing_terms_target_known_missed():
     # the terms grow to 113 near i = 150 and cancel to 0.33; the damped
@@ -448,7 +355,7 @@ def test_geometric_scalar_bound_counts_alpha_rounding():
     a, b, beta, alpha = 4.434438273403613e-31, 3.0, -0.96875, 0.5676146692362861
     got = eval_psi_general(SeriesParams(a, b, beta, alpha))
     with mp.workdps(30):
-        err = abs(got.value - _geometric_reference(mp, a, b, beta, alpha))
+        err = abs(got.value - _reference(mp, a, b, beta, alpha))
     assert err <= got.abs_error_bound
 
 
@@ -461,33 +368,75 @@ def test_geometric_ratio_bound_below_a(a, b, beta, alpha):
     mp = pytest.importorskip("mpmath")
     got = eval_psi_general(SeriesParams(a, b, beta, alpha))
     with mp.workdps(30):
-        err = abs(got.value - _geometric_reference(mp, a, b, beta, alpha))
+        err = abs(got.value - _reference(mp, a, b, beta, alpha))
     assert err <= got.abs_error_bound <= 1e-12
 
 
-@st.composite
-def _scalar_cells(draw):
-    a = draw(st.one_of(st.integers(min_value=0, max_value=60).map(float),
-                       st.floats(min_value=-1.0, max_value=60.0, exclude_min=True)))
-    beta = draw(st.floats(min_value=-0.9, max_value=0.9))
-    b = draw(st.floats(min_value=0.05, max_value=50.0))
-    alpha = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)))
-    return a, b, beta, alpha
+def _cells(betas):
+    """(a, b, beta, alpha) with beta drawn by `betas`: a in (-3, 60],
+    integers included, where the series converges (a + alpha > -1 at
+    |beta| = 1), b in [0.05, 50], alpha in [0, 5]."""
+    @st.composite
+    def cells(draw):
+        beta = draw(betas)
+        alpha = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0.0, max_value=5.0)))
+        a = draw(st.one_of(st.integers(min_value=0, max_value=60).map(float),
+                           st.floats(min_value=-3.0, max_value=60.0, exclude_min=True))
+                 .filter(lambda v: abs(beta) < 1.0 or v + alpha > -1.0))
+        b = draw(st.floats(min_value=0.05, max_value=50.0))
+        return a, b, beta, alpha
+    return cells()
 
 
-@given(_scalar_cells())
+def _check_bound(cell):
+    """The one bound property: the bound covers the true error in every
+    regime, the roundoff of cancelling terms included.
+
+    The head-and-tail route also meets the target at beta = +1, at beta = -1
+    up to a = 1.5, and in the near-unit band for a < 12, except where
+    a + alpha <= -1 and beta > 0: there the terms grow to about
+    lam^(a+alpha+1) before they decay, alternate and cancel, and their
+    counted roundoff passes the target
+    (test_near_unit_growing_terms_target_known_missed). At beta = -1 the
+    terms grow to about 2^a and cancel to about a^-b, so from about a = 11
+    their counted roundoff passes it too. A cancelling sum that the scalar
+    loop finishes reports more roundoff than its stop test counts, so there
+    only the bound is checked."""
+    mp = pytest.importorskip("mpmath")
+    a, b, beta, alpha = cell
+    with mock.patch.object(series_engine, "_powerlaw_psi", wraps=series_engine._powerlaw_psi) as route:
+        got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    assert got.terms_used < 10**7
+    with mp.workdps(30):
+        err = float(abs(got.value - _reference(mp, a, b, beta, alpha)))
+    assert err <= got.abs_error_bound
+    a_max = math.inf if beta == 1.0 else 1.5 if beta == -1.0 else 12.0
+    if (route.called and abs(beta) >= 0.95 and a <= a_max
+            and (a + alpha > -1.0 or beta < 0.0)):
+        assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
+
+
+@given(_cells(st.sampled_from([-1.0, 1.0])))
+@example((50.5, 1.0, -1.0, 0.0))  # head terms near 1e14 cancel to 1/51.5
+@settings(max_examples=40, deadline=None)
+def test_powerlaw_bound_holds_and_meets_target(cell):
+    _check_bound(cell)
+
+
+@given(_cells(st.floats(min_value=1e-5, max_value=0.05).flatmap(lambda d: st.sampled_from([d - 1.0, 1.0 - d]))))
+@example((-3.5, 1.0, 0.99, 0.0))
+@example((-1.5, 1.0, -0.98, 0.5))  # s = 1 exactly, as at a = -1, alpha = 0
+@settings(max_examples=40, deadline=None)
+def test_near_unit_bound_holds_and_meets_target(cell):
+    _check_bound(cell)
+
+
+@given(_cells(st.floats(min_value=-0.9, max_value=0.9)))
 @example((4.434438273403613e-31, 3.0, -0.96875, 0.5676146692362861))
 @example((49.18342754451926, 0.6497015607178162, -0.3525025091829982, 0.0))  # terms to 3e4, sum 0.21
 @settings(max_examples=40, deadline=None)
 def test_scalar_bound_holds(cell):
-    # terminating sums and |beta| <= 0.9: the bound covers the true error,
-    # the roundoff of cancelling terms included
-    mp = pytest.importorskip("mpmath")
-    a, b, beta, alpha = cell
-    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
-    with mp.workdps(30):
-        err = abs(got.value - _geometric_reference(mp, a, b, beta, alpha))
-    assert err <= got.abs_error_bound
+    _check_bound(cell)
 
 
 def test_terms_past_double_range_in_logs():

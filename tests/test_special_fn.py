@@ -160,6 +160,16 @@ def test_undamped_kernel_unchanged(args, want):
     assert tuple(x.hex() for x in _em_zeta(*args)) == want
 
 
+@pytest.mark.parametrize("call, args", [
+    (hurwitz_zeta, (400.0, 0.1)), (lerch_phi, (0.5, 400.0, 0.1)), (lerch_phi, (-1.0, 400.0, 0.1)),
+])
+def test_overflow_raises_domain_error(call, args):
+    # the first term 0.1^-400 = 1e400 is past double range: a DomainError,
+    # not an OverflowError from pow
+    with pytest.raises(DomainError):
+        call(*args)
+
+
 def test_s_prime_golden():
     assert s_prime(1) == pytest.approx(math.pi / 4.0, rel=1e-14)
     assert s_prime(2) == pytest.approx(0.9159655941772190, rel=1e-13)
