@@ -217,7 +217,7 @@ def abel_oscillatory(f: Callable[[np.ndarray], np.ndarray], *,
     extrapolants plus the analytic truncation tail.
     """
     eps = 0.2 * 0.5 ** np.arange(7)
-    x_max = 40.0 / eps.min()
+    x_max = 40.0 / float(eps.min())
     n_panels = int(np.ceil(x_max / np.pi))
     rule = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
     x, w = _panel_grid(n_panels, *rule)
@@ -281,13 +281,13 @@ def _trig_params(spec: IntegralSpec) -> tuple[int, float, int, str]:
     p = spec.params
     if not isinstance(p, dict):
         raise DomainError("oscillatory spec needs a parameter mapping")
-    a = int(p["a"])
+    a, alpha = float(p["a"]), float(p.get("alpha", 0))
     w = float(p.get("w", p.get("v", 0.0)))
-    alpha = int(p.get("alpha", 0))
     part = str(p.get("part", ""))
-    if a < 1 or w <= 0.0 or alpha < 0:
-        raise DomainError("need integer a >= 1, frequency > 0, alpha >= 0")
-    return a, w, alpha, part
+    # a fractional a or alpha is no integral of these forms; int() would pick another one
+    if not (a >= 1 and a.is_integer() and alpha >= 0 and alpha.is_integer() and 0.0 < w < math.inf):
+        raise DomainError("need integer a >= 1, finite frequency > 0, integer alpha >= 0")
+    return int(a), w, int(alpha), part
 
 
 def oracle_value(spec: IntegralSpec) -> EvalResult:

@@ -5,33 +5,37 @@ with C(a,i) the generalized binomial coefficient. beta = -1 gives the
 alternating-weight series phi, beta = +1 its plus-weight twin, and the
 same machinery sums the term-wise a-derivative of phi.
 
-Summation strategy by regime, in two term loops (_scalar_psi, _head):
-  * non-negative integer a: the series terminates; the scalar loop runs its
-    a + 1 terms to the exact zero t_(a+1) = 0 and sums them by fsum.
-  * |beta| < 1: the same scalar loop, stopped by a geometric tail bound
-    whose ratio bound holds where the terms still grow (i < a); the
-    roundoff of every term is counted once it stops. A sum not done after
-    256 terms is summed again as a head plus the asymptotic tail below,
-    its Hurwitz sums damped by |beta|^j (lam = -log|beta|).
+Every term comes from one loop, _loop: t_k is the bare binomial product
+P_k = t_i prod_(i<=j<k) beta (a-j)/(j+1) times the power factor
+((b+i)/(b+k))^(alpha+1) in closed form, and carries w0 + 4k units of
+roundoff (w0 from the first term and the power factor, 4 a term from P), so
+a sum that cancels counts the roundoff of its largest terms. Where P leaves
+double range or the power factor turns subnormal, the loop goes on from
+log|P| and counts the roundoff of the logs as well; a term past 1e308
+raises OverflowError, which the public functions raise as DomainError.
+
+Summation strategy by regime (_regime classifies it):
+  * non-negative integer a: the series terminates; the loop runs its
+    a + 1 terms to the exact zero t_(a+1) = 0, summed by fsum.
+  * |beta| < 1: the same loop, stopped by a geometric tail bound whose
+    ratio bound holds where the terms still grow (i < a). A sum not done
+    after 256 terms is summed again as a head plus the asymptotic tail
+    below, its Hurwitz sums damped by |beta|^j (lam = -log|beta|).
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
-    A head of N terms (_head: numpy chunks of the term ratio's cumulative
-    product) plus an asymptotic tail: the Tricomi-Erdelyi expansion of the
-    gamma ratio in C(a,i) turns sum_(i>=N) t_i into sum_k e_k zeta(s+k,
-    N+c), with the even/odd Hurwitz split at beta = +1. The bound adds
-    twice the last two orders kept, the Euler-Maclaurin remainders, and the
-    roundoff of head and tail.
+    A head of N terms from the loop plus an asymptotic tail: the
+    Tricomi-Erdelyi expansion of the gamma ratio in C(a,i) turns
+    sum_(i>=N) t_i into sum_k e_k zeta(s+k, N+c), with the even/odd
+    Hurwitz split at beta = +1. The bound adds twice the last two orders
+    kept, the Euler-Maclaurin remainders, and the roundoff of head and tail.
   * every Hurwitz value above comes from the one Euler-Maclaurin kernel,
     special_fn._em_zeta (and its s-derivative _em_dzeta), with its
     remainder bound; its damped form _em_damped takes the exponential
     integral e^x E_sig(x) as integral term and sums alternating sums by
     Euler-Boole.
-  * terms past double range raise DomainError, checked once per chunk sum
-    and once at return; where only the bare binomial product leaves it,
-    _terms takes the terms from logs and counts their roundoff.
   * the a-derivative of the alternating series: the same head and tail,
-    differentiated in a. The same _head, with the same length rule, sums
+    differentiated in a. The loop's head, with the same length rule, gives
     t_i H_i with H_i a cumulative sum of 1/(a-j); the tail is the
     a-derivative of the asymptotic tail, the head long enough (N + c >= 40)
     for the differentiated Euler-Maclaurin remainders to keep their bound.
@@ -46,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +59,13 @@ from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, Domai
                                    _em_damped, _em_dzeta, _em_zeta, _expint_orders, _hurwitz,
                                    digamma)
 
-_CHUNK = 4096  # numpy chunk of _head; on longer ones its threaded BLAS dot can take ms
 _SCALAR_TERMS = 256  # _scalar_psi hands a geometric sum to _powerlaw_psi past this many terms
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
 _DIRECT = 1 << 20  # most terms of a damped tail sum summed directly before the kernel
 _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
 _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
+_LOG_MAX = math.log(sys.float_info.max)
 
 # _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
 # B_n(x) = sum_m C(n, m) B_(n-m) x^m
@@ -100,13 +105,6 @@ class EvalResult:
     terms_used: int
     method: str  # direct | closed-form | recursion | oracle
 
-    def __post_init__(self):
-        # numpy scalars ride in from the vectorized paths; strip the wrapper
-        # so repr() and serialization stay plain
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "abs_error_bound", float(self.abs_error_bound))
-        object.__setattr__(self, "terms_used", int(self.terms_used))
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -139,126 +137,119 @@ def _fsum(xs) -> float:
     return total
 
 
-def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int):
-    """Term by term, summed by fsum: a non-negative integer a runs its a + 1
-    terms to the exact zero t_(a+1) = 0; any other a (|beta| < 1) stops once
-    its geometric tail bound meets the target, or after _SCALAR_TERMS terms
-    (or cap) goes to _powerlaw_psi. Past term i the ratio |t_(j+1) / t_j| =
-    |beta| |a-j| / (j+1) ((b+j) / (b+j+1))^(alpha+1) stays under
-    |beta| max(|i-a| / (i+1), 1): |a-j| / (j+1) falls while j < a, and past
-    a stays under 1 (a > -1) or falls (a < -1).
+def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop: int,
+          cap: int | None = None):
+    """The one term loop: t_i, t_(i+1), ... from t_i = t, to t_(stop-1).
 
-    Relative roundoff of t_i, in units of _EPS: t_0 carries 1 + (alpha+1)|ln b|
-    (pow, and the rounding of alpha + 1), each ratio 5 + 3(alpha+1), one
-    more for a - j at non-integer a (w1 = 5 + 4(alpha+1) holds both, since
-    alpha + 1 >= 1), and (alpha+1) ln((b+j+1)/(b+j)) from the rounding of
-    alpha + 1; those sum to (alpha+1) ln(1 + i/b), which w0 takes at the
-    last index. Once the loop stops, the bound adds
-    eps (sum_i (w0 + w1 i) |t_i| + |S|) to the tail.
+    Each term is the bare binomial product P_k = t_i prod_(i<=j<k) beta
+    (a-j)/(j+1) times the power factor ((b+i)/(b+k))^(alpha+1) in closed
+    form. Where P leaves double range (large |a|, small b), or the power
+    factor turns subnormal and would carry too few digits (large alpha),
+    the loop keeps log|P| from there on, and such a term is
+    sign exp(log|P_k| + (alpha+1) log((b+i)/(b+k))); a term past double
+    range raises OverflowError from math.exp.
+
+    Given cap (a geometric sum from i = 0), it stops once the tail bound,
+    plus eps k |S|, meets the target, or at cap terms where that bound
+    exists. Past term k the ratio |t_(j+1) / t_j| = |beta| |a-j| / (j+1)
+    ((b+j) / (b+j+1))^(alpha+1) stays under |beta| max(|k-a| / (k+1), 1):
+    |a-j| / (j+1) falls while j < a, and past a stays under 1 (a > -1) or
+    falls (a < -1).
+
+    Returns the terms, the extra roundoff units of each term computed from
+    log|P| (in _EPS: the roundoff of log|P| where P left, of every log and
+    partial sum of the ratios, and of the exponent; the last of them is
+    that of the next term), the next term, and the geometric tail bound
+    (None where there is none).
     """
-    ab, p = abs(beta), alpha + 1.0
-    finite = _is_nonneg_int(a)
-    terms = []
-    total = tail = 0.0
-    t = b ** -p
-    for j in range(int(a) + 1 if finite else min(cap, _SCALAR_TERMS)):
+    p = alpha + 1.0
+    ab, bi = abs(beta), b + i
+    terms, extra = [], []
+    P, lP = t, None  # lP: log|P| once the loop goes on from logs
+    total, inf, tiny = 0.0, math.inf, sys.float_info.min
+    for j in range(i, stop):
         terms.append(t)
         total += t
-        t *= beta * (a - j) / (j + 1.0) * ((b + j) / (b + j + 1.0)) ** p
-        if finite:
-            continue
-        i = j + 1
-        r = abs(i - a) / (i + 1.0)
-        rhat = ab * r if r > 1.0 else ab
-        if rhat < 1.0:
-            tail = abs(t) / (1.0 - rhat)
-            stop = tail + _EPS * i * abs(total)
-            if stop <= _TARGET or stop <= 1e-13 * abs(total) or i >= cap:
-                break
-    else:
-        if not finite:
-            return _powerlaw_psi(a, b, beta, alpha, cap)
-    value = _fsum(terms)
-    w0 = 3.0 + p * (3.0 + abs(math.log(b)) + math.log1p((len(terms) - 1) / b))
-    roundoff = math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0, 5.0 + 4.0 * p)))
-    return value, tail + _EPS * (roundoff + abs(value)), len(terms)
+        j1 = j + 1.0
+        q = P * beta * (a - j) / j1
+        w = (bi / (b + j1)) ** p
+        if lP is None and -inf < q < inf and (w >= tiny or not q):
+            P = q
+            t = P * w
+        else:
+            r = beta * (a - j) / j1
+            if lP is None:
+                lP, sign = math.log(abs(P)), math.copysign(1.0, P)
+                units = abs(lP) + 1.0
+            # r = 0 only at the last ratio of a terminating sum, whose t_(a+1) is 0
+            lr = math.log(abs(r)) if r else -inf
+            lP += lr
+            units += 3.0 + abs(lr) + abs(lP)
+            sign = -sign if r < 0.0 else sign
+            lw = math.log(bi / (b + j1))
+            ex = lP + p * lw
+            t = math.copysign(math.exp(ex), sign)
+            extra.append(units + p * (4.0 + 2.0 * abs(lw)) + abs(ex))
+        if cap:  # t is t_k, k = j1
+            rk = abs(j1 - a) / (j1 + 1.0)
+            rhat = ab * rk if rk > 1.0 else ab
+            if rhat < 1.0:
+                tail = abs(t) / (1.0 - rhat)
+                bound = tail + _EPS * j1 * abs(total)
+                if bound <= _TARGET or bound <= 1e-13 * abs(total) or j1 >= cap:
+                    return terms, extra, t, tail
+    return terms, extra, t, None
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _terms(a: float, b: float, beta: float, alpha: float, i0: int, t0: float,
-           n: int, u0: float = 0.0):
-    """Terms t_i0 .. t_(i0+n-1) from t_i0 = t0, their indices i, and the
-    extra roundoff of each (None where there is none).
+def _sum(terms: list, extra: list, i: int, b: float, alpha: float, u0: float = 0.0,
+         a: float | None = None):
+    """fsum of the terms t_i, t_(i+1), ... from _loop (given a, of t_k H_k,
+    H_k = sum_(j<k) 1/(a-j), from i = 0) and its roundoff in units of _EPS.
 
-    The binomial factor is a cumulative product P of beta (a-j)/(j+1), the
-    power factor ((b+i0)/(b+i))^(alpha+1) is taken in closed form, so the
-    relative error of t_i grows by at most 4 units of roundoff a term past
-    what the power factor carries (see _head_length). Where P alone leaves
-    double range (very negative a, large alpha), the terms from there on
-    are sign exp(log|P_m| + cumsum log|ratio| + (alpha+1) log((b+i0)/(b+i))),
-    and the extra units of each are the roundoff of the logs, of every
-    partial sum and of the exponent; u0 is the extra of t0, which every term
-    inherits. Past double range the terms come out inf, without a numpy
-    warning; the callers raise DomainError on their sums.
+    Relative roundoff of t_k: w0 = u0 + 3 + (alpha+1)(3 + |ln b| + ln(1 + n/b)),
+    n the last index, as t_0 = b^-(alpha+1) carries 1 + (alpha+1)|ln b| (pow,
+    and the rounding of alpha + 1) and the power factor 2 + (alpha+1)(3 +
+    ln(1 + k/b)), with u0 more where the caller needs them; 4 a term for
+    the binomial product; and the extra units _loop reports. Each is weighed by
+    |t_k| (|t_k H_k|), so a sum that cancels counts the roundoff of its
+    largest terms. H_k adds (k+2) sum_(j<k) |1/(a-j)| units of |t_k|.
     """
-    j = np.arange(i0, i0 + n, dtype=np.float64)
-    r = np.empty(n)
-    r[0] = t0
-    np.divide(beta * (a - j[:-1]), j[1:], out=r[1:])
-    p = np.cumprod(r)
-    power = ((b + i0) / (b + j)) ** (alpha + 1.0)
-    m = n if np.isfinite(p[-1]) else int(np.argmin(np.isfinite(p)))
-    if not 0 < m < n:
-        return p * power, j, None if not u0 else np.full(n, u0)
-    lp = math.log(abs(p[m - 1]))
-    lr, lw = np.log(np.abs(r[m:])), np.log((b + i0) / (b + j[m:]))
-    ls = lp + np.cumsum(lr)
-    ex = ls + (alpha + 1.0) * lw
-    t = p * power
-    t[m:] = math.copysign(1.0, p[m - 1]) * np.cumprod(np.sign(r[m:])) * np.exp(ex)
-    xu = np.full(n, u0)
-    xu[m:] += (abs(lp) + np.cumsum(3.0 + np.abs(lr) + np.abs(ls))
-               + (alpha + 1.0) * (4.0 + 2.0 * np.abs(lw)) + np.abs(ex) + 1.0)
-    return t, j, xu
+    w0 = u0 + 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p((i + len(terms) - 1) / b))
+    roundoff = 0.0
+    if a is not None:
+        inc = [1.0 / (a - j) for j in range(len(terms) - 1)]  # never 1/0: j < a at integer a
+        habs = itertools.accumulate(map(abs, inc), initial=0.0)
+        roundoff = math.fsum(map(operator.mul, map(abs, terms),
+                                 map(operator.mul, habs, itertools.count(2.0))))
+        terms = list(map(operator.mul, terms, itertools.accumulate(inc, initial=0.0)))
+    roundoff += math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0 + 4.0 * i, 4.0)))
+    if extra:  # the last entry is that of the next term
+        logged = terms[len(terms) + 1 - len(extra):]
+        roundoff += math.fsum(map(operator.mul, map(abs, logged), extra))
+    return _fsum(terms), roundoff
 
 
-@np.errstate(over="ignore", invalid="ignore")  # terms past 1e308 raise DomainError in the callers
 def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop: int,
-          w0: float, harmonic: bool = False):
-    """sum_(i<=k<stop) t_k from t_i = t, in numpy chunks of _terms; with
-    harmonic (from i = 0) sum t_k H_k, H_k = sum_(j<k) 1/(a-j). Returns the
-    sum, its roundoff in units of _EPS, and t_stop.
+          u0: float = 0.0, harmonic: bool = False):
+    """sum_(i<=k<stop) t_k from t_i = t (with harmonic, of t_k H_k), its
+    roundoff in units of _EPS (see _sum), and t_stop."""
+    terms, extra, t, _ = _loop(a, b, beta, alpha, i, t, stop)
+    return (*_sum(terms, extra, i, b, alpha, u0, a if harmonic else None), t)
 
-    Relative roundoff of t_k, in units of _EPS: w0 (see _head_length; a
-    harmonic caller adds one for the product t_k H_k), 4 a term for the
-    binomial product, and the extra units _terms reports, each weighed by
-    |t_k|, so a head that cancels counts the roundoff of its largest terms.
-    H_k adds (k+2) sum_(j<k) |1/(a-j)| units of |t_k|.
+
+def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int | None):
+    """The loop from t_0: without cap (a terminating sum, a a non-negative
+    integer) its a + 1 terms to the exact zero t_(a+1) = 0; with cap
+    (|beta| < 1) under _loop's geometric stop test, and a sum not done after
+    _SCALAR_TERMS terms (or cap) goes to _powerlaw_psi. Once the loop stops,
+    the bound adds eps (the roundoff of every term + |S|) to the tail.
     """
-    sums = []
-    roundoff = u = h = habs = 0.0  # u: extra units that t carries (see _terms)
-    while i < stop:
-        L = min(_CHUNK, stop - i)
-        run, j, xu = _terms(a, b, beta, alpha, i, t, L + 1, u)
-        d, j = run[:L], j[:L]
-        if harmonic:
-            inc = 1.0 / (a - j[:-1])  # never 1/0: j < a at integer a
-            H = np.cumsum(np.concatenate(([h], inc)))
-            A = np.cumsum(np.concatenate(([habs], np.abs(inc))))
-            roundoff += float(((j + 2.0) * A) @ np.abs(d))
-            d = d * H
-            if i + L < stop:
-                last = 1.0 / (a - j[-1])
-                h, habs = H[-1] + last, A[-1] + abs(last)
-        mags = np.abs(d)
-        roundoff += w0 * float(mags.sum()) + 4.0 * float(mags @ j)
-        if xu is not None:
-            roundoff += float(mags @ xu[:L])
-            u = float(xu[L])
-        sums.append(_fsum(d.tolist()))
-        t = float(run[L])
-        i += L
-    return math.fsum(sums), roundoff, t
+    stop = int(a) + 1 if cap is None else min(cap, _SCALAR_TERMS)
+    terms, extra, _, tail = _loop(a, b, beta, alpha, 0, b ** -(alpha + 1.0), stop, cap)
+    if tail is None and cap is not None:
+        return _powerlaw_psi(a, b, beta, alpha, cap)
+    value, roundoff = _sum(terms, extra, 0, b, alpha)
+    return value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms)
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -346,7 +337,10 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
             z, rem, zabs = _em_zeta(s + k, sm1 + k, q1, beta > 0.0)
         if J:  # Z_k(q) = sum_(j<J) (+-1)^j e^(-lam j) (1 + j/q)^-sig + w Z_k(q + J)
             sig = s + k
-            direct = np.exp(damp - sig * lx)
+            ex = damp - sig * lx  # grows with j only where sig < 0
+            if sig < 0.0 and ex.max() + math.log(J) > _LOG_MAX:  # the sum would pass 1e308
+                raise DomainError(_OVERFLOW)
+            direct = np.exp(ex)
             if beta > 0.0:
                 direct[1::2] *= -1.0
             w = math.exp(-lam * J - sig * lx1) * (-1.0 if beta > 0.0 and J % 2 else 1.0)
@@ -370,34 +364,30 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
                     + abs(ce) * dzabs)
         if (k >= 3 and abs(parts[-1]) <= thr and abs(parts[-2]) <= thr) or k == _TAIL_ORDERS:
             break
-    tail = math.fsum(parts)
+    tail = _fsum(parts)
     bound = (2.0 * (abs(parts[-1]) + abs(parts[-2])) + em
              + _EPS * (2.0 * abs(lg) + 2.0 * abs(s) * lnq + 2.0 * lam * n + 2 * k + 16.0) * mag)
     return tail, bound
 
 
 def _head_length(a: float, b: float, alpha: float, qmin: float, cap: int):
-    """The shift c of the tail's variable z = i + c, the head length n, and
-    w0, the roundoff units of a head term that do not grow with its index.
+    """The shift c of the tail's variable z = i + c and the head length n.
 
     c = ((alpha+1) b - a(a+1)/2) / s zeroes L_1 where s = a + alpha + 2 > 1
     (always at beta = +-1); c = b otherwise, where that c runs off to
     infinity as s -> 0 or does not exist. The head passes the sign
     transients (n >= ceil(a) + 2) and q = n + c >= qmin, and runs to
     z >= max(6 max(|a+c|, |1-c|, |b-c|, 1), 32), where the shifts in the log
-    series are small against z, or to cap terms. In units of _EPS, t_0
-    carries 1 + (alpha+1)|ln b| (pow, and the rounding of alpha + 1), the
-    power factor 2 + (alpha+1)(3 + ln(1 + i/b)).
+    series are small against z, or to cap terms.
     """
     s = a + alpha + 2.0
     c = ((alpha + 1.0) * b - 0.5 * a * (a + 1.0)) / s if s > 1.0 else b
     x = max(abs(a + c), abs(1.0 - c), abs(b - c), 1.0)
     n = max(2, math.ceil(a) + 2, math.ceil(qmin - c),
             min(cap, math.ceil(max(6.0 * x, 32.0) - c)))
-    return c, n, 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p(n / b))
+    return c, n
 
 
-@np.errstate(over="ignore", invalid="ignore")  # terms past 1e308 raise DomainError in the caller
 def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     """Head of n terms plus the asymptotic tail: at beta = +-1, and for the
     geometric sums (|beta| < 1) that the scalar loop left unfinished.
@@ -410,8 +400,8 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     |beta|^j below |beta| = 1, from the kernels special_fn._em_zeta and
     _em_damped in _asymptotic_tail. The head is _head_length's, q >= 1.
     """
-    c, n, w0 = _head_length(a, b, alpha, 1.0, cap)
-    head, roundoff, t = _head(a, b, beta, alpha, 0, b ** -(alpha + 1.0), n, w0)
+    c, n = _head_length(a, b, alpha, 1.0, cap)
+    head, roundoff, t = _head(a, b, beta, alpha, 0, b ** -(alpha + 1.0), n)
 
     # For a > -1 the terms past i = a shrink: d/dx log f <= -s / (x+m) with
     # m = max(1, b), so f(x) <= f(n) ((n+m)/(x+m))^s. The tail is then under
@@ -469,17 +459,21 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     """
     params.validate()
     a, b, beta, alpha = params.a, params.b, params.beta, params.alpha
-    method = "direct"
-    if _is_nonneg_int(a) or abs(beta) < 1.0:
-        value, bound, n = _scalar_psi(a, b, beta, alpha, cap)
-    elif a + alpha <= -1.0:
+    regime = _regime(a, beta, alpha)
+    if regime == "divergent":
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
-    elif beta == -1.0 and a == math.floor(a):
-        value, bound, n = _negint_psi(int(-a), b, alpha)
-        method = "closed-form"
-    else:
-        value, bound, n = _powerlaw_psi(a, b, beta, alpha, cap)
+    method = "direct"
+    try:
+        if regime != "power-law":
+            value, bound, n = _scalar_psi(a, b, beta, alpha, cap if regime == "geometric" else None)
+        elif beta == -1.0 and a == math.floor(a):
+            value, bound, n = _negint_psi(int(-a), b, alpha)
+            method = "closed-form"
+        else:
+            value, bound, n = _powerlaw_psi(a, b, beta, alpha, cap)
+    except OverflowError:  # from ** or math.exp, on a term or prefactor past 1e308
+        raise DomainError(_OVERFLOW) from None
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise DomainError(_OVERFLOW)
     return EvalResult(value, bound, n, method)
@@ -504,13 +498,15 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
 
     Returns sum_{i>=1} (-1)^i C(a,i) H_i(a) / (b+i)^(n+1) with
     H_i(a) = sum_{j<i} 1/(a-j): the term t_i of S(a, b, -1, n) times
-    d/da log t_i = psi(-a) - psi(i-a). A head of N terms, t_i from _terms
+    d/da log t_i = psi(-a) - psi(i-a). A head of N terms, t_i from _loop
     times H_i from a cumulative sum, plus the a-derivative of
     _asymptotic_tail with N and c held at the base a. N is chosen as for
     the power law but with q = N + c >= 40 whatever the cap, so that the
     Euler-Maclaurin remainder of the differentiated zeta sums keeps its
     bound (see special_fn._em_dzeta). Each head term's roundoff is counted: that of
-    t_i as in _head, and (i+2) sum_(j<i) |1/(a-j)| units for H_i.
+    t_i as in _sum, one unit more for the product t_i H_i (past i = m below,
+    for the first term in closed form), and (i+2) sum_(j<i) |1/(a-j)| units
+    for H_i.
 
     At a non-negative integer a = m the i <= m terms keep H_i (its
     denominators a-j stay >= 1), and past i = m the term-wise limit is
@@ -530,33 +526,41 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
         # weight (1-e^-x)^a = exp(a ln(1-e^-x)) is 1 within 1e-140 wherever
         # it matters, so the a = 0 value stands within its own roundoff
         a = 0.0
-    c, N, w0 = _head_length(a, b, alpha, 40.0, cap)
-    t0 = b ** -(alpha + 1.0)
-    if _is_nonneg_int(a):
-        m = int(a)
-        total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, m + 1, w0 + 1.0, harmonic=True)
-        t_next = (-1.0) ** (m + 1) / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
-        rest, rest_roundoff, _ = _head(a, b, -1.0, alpha, m + 1, t_next, N, w0 + 1.0)
-        total, roundoff = math.fsum((total, rest)), roundoff + rest_roundoff
-        lg, sign, psi = -math.lgamma(a + 1.0), (-1.0) ** (m + 1), None
-    else:
-        total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, N, w0 + 1.0, harmonic=True)
-        lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
-    thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
-    tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
-    value, bound = total + tail, tail_bound + _EPS * (roundoff + abs(total + tail))
+    c, N = _head_length(a, b, alpha, 40.0, cap)
+    try:
+        t0 = b ** -(alpha + 1.0)
+        if _is_nonneg_int(a):
+            m = int(a)
+            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, m + 1, 1.0, harmonic=True)
+            t_next = (-1.0) ** (m + 1) / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
+            rest, rest_roundoff, _ = _head(a, b, -1.0, alpha, m + 1, t_next, N, 1.0)
+            total, roundoff = math.fsum((total, rest)), roundoff + rest_roundoff
+            lg, sign, psi = -math.lgamma(a + 1.0), (-1.0) ** (m + 1), None
+        else:
+            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, N, 1.0, harmonic=True)
+            lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
+        thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
+        tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
+        value, bound = total + tail, tail_bound + _EPS * (roundoff + abs(total + tail))
+    except OverflowError:  # from ** or math.exp, on a term or prefactor past 1e308
+        raise DomainError(_OVERFLOW) from None
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise DomainError(_OVERFLOW)
     return EvalResult(value, bound, N, "direct")
 
 
+def _regime(a: float, beta: float, alpha: float) -> str:
+    """The one regime classifier, of convergence_report and eval_psi_general."""
+    if _is_nonneg_int(a):
+        return "finite"
+    if abs(beta) < 1.0:
+        return "geometric"
+    return "power-law" if a + alpha > -1.0 else "divergent"
+
+
 def convergence_report(params: SeriesParams) -> ConvergenceReport:
     """Classify the summation regime without evaluating anything."""
-    a, beta, alpha = params.a, params.beta, params.alpha
-    if _is_nonneg_int(a):
-        return ConvergenceReport("finite", finite_terms=int(a) + 1)
-    if abs(beta) < 1.0:
-        return ConvergenceReport("geometric")
-    if a + alpha > -1.0:
-        return ConvergenceReport("power-law", exponent=a + alpha + 2.0)
-    return ConvergenceReport("divergent")
+    a, alpha = params.a, params.alpha
+    regime = _regime(a, params.beta, alpha)
+    return ConvergenceReport(regime, exponent=a + alpha + 2.0 if regime == "power-law" else None,
+                             finite_terms=int(a) + 1 if regime == "finite" else None)

@@ -182,6 +182,8 @@ def test_table_phida_fractional_grid_rejected():
     (("coeffs", "--p", "1", "--b", "1", "--m", "1..3"),
      "coeffs takes single values, got a range for --m"),
     (("coeffs", "--p", "1", "--b", "1", "--m", "2.5"), "coeffs needs an integer --m >= 1"),
+    (("eval", "integral", "--form", "F7", "--a", "1.5", "--w", "2", "--alpha", "0.7"),
+     "need integer a >= 1"),
 ])
 def test_single_value_flags_rejected(args, message):
     # a range or a fractional order must not be cut to its first or integer part
@@ -277,3 +279,45 @@ def test_non_finite_range_rejected(text):
 
     with pytest.raises(DomainError):
         _parse_range(text, "a")
+
+
+# points of every eval target: each regime of the series targets, the numpy
+# direct block of the damped tail (psi at beta = -0.998) included
+_TYPE_POINTS = {
+    "phi": [(0.5, 1.0, 1.0), (2.0, 1.0, 0.0), (-2.0, 1.0, 2.0)],
+    "phitilde": [(0.5, 1.0, 1.0)],
+    "psi": [(0.5, 1.0, 0.5, 0.0), (-0.5, 1.5, -0.998, 0.0)],
+    "phida": [(0.5, 1.0, 1.0), (2.0, 1.0, 0.0)],
+    "zeta": [(2.0, 1.0)],
+    "lerch": [(-0.5, 1.0, 1.0), (1.0, 2.5, 0.5)],
+    "sprime": [(3.0,)],
+}
+_TYPE_FORMS = [
+    ("F1", {"a": -0.5, "b": 0.25, "alpha": 1.0}),
+    ("F7", {"a": 2.0, "w": 3.0, "alpha": 1.0}),
+    ("F11", {"a": 2.0, "w": 3.0, "alpha": 0.0, "part": "c"}),
+    ("F12", {"b": 0.5, "beta": 0.25}),
+]
+
+
+def test_type_points_cover_every_target():
+    from ramaseries.cli import _TARGETS
+
+    assert set(_TYPE_POINTS) == set(_TARGETS)
+
+
+@pytest.mark.parametrize("target, point", [(t, p) for t, ps in _TYPE_POINTS.items() for p in ps]
+                         + [("integral", form) for form in _TYPE_FORMS])
+def test_results_are_plain_python_numbers(target, point):
+    # no numpy scalar reaches an EvalResult, from the series loops, the damped
+    # tail or the quadrature oracles
+    from ramaseries.cli import _TARGETS
+    from ramaseries.quadrature import IntegralSpec, oracle_value
+
+    if target == "integral":
+        got = oracle_value(IntegralSpec(*point))
+    else:
+        got = _TARGETS[target][1](*point)
+    assert type(got.value) is float
+    assert type(got.abs_error_bound) is float
+    assert type(got.terms_used) is int

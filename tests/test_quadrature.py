@@ -121,6 +121,13 @@ def test_validation():
         oracle_value(IntegralSpec("F12", {"b": 1.5, "beta": 0.0}))
 
 
+@pytest.mark.parametrize("params", [{"a": 1.5, "w": 2.0}, {"a": 1.0, "w": 2.0, "alpha": 0.7}])
+def test_trig_forms_reject_fractional_parameters(params):
+    # int() would cut either to the a = 1, alpha = 0 integral
+    with pytest.raises(DomainError):
+        oracle_value(IntegralSpec("F7", params))
+
+
 def test_inverse_factor_direct_vs_mpmath():
     # the invsum oracle on the verify cells, against sum_j 1/(j (b+j)^n)
     mp = pytest.importorskip("mpmath")

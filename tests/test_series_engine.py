@@ -235,11 +235,16 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     (eval_phi_da_direct, (2000.5, 1.0, 0)),
     (eval_phi_tilde, (2000.5, 1.0, 0.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (2000.5, 1.0, -0.5, 0.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (0.5, 0.05, 0.5, 300.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (-150.5, 1.0, -0.999999, 2.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (-125.5, 5.0, 0.99999, 0.5)),
 ])
 def test_overflow_raises_domain_error(call, args):
     # the terms pass 1e308 before they cancel: finite sum, derivative head,
     # power-law head and geometric loop each raise rather than return inf or
-    # fail inside fsum
+    # fail inside fsum, where math.exp or ** raises OverflowError in the term
+    # loop; in the fifth cell the first term 20^301 does. In the last two the
+    # near-unit tail overflows: its numpy direct sum, and its orders' fsum
     with pytest.raises(DomainError):
         call(*args)
 
@@ -322,14 +327,44 @@ def _reference(mp, a, b, beta, alpha):
     (-0.5, 1.5, 0.998, 0), (2.5, 0.75, -0.999, 0), (1.3, 2.0, -0.99, 1), (-0.9, 4.0, -0.97, 2),
 ])
 def test_near_unit_geometric_numpy_continuation(a, b, beta, alpha):
-    # past the scalar prefix the sum goes on as a numpy head plus the damped
-    # asymptotic tail; the value lies within the bound of the mpmath value
+    # past the 256-term scalar prefix the sum starts again as a head of the
+    # same term loop plus the damped asymptotic tail; the value lies within
+    # the bound of the mpmath value
     mp = pytest.importorskip("mpmath")
     got = eval_psi_general(SeriesParams(a, b, beta, float(alpha)), cap=200_000)
     with mp.workdps(30):
         b_ = mp.mpf(b)
         ref = mp.hyper([-mp.mpf(a)] + [b_] * (alpha + 1), [b_ + 1] * (alpha + 1),
                        -mp.mpf(beta)) / b_ ** (alpha + 1)
+    assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12
+
+
+def test_geometric_product_past_double_range():
+    # b^-(alpha+1) = 20^231 = 3.5e300, so the bare binomial product passes
+    # 1e308 within the loop's 19 terms, and the power factor falls below
+    # 2.2e-308 from t_2: those terms come from log|P|, down to 1e-280, where
+    # P times the power factor would flush them to zero
+    mp = pytest.importorskip("mpmath")
+    a, b, beta, alpha = 40.5, 0.05, 0.9, 230.0
+    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    terms, _, _, _ = series_engine._loop(a, b, beta, alpha, 0, b ** -(alpha + 1.0), got.terms_used)
+    with mp.workdps(40):
+        weights = [mp.binomial(a, k) * mp.mpf(beta) ** k for k in range(120)]
+        ref = [wk / (b + mp.mpf(k)) ** (alpha + 1) for k, wk in enumerate(weights)]
+        assert max(abs(wk) for wk in weights[:got.terms_used]) * mp.mpf(b) ** -(alpha + 1) > 1e308
+        assert all(abs(t - r) <= 1e-12 * abs(r) for t, r in zip(terms, ref))
+        assert abs(got.value - mp.fsum(ref)) <= got.abs_error_bound
+
+
+def test_derivative_head_past_4096_terms():
+    # b = 2000 takes a head of 6402 terms, each with its harmonic factor H_i
+    # summed from i = 0; at n = 0 the derivative is d/da B(b, a+1)
+    mp = pytest.importorskip("mpmath")
+    a, b = 0.5, 2000.0
+    got = eval_phi_da_direct(a, b, 0)
+    assert got.terms_used > 4096
+    with mp.workdps(40):
+        ref = mp.beta(b, a + 1) * (mp.digamma(a + 1) - mp.digamma(a + b + 1))
     assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12
 
 
