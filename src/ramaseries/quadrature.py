@@ -13,17 +13,15 @@ Independent routes:
 
 Endpoint care: tanh-sinh abscissae cluster within 1e-270 of the endpoints,
 far below float spacing around 1.0, so the rule always evaluates through
-distance-to-endpoint callables.  Callers with singular right-endpoint
-factors should pass ``f_right`` (integrand at t = 1-d as a function of the
-small distance d); otherwise a fallback evaluates f(1-d) directly, which is
-only adequate for integrands regular at 1.
+distance-to-endpoint callables: every caller passes ``f_right``, the
+integrand at t = 1-d as a function of the small distance d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,18 +79,17 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 def integrate_unit(
     f: Callable[[float], float],
     *,
-    f_right: Optional[Callable[[float], float]] = None,
+    f_right: Callable[[float], float],
     target: float = _UNIT_TARGET,
 ) -> EvalResult:
     """Integrate f over (0,1), integrable singularities and logs at either end allowed.
 
     f receives the abscissa for the left half; f_right receives the distance
-    d and must return the integrand at t = 1-d.  Error estimate comes from
+    d and returns the integrand at t = 1-d, so a factor singular at 1 keeps
+    its digits near the right endpoint.  Error estimate comes from
     successive level differences; hitting the level cap returns the achieved
     estimate rather than raising.
     """
-    if f_right is None:
-        f_right = lambda d: f(1.0 - d)
     evals = 0
     total = None
     absum = 0.0
@@ -243,7 +240,7 @@ def abel_oscillatory(f: Callable[[np.ndarray], np.ndarray], *,
 
 @dataclass(frozen=True)
 class IntegralSpec:
-    """A tagged integral instance: which form, with which parameters.
+    """A tagged integral instance: which form, with a mapping of its parameters.
 
     Form tags: F1 decay binomial (alternating weight), F2 unit-interval log
     power, F3 decay with inner-log factor, F4 unit-interval log power times
@@ -251,10 +248,12 @@ class IntegralSpec:
     weight), F7/F8 oscillatory sine family (cos/sin part), F9/F10 oscillatory
     cosine family (cos/sin part), F11 oscillatory sine family with log|sin|
     factor (params carry part "c" or "s"), F12 two-sided rational-exponential.
+    The series forms F1-F6 read a, b, beta and alpha (or n) from params, the
+    oscillatory forms a, w (or v), alpha and part, F12 b and beta.
     """
 
     form: str
-    params: Union[SeriesParams, dict]
+    params: dict
 
 
 _TRIG_FORMS = {"F7", "F8", "F9", "F10", "F11"}
@@ -262,25 +261,20 @@ _TRIG_FORMS = {"F7", "F8", "F9", "F10", "F11"}
 
 def _series_params(spec: IntegralSpec, want_beta: Optional[float]) -> SeriesParams:
     p = spec.params
-    if isinstance(p, dict):
-        p = SeriesParams(
-            a=float(p["a"]),
-            b=float(p["b"]),
-            beta=float(p.get("beta", want_beta if want_beta is not None else -1.0)),
-            alpha=float(p.get("alpha", p.get("n", 0))),
-        )
-    if not isinstance(p, SeriesParams):
-        raise DomainError("series-form spec needs SeriesParams or a/b/alpha mapping")
-    p.validate()
-    if want_beta is not None and p.beta != want_beta:
+    sp = SeriesParams(
+        a=float(p["a"]),
+        b=float(p["b"]),
+        beta=float(p.get("beta", want_beta if want_beta is not None else -1.0)),
+        alpha=float(p.get("alpha", p.get("n", 0))),
+    )
+    sp.validate()
+    if want_beta is not None and sp.beta != want_beta:
         raise DomainError(f"form {spec.form} fixes beta={want_beta}")
-    return p
+    return sp
 
 
 def _trig_params(spec: IntegralSpec) -> tuple[int, float, int, str]:
     p = spec.params
-    if not isinstance(p, dict):
-        raise DomainError("oscillatory spec needs a parameter mapping")
     a, alpha = float(p["a"]), float(p.get("alpha", 0))
     w = float(p.get("w", p.get("v", 0.0)))
     part = str(p.get("part", ""))
@@ -291,7 +285,18 @@ def _trig_params(spec: IntegralSpec) -> tuple[int, float, int, str]:
 
 
 def oracle_value(spec: IntegralSpec) -> EvalResult:
-    """Evaluate the tagged integral by the appropriate independent route."""
+    """Evaluate the tagged integral by the appropriate independent route.
+
+    An integrand past double range (a log power log(d)^n near an endpoint,
+    say) raises DomainError, as the series routes do.
+    """
+    try:
+        return _oracle(spec)
+    except OverflowError:  # from ** or math.exp inside an integrand
+        raise DomainError("the integrand overflows double precision") from None
+
+
+def _oracle(spec: IntegralSpec) -> EvalResult:
     form = spec.form
     if form == "F1" or form == "F5" or form == "F6":
         want = {"F1": -1.0, "F5": 1.0, "F6": None}[form]
@@ -365,8 +370,6 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
         return abel_oscillatory(g, log_singular=True)
     if form == "F12":
         p = spec.params
-        if not isinstance(p, dict):
-            raise DomainError("two-sided spec needs a parameter mapping")
         b = float(p["b"])
         beta = float(p.get("beta", 0.0))
         if not (0.0 < b < 1.0) or not (0.0 <= beta < 1.0):

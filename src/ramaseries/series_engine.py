@@ -11,8 +11,10 @@ P_k = t_i prod_(i<=j<k) beta (a-j)/(j+1) times the power factor
 roundoff (w0 from the first term and the power factor, 4 a term from P), so
 a sum that cancels counts the roundoff of its largest terms. Where P leaves
 double range or the power factor turns subnormal, the loop goes on from
-log|P| and counts the roundoff of the logs as well; a term past 1e308
-raises OverflowError, which the public functions raise as DomainError.
+log|P| and counts the roundoff of the logs as well; where t_0 = b^-(alpha+1)
+is below the normal range it starts from log|P| = -(alpha+1) ln b. A term
+past 1e308 raises OverflowError, which the public functions raise as
+DomainError.
 
 Summation strategy by regime (_regime classifies it):
   * non-negative integer a: the series terminates; the loop runs its
@@ -66,6 +68,7 @@ _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
 _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
 _LOG_MAX = math.log(sys.float_info.max)
+_SUBNORMAL = 4.0 * sys.float_info.min  # in units of _EPS, about 2^-1073: see _sum
 
 # _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
 # B_n(x) = sum_m C(n, m) B_(n-m) x^m
@@ -137,9 +140,10 @@ def _fsum(xs) -> float:
     return total
 
 
-def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop: int,
+def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None, stop: int,
           cap: int | None = None):
-    """The one term loop: t_i, t_(i+1), ... from t_i = t, to t_(stop-1).
+    """The one term loop: t_i, t_(i+1), ... from t_i = t, to t_(stop-1);
+    t None stands for t_0 = b^-(alpha+1) at i = 0.
 
     Each term is the bare binomial product P_k = t_i prod_(i<=j<k) beta
     (a-j)/(j+1) times the power factor ((b+i)/(b+k))^(alpha+1) in closed
@@ -147,7 +151,10 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop:
     factor turns subnormal and would carry too few digits (large alpha),
     the loop keeps log|P| from there on, and such a term is
     sign exp(log|P_k| + (alpha+1) log((b+i)/(b+k))); a term past double
-    range raises OverflowError from math.exp.
+    range raises OverflowError from math.exp. A t_0 below the normal range
+    would carry too few digits, or none: the loop then starts from
+    log|P| = -(alpha+1) ln b, within 2 |log|P|| + 1 units (the log and the
+    product), and t_0 = exp(log|P|) counts those units too.
 
     Given cap (a geometric sum from i = 0), it stops once the tail bound,
     plus eps k |S|, meets the target, or at cap terms where that bound
@@ -167,6 +174,13 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop:
     terms, extra = [], []
     P, lP = t, None  # lP: log|P| once the loop goes on from logs
     total, inf, tiny = 0.0, math.inf, sys.float_info.min
+    if t is None:
+        P = t = b ** -p
+        if t < tiny:
+            lP, sign = -p * math.log(b), 1.0
+            units = 2.0 * abs(lP) + 1.0
+            extra.append(units)
+            t = math.exp(lP)
     for j in range(i, stop):
         terms.append(t)
         total += t
@@ -213,6 +227,8 @@ def _sum(terms: list, extra: list, i: int, b: float, alpha: float, u0: float = 0
     the binomial product; and the extra units _loop reports. Each is weighed by
     |t_k| (|t_k H_k|), so a sum that cancels counts the roundoff of its
     largest terms. H_k adds (k+2) sum_(j<k) |1/(a-j)| units of |t_k|.
+    Below the normal range a rounding is off by up to 2^-1075 absolute,
+    whatever the size of the term: each term and the sum add _SUBNORMAL.
     """
     w0 = u0 + 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p((i + len(terms) - 1) / b))
     roundoff = 0.0
@@ -226,13 +242,13 @@ def _sum(terms: list, extra: list, i: int, b: float, alpha: float, u0: float = 0
     if extra:  # the last entry is that of the next term
         logged = terms[len(terms) + 1 - len(extra):]
         roundoff += math.fsum(map(operator.mul, map(abs, logged), extra))
-    return _fsum(terms), roundoff
+    return _fsum(terms), roundoff + _SUBNORMAL * (len(terms) + 1)
 
 
-def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float, stop: int,
+def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float | None, stop: int,
           u0: float = 0.0, harmonic: bool = False):
-    """sum_(i<=k<stop) t_k from t_i = t (with harmonic, of t_k H_k), its
-    roundoff in units of _EPS (see _sum), and t_stop."""
+    """sum_(i<=k<stop) t_k from t_i = t (t None: from t_0, see _loop; with
+    harmonic, of t_k H_k), its roundoff in units of _EPS (see _sum), and t_stop."""
     terms, extra, t, _ = _loop(a, b, beta, alpha, i, t, stop)
     return (*_sum(terms, extra, i, b, alpha, u0, a if harmonic else None), t)
 
@@ -245,7 +261,7 @@ def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int | None):
     the bound adds eps (the roundoff of every term + |S|) to the tail.
     """
     stop = int(a) + 1 if cap is None else min(cap, _SCALAR_TERMS)
-    terms, extra, _, tail = _loop(a, b, beta, alpha, 0, b ** -(alpha + 1.0), stop, cap)
+    terms, extra, _, tail = _loop(a, b, beta, alpha, 0, None, stop, cap)
     if tail is None and cap is not None:
         return _powerlaw_psi(a, b, beta, alpha, cap)
     value, roundoff = _sum(terms, extra, 0, b, alpha)
@@ -401,7 +417,7 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
     _em_damped in _asymptotic_tail. The head is _head_length's, q >= 1.
     """
     c, n = _head_length(a, b, alpha, 1.0, cap)
-    head, roundoff, t = _head(a, b, beta, alpha, 0, b ** -(alpha + 1.0), n)
+    head, roundoff, t = _head(a, b, beta, alpha, 0, None, n)
 
     # For a > -1 the terms past i = a shrink: d/dx log f <= -s / (x+m) with
     # m = max(1, b), so f(x) <= f(n) ((n+m)/(x+m))^s. The tail is then under
@@ -526,23 +542,22 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
         # weight (1-e^-x)^a = exp(a ln(1-e^-x)) is 1 within 1e-140 wherever
         # it matters, so the a = 0 value stands within its own roundoff
         a = 0.0
-    c, N = _head_length(a, b, alpha, 40.0, cap)
     try:
-        t0 = b ** -(alpha + 1.0)
+        c, N = _head_length(a, b, alpha, 40.0, cap)
         if _is_nonneg_int(a):
             m = int(a)
-            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, m + 1, 1.0, harmonic=True)
+            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, None, m + 1, 1.0, harmonic=True)
             t_next = (-1.0) ** (m + 1) / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
             rest, rest_roundoff, _ = _head(a, b, -1.0, alpha, m + 1, t_next, N, 1.0)
             total, roundoff = math.fsum((total, rest)), roundoff + rest_roundoff
             lg, sign, psi = -math.lgamma(a + 1.0), (-1.0) ** (m + 1), None
         else:
-            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, t0, N, 1.0, harmonic=True)
+            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, None, N, 1.0, harmonic=True)
             lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
         thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
         tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
         value, bound = total + tail, tail_bound + _EPS * (roundoff + abs(total + tail))
-    except OverflowError:  # from ** or math.exp, on a term or prefactor past 1e308
+    except OverflowError:  # from ** or math.exp past 1e308, or math.ceil on a head that long
         raise DomainError(_OVERFLOW) from None
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise DomainError(_OVERFLOW)

@@ -193,6 +193,47 @@ def test_single_value_flags_rejected(args, message):
     assert message in r.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "--p", "nan", "--b", "1"), "p and b must be finite"),
+    (("coeffs", "--p", "1", "--b", "inf"), "p and b must be finite"),
+    (("coeffs", "--p", "1e308", "--b", "1e308", "--m", "64"), "past double range"),
+    (("eval", "phida", "--a", "1e300", "--b", "1", "--n", "0"), "overflow double precision"),
+    (("eval", "integral", "--form", "F2", "--a", "0.5", "--b", "1", "--n", "1e9"),
+     "integrand overflows"),
+    (("eval", "integral", "--form", "F4", "--a", "0.5", "--b", "1", "--n", "2000"),
+     "integrand overflows"),
+])
+def test_input_past_double_range_exits_2(argv, message, capsys):
+    # non-finite input, or a coefficient, head length or integrand past
+    # 1e308: an error line and exit 2, not a traceback
+    from ramaseries import cli
+
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("exc", ["DomainError", "DivergenceError"])
+def test_verify_cell_error_exits_2(exc, capsys, monkeypatch):
+    # the suites are fixed cells, so one that raises is a fault: verify
+    # reports it and exits 2 rather than leave the cell out of its records
+    from ramaseries import cli, special_fn, verify
+
+    dispatch = verify._dispatch
+
+    def faulty(op, args):
+        if op == "eta":
+            raise getattr(special_fn, exc)("eta cell failed")
+        return dispatch(op, args)
+
+    monkeypatch.setattr(verify, "_dispatch", faulty)
+    assert cli.main(["verify", "shifts", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: eta cell failed" in err
+
+
 @pytest.mark.parametrize("cmd", ["eval", "table"])
 @pytest.mark.parametrize("target, params", [
     ("phi", ("--a", "0.5", "--b", "1")),

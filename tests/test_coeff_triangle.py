@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramaseries.coeff_triangle import build, lhs_poly, rhs_series
+from ramaseries.coeff_triangle import build
 from ramaseries.special_fn import DomainError
+from triangle_ref import ladder, weighted_series
 
 GRID_P = (-1.0, -0.5, 0.5, 2.0)
 GRID_B = (0.25, 1.0, 3.0)
@@ -45,8 +46,8 @@ def test_identity_grid():
             tri = build(p, b, 10)
             for m in range(9):
                 for t in GRID_T:
-                    l = lhs_poly(tri, m, t)
-                    r = rhs_series(p, b, m, t)
+                    l = ladder(tri, m, t)
+                    r = weighted_series(p, b, m, t)
                     assert abs(l - r) <= 1e-10 * (1.0 + abs(r)), (p, b, m, t)
 
 
@@ -67,7 +68,7 @@ def test_integer_p_degeneracy():
             assert tri.entry(m + 1, m + 1) == 0.0
         # ladder stays finite at t = 1 and matches the terminating series
         for m in range(p, 9):
-            val = lhs_poly(tri, m, 1.0)
+            val = ladder(tri, m, 1.0)
             direct = sum(
                 (-1) ** i * math.comb(p, i) * (0.75 + i) ** m for i in range(p + 1)
             )
@@ -76,23 +77,27 @@ def test_integer_p_degeneracy():
 
 
 def test_rhs_terminating_and_binomial():
-    assert rhs_series(1.0, 1.0, 2, 0.5) == -1.0
+    # both sides against the series in closed form: (1-t)^p at m = 0, a
+    # finite sum at integer p
+    assert ladder(build(1.0, 1.0, 3), 2, 0.5) == pytest.approx(-1.0, rel=1e-13)
+    assert weighted_series(1.0, 1.0, 2, 0.5) == -1.0
     for t in (-0.7, -0.2, 0.4, 0.8):
-        assert rhs_series(2.5, 1.0, 0, t) == pytest.approx((1 - t) ** 2.5, rel=1e-13)
+        assert weighted_series(2.5, 1.0, 0, t) == pytest.approx((1 - t) ** 2.5, rel=1e-13)
     for p in (2, 3):
         direct = sum(
             (-1) ** i * math.comb(p, i) * (0.5 + i) ** 4 * 0.3 ** i for i in range(p + 1)
         )
-        assert rhs_series(float(p), 0.5, 4, 0.3) == pytest.approx(direct, rel=1e-13)
+        assert ladder(build(float(p), 0.5, 5), 4, 0.3) == pytest.approx(direct, rel=1e-13)
+        assert weighted_series(float(p), 0.5, 4, 0.3) == pytest.approx(direct, rel=1e-13)
 
 
 def test_lhs_direct_substitution():
     tri = build(0.5, 0.25, 5)
     for t in (-0.4, 0.0, 0.3, 0.9):
-        assert lhs_poly(tri, 0, t) == (1.0 - t) ** 0.5
+        assert ladder(tri, 0, t) == pytest.approx((1.0 - t) ** 0.5, rel=1e-15)
     want = 0.25 * 0.7 ** 0.5 - 0.5 * 0.3 * 0.7 ** (-0.5)
-    assert lhs_poly(tri, 1, 0.3) == pytest.approx(want, rel=1e-14)
-    assert lhs_poly(tri, 3, 0.3) == pytest.approx(rhs_series(0.5, 0.25, 3, 0.3), rel=1e-12)
+    assert ladder(tri, 1, 0.3) == pytest.approx(want, rel=1e-14)
+    assert ladder(tri, 3, 0.3) == pytest.approx(weighted_series(0.5, 0.25, 3, 0.3), rel=1e-12)
 
 
 def test_domain_errors():
@@ -103,16 +108,11 @@ def test_domain_errors():
     tri = build(0.5, 0.25, 4)
     with pytest.raises(DomainError):
         tri.entry(5, 1)
-    with pytest.raises(DomainError):
-        lhs_poly(tri, 4, 0.2)
-    with pytest.raises(DomainError):
-        lhs_poly(tri, 1, 1.0)  # nonzero weight against (1-t)^(-1/2)
-    with pytest.raises(DomainError):
-        rhs_series(0.5, -1.0, 2, 0.3)
-    with pytest.raises(DomainError):
-        rhs_series(0.5, 0.25, -1, 0.3)
-    with pytest.raises(DomainError):
-        rhs_series(0.5, 0.25, 2, 1.0)
+    # non-finite p or b, and entries past double range
+    for p, b, m in ((math.nan, 1.0, 4), (1.0, math.inf, 4), (-math.inf, 1.0, 4),
+                    (1.0, math.nan, 4), (1e308, 1e308, 64)):
+        with pytest.raises(DomainError):
+            build(p, b, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,6 +124,6 @@ def test_domain_errors():
 )
 def test_identity_random(p, b, m, t):
     tri = build(p, b, m + 1)
-    l = lhs_poly(tri, m, t)
-    r = rhs_series(p, b, m, t)
+    l = ladder(tri, m, t)
+    r = weighted_series(p, b, m, t)
     assert abs(l - r) <= 1e-10 * (1.0 + abs(r))

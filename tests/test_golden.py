@@ -27,6 +27,7 @@ CASES = {
     "errata-text": ["errata"],
     "errata-jsonl": ["errata", "--format", "jsonl"],
     "coeffs": ["coeffs", "--p", "2", "--b", "2", "--m", "4"],
+    "coeffs-readme": ["coeffs", "--p", "-0.5", "--b", "0.25", "--m", "8"],
     "table-phi-csv": ["table", "phi", "--a=-1.5:0.5:1", "--b", "0.25:2.25:1", "--n", "0..2",
                       "--format", "csv"],
     "table-phi-csv-2w": ["table", "phi", "--a=-1.5:0.5:1", "--b", "0.25:2.25:1", "--n", "0..2",

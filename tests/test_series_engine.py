@@ -238,13 +238,18 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     (lambda *p: eval_psi_general(SeriesParams(*p)), (0.5, 0.05, 0.5, 300.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (-150.5, 1.0, -0.999999, 2.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (-125.5, 5.0, 0.99999, 0.5)),
+    (eval_phi_da_direct, (1e300, 1.0, 0)),
+    (lambda *p: oracle_value(IntegralSpec("F2", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 1e9)),
+    (lambda *p: oracle_value(IntegralSpec("F4", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 2000)),
 ])
 def test_overflow_raises_domain_error(call, args):
     # the terms pass 1e308 before they cancel: finite sum, derivative head,
     # power-law head and geometric loop each raise rather than return inf or
     # fail inside fsum, where math.exp or ** raises OverflowError in the term
-    # loop; in the fifth cell the first term 20^301 does. In the last two the
-    # near-unit tail overflows: its numpy direct sum, and its orders' fsum
+    # loop; in the fifth cell the first term 20^301 does. In the next two the
+    # near-unit tail overflows: its numpy direct sum, and its orders' fsum.
+    # At a = 1e300 the derivative's head length passes 1e308; in the last
+    # two the quadrature integrand's log(d)^n does
     with pytest.raises(DomainError):
         call(*args)
 
@@ -472,6 +477,25 @@ def test_near_unit_bound_holds_and_meets_target(cell):
 @settings(max_examples=40, deadline=None)
 def test_scalar_bound_holds(cell):
     _check_bound(cell)
+
+
+@pytest.mark.parametrize("a, b, beta, alpha", [(1162.0, 60.0, 1.0, 192.0),
+                                               (1066.0, 60.0, 0.5, 196.0),
+                                               (837.0, 35.32670098921075, 0.25, 205.66354958959877)])
+def test_first_term_below_normal_range(a, b, beta, alpha):
+    # t_0 = b^-(alpha+1) is 0 or subnormal in double, so the terms were 0
+    # or lost digits; the loop starts from log t_0 instead. The last two
+    # sums, 4.9e-313 and 2.3e-320, are below the normal range, where a
+    # rounding is off by up to 2^-1075 whatever the term: the last one's
+    # bound was 0 without that
+    mp = pytest.importorskip("mpmath")
+    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    with mp.workdps(60):
+        weight, ref = mp.mpf(1), mp.mpf(0)  # C(a, i) beta^i
+        for i in range(int(a) + 1):
+            ref += weight / (b + mp.mpf(i)) ** (alpha + 1)
+            weight *= beta * (a - i) / (i + 1)
+        assert abs(got.value - ref) <= got.abs_error_bound <= 1e-7 * ref + 1e-320
 
 
 def test_terms_past_double_range_in_logs():
