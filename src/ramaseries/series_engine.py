@@ -11,10 +11,10 @@ P_k = t_i prod_(i<=j<k) beta (a-j)/(j+1) times the power factor
 roundoff (w0 from the first term and the power factor, 4 a term from P), so
 a sum that cancels counts the roundoff of its largest terms. Where P leaves
 double range or the power factor turns subnormal, the loop goes on from
-log|P| and counts the roundoff of the logs as well; where t_0 = b^-(alpha+1)
-is below the normal range it starts from log|P| = -(alpha+1) ln b. A term
-past 1e308 raises OverflowError, which the public functions raise as
-DomainError.
+log|P| and counts the roundoff of the logs as well; where a first term
+c (b+i)^-(alpha+1) (t_0 = b^-(alpha+1)) is below the normal range it starts
+from log|P| = ln|c| - (alpha+1) ln(b+i). A term past 1e308 raises
+OverflowError, which the public functions raise as DomainError.
 
 Summation strategy by regime (_regime classifies it):
   * non-negative integer a: the series terminates; the loop runs its
@@ -43,6 +43,8 @@ Summation strategy by regime (_regime classifies it):
     for the differentiated Euler-Maclaurin remainders to keep their bound.
     At a non-negative integer a the terms past i = a are a power-law tail
     of their own, summed by the same asymptotic tail with no derivative.
+    The head has no i = 0 term (H_0 = 0), so where t_0 would pass 1e308
+    it starts at t_1.
 
 Every bound above is a derived upper bound on the error, not a fit spread.
 """
@@ -141,9 +143,10 @@ def _fsum(xs) -> float:
 
 
 def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None, stop: int,
-          cap: int | None = None):
+          cap: int | None = None, coef: float = 1.0):
     """The one term loop: t_i, t_(i+1), ... from t_i = t, to t_(stop-1);
-    t None stands for t_0 = b^-(alpha+1) at i = 0.
+    t None stands for t_i = coef (b+i)^-(alpha+1) (t_0 = b^-(alpha+1) at
+    i = 0, coef = 1).
 
     Each term is the bare binomial product P_k = t_i prod_(i<=j<k) beta
     (a-j)/(j+1) times the power factor ((b+i)/(b+k))^(alpha+1) in closed
@@ -151,10 +154,12 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
     factor turns subnormal and would carry too few digits (large alpha),
     the loop keeps log|P| from there on, and such a term is
     sign exp(log|P_k| + (alpha+1) log((b+i)/(b+k))); a term past double
-    range raises OverflowError from math.exp. A t_0 below the normal range
-    would carry too few digits, or none: the loop then starts from
-    log|P| = -(alpha+1) ln b, within 2 |log|P|| + 1 units (the log and the
-    product), and t_0 = exp(log|P|) counts those units too.
+    range raises OverflowError from math.exp. A t_i = coef (b+i)^-(alpha+1)
+    below the normal range would carry too few digits, or none: the loop
+    then starts from log|P| = -(alpha+1) ln(b+i) + ln|coef|, within
+    2 (alpha+1) |ln(b+i)| + 1 units (the log and the product), and
+    |ln|coef|| + |log|P|| more where coef is not 1 (its log and the sum);
+    t_i = exp(log|P|) counts those units too.
 
     Given cap (a geometric sum from i = 0), it stops once the tail bound,
     plus eps k |S|, meets the target, or at cap terms where that bound
@@ -175,12 +180,16 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
     P, lP = t, None  # lP: log|P| once the loop goes on from logs
     total, inf, tiny = 0.0, math.inf, sys.float_info.min
     if t is None:
-        P = t = b ** -p
-        if t < tiny:
-            lP, sign = -p * math.log(b), 1.0
+        P = t = coef * bi ** -p
+        if abs(t) < tiny and coef:  # coef = 0: every term is an exact 0
+            lP, sign = -p * math.log(bi), math.copysign(1.0, coef)
             units = 2.0 * abs(lP) + 1.0
+            if coef != 1.0:
+                lc = math.log(abs(coef))
+                lP += lc
+                units += abs(lc) + abs(lP)
             extra.append(units)
-            t = math.exp(lP)
+            t = math.copysign(math.exp(lP), sign)
     for j in range(i, stop):
         terms.append(t)
         total += t
@@ -218,7 +227,7 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
 def _sum(terms: list, extra: list, i: int, b: float, alpha: float, u0: float = 0.0,
          a: float | None = None):
     """fsum of the terms t_i, t_(i+1), ... from _loop (given a, of t_k H_k,
-    H_k = sum_(j<k) 1/(a-j), from i = 0) and its roundoff in units of _EPS.
+    H_k = sum_(j<k) 1/(a-j)) and its roundoff in units of _EPS.
 
     Relative roundoff of t_k: w0 = u0 + 3 + (alpha+1)(3 + |ln b| + ln(1 + n/b)),
     n the last index, as t_0 = b^-(alpha+1) carries 1 + (alpha+1)|ln b| (pow,
@@ -233,11 +242,12 @@ def _sum(terms: list, extra: list, i: int, b: float, alpha: float, u0: float = 0
     w0 = u0 + 3.0 + (alpha + 1.0) * (3.0 + abs(math.log(b)) + math.log1p((i + len(terms) - 1) / b))
     roundoff = 0.0
     if a is not None:
-        inc = [1.0 / (a - j) for j in range(len(terms) - 1)]  # never 1/0: j < a at integer a
-        habs = itertools.accumulate(map(abs, inc), initial=0.0)
+        inc = [1.0 / (a - j) for j in range(i + len(terms) - 1)]  # never 1/0: j < a at integer a
+        habs = itertools.islice(itertools.accumulate(map(abs, inc), initial=0.0), i, None)
         roundoff = math.fsum(map(operator.mul, map(abs, terms),
-                                 map(operator.mul, habs, itertools.count(2.0))))
-        terms = list(map(operator.mul, terms, itertools.accumulate(inc, initial=0.0)))
+                                 map(operator.mul, habs, itertools.count(2.0 + i))))
+        terms = list(map(operator.mul, terms,
+                         itertools.islice(itertools.accumulate(inc, initial=0.0), i, None)))
     roundoff += math.fsum(map(operator.mul, map(abs, terms), itertools.count(w0 + 4.0 * i, 4.0)))
     if extra:  # the last entry is that of the next term
         logged = terms[len(terms) + 1 - len(extra):]
@@ -246,10 +256,11 @@ def _sum(terms: list, extra: list, i: int, b: float, alpha: float, u0: float = 0
 
 
 def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float | None, stop: int,
-          u0: float = 0.0, harmonic: bool = False):
-    """sum_(i<=k<stop) t_k from t_i = t (t None: from t_0, see _loop; with
-    harmonic, of t_k H_k), its roundoff in units of _EPS (see _sum), and t_stop."""
-    terms, extra, t, _ = _loop(a, b, beta, alpha, i, t, stop)
+          u0: float = 0.0, harmonic: bool = False, coef: float = 1.0):
+    """sum_(i<=k<stop) t_k from t_i = t (t None: from coef (b+i)^-(alpha+1),
+    see _loop; with harmonic, of t_k H_k), its roundoff in units of _EPS
+    (see _sum), and t_stop."""
+    terms, extra, t, _ = _loop(a, b, beta, alpha, i, t, stop, None, coef)
     return (*_sum(terms, extra, i, b, alpha, u0, a if harmonic else None), t)
 
 
@@ -479,16 +490,22 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     if regime == "divergent":
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
-    method = "direct"
+    if regime != "power-law":
+        return _result("direct", _scalar_psi, a, b, beta, alpha,
+                       cap if regime == "geometric" else None)
+    if beta == -1.0 and a == math.floor(a):
+        return _result("closed-form", _negint_psi, int(-a), b, alpha)
+    return _result("direct", _powerlaw_psi, a, b, beta, alpha, cap)
+
+
+def _result(method: str, evaluate, *args) -> EvalResult:
+    """The EvalResult of evaluate(*args) = (value, bound, terms used): a
+    term, prefactor or head length past 1e308 (OverflowError from **,
+    math.exp or math.ceil), or a result that is not finite, raises
+    DomainError."""
     try:
-        if regime != "power-law":
-            value, bound, n = _scalar_psi(a, b, beta, alpha, cap if regime == "geometric" else None)
-        elif beta == -1.0 and a == math.floor(a):
-            value, bound, n = _negint_psi(int(-a), b, alpha)
-            method = "closed-form"
-        else:
-            value, bound, n = _powerlaw_psi(a, b, beta, alpha, cap)
-    except OverflowError:  # from ** or math.exp, on a term or prefactor past 1e308
+        value, bound, n = evaluate(*args)
+    except OverflowError:
         raise DomainError(_OVERFLOW) from None
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise DomainError(_OVERFLOW)
@@ -542,26 +559,40 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
         # weight (1-e^-x)^a = exp(a ln(1-e^-x)) is 1 within 1e-140 wherever
         # it matters, so the a = 0 value stands within its own roundoff
         a = 0.0
+    return _result("direct", _phi_da, a, b, alpha, cap)
+
+
+def _phi_da(a: float, b: float, alpha: float, cap: int):
+    """eval_phi_da_direct's value, bound and head length N.
+
+    H_0 = 0, so where t_0 = b^-(alpha+1) passes 1e308 the head starts at
+    t_1 = -a (b+1)^-(alpha+1); and where the power in the closed form of
+    t_(m+1) does, the loop starts that term from its logarithm.
+    """
+    c, N = _head_length(a, b, alpha, 40.0, cap)
+    i0 = 0
     try:
-        c, N = _head_length(a, b, alpha, 40.0, cap)
-        if _is_nonneg_int(a):
-            m = int(a)
-            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, None, m + 1, 1.0, harmonic=True)
-            t_next = (-1.0) ** (m + 1) / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
-            rest, rest_roundoff, _ = _head(a, b, -1.0, alpha, m + 1, t_next, N, 1.0)
-            total, roundoff = math.fsum((total, rest)), roundoff + rest_roundoff
-            lg, sign, psi = -math.lgamma(a + 1.0), (-1.0) ** (m + 1), None
-        else:
-            total, roundoff, _ = _head(a, b, -1.0, alpha, 0, None, N, 1.0, harmonic=True)
-            lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
-        thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
-        tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
-        value, bound = total + tail, tail_bound + _EPS * (roundoff + abs(total + tail))
-    except OverflowError:  # from ** or math.exp past 1e308, or math.ceil on a head that long
-        raise DomainError(_OVERFLOW) from None
-    if not (math.isfinite(value) and math.isfinite(bound)):
-        raise DomainError(_OVERFLOW)
-    return EvalResult(value, bound, N, "direct")
+        b ** -(alpha + 1.0)
+    except OverflowError:
+        i0 = 1
+    m = int(a) if _is_nonneg_int(a) else None
+    total, roundoff, _ = _head(a, b, -1.0, alpha, i0, None, N if m is None else m + 1, 1.0,
+                               harmonic=True, coef=(-a) ** i0)
+    if m is None:
+        lg, sign, psi = math.lgamma(-a), _sign_recip_gamma_neg(a), digamma(-a)
+    else:
+        sign = (-1.0) ** (m + 1)
+        try:  # 0 where the product passes 1e308
+            t_next = sign / ((m + 1.0) * (b + m + 1.0) ** (alpha + 1.0))
+        except OverflowError:
+            t_next = 0.0
+        rest, rest_roundoff, _ = _head(a, b, -1.0, alpha, m + 1, t_next or None, N, 1.0,
+                                       coef=sign / (m + 1.0))
+        total, roundoff = math.fsum((total, rest)), roundoff + rest_roundoff
+        lg, psi = -math.lgamma(a + 1.0), None
+    thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
+    tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
+    return total + tail, tail_bound + _EPS * (roundoff + abs(total + tail)), N
 
 
 def _regime(a: float, beta: float, alpha: float) -> str:

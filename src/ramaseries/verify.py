@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -208,6 +209,9 @@ def _entries(name: str) -> List[Tuple[str, tuple]]:
 
 def build_suite(name: str, tol: Optional[float] = None) -> List[Task]:
     """Assemble the task list for one suite name (or 'all')."""
+    # inf would pass every record, nan and a negative one fail every one
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"the tolerance must be finite and >= 0, got {tol}")
     names = SUITE_NAMES if name == "all" else (name,)
     entries = [e for n in names for e in _entries(n)]
     return [(i, op, args, tol) for i, (op, args) in enumerate(entries)]
@@ -217,9 +221,13 @@ def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:
     """fn over tasks, serially or in a process pool; results sorted by ordinal.
 
     Each task and each result carries its ordinal first, so the output order
-    does not depend on the worker count.
+    does not depend on the worker count. The pool has at most one process a
+    task and one a CPU this process may run on: a forking pool starts all
+    its processes at once, so a large count would fork the host out of them.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(tasks), cpus)
+    if workers <= 1:
         results = [fn(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

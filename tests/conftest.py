@@ -1,5 +1,6 @@
-"""The CLI tests start `python -m ramaseries` in subprocesses; they find
-the package in src/ as this process does (pyproject's pytest pythonpath)."""
+"""test_cli.py's one `python -m ramaseries` subprocess finds the package in
+src/ as this process does (pyproject's pytest pythonpath); every other CLI
+call runs in process through cli_runner.run_cli."""
 
 import os
 import pathlib

@@ -10,8 +10,6 @@ outcome is recorded rather than hidden.
 
 import json
 import math
-import subprocess
-import sys
 
 import pytest
 
@@ -28,6 +26,7 @@ from ramaseries.quadrature import IntegralSpec, inverse_factor_direct, oracle_va
 from ramaseries.series_engine import SeriesParams, eval_phi, eval_phi_da_direct
 from ramaseries.special_fn import digamma, gamma, hurwitz_zeta, lerch_phi, s_prime
 from ramaseries.verify import run_suite
+from cli_runner import run_cli
 from triangle_ref import ladder, weighted_series
 
 PHI0 = gamma(0.25) ** 2 / math.sqrt(2.0 * math.pi)
@@ -252,13 +251,7 @@ def test_criterion_13_invariants_and_determinism():
 
     runs = []
     for workers in ("1", "3"):
-        r = subprocess.run(
-            [sys.executable, "-m", "ramaseries", "verify", "errata",
-             "--format", "jsonl", "--workers", workers],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        r = run_cli("verify", "errata", "--format", "jsonl", "--workers", workers)
         runs.append(r.stdout)
     det_ok = runs[0] == runs[1] and json.loads(runs[0].strip().splitlines()[-1])["fail"] == 0
 

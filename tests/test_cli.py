@@ -6,20 +6,7 @@ import sys
 
 import pytest
 
-
-def run_cli(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "ramaseries", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+from cli_runner import run_cli
 
 
 def test_eval_phi_example():
@@ -50,7 +37,9 @@ def test_eval_jsonl_shape():
 
 
 def test_eval_missing_arg_exits_2():
-    r = run_cli("eval", "phi", "--a", "0")
+    # the one real `python -m ramaseries`: __main__ hands main's exit code to the shell
+    r = subprocess.run([sys.executable, "-m", "ramaseries", "eval", "phi", "--a", "0"],
+                       capture_output=True, text=True, timeout=300)
     assert r.returncode == 2
     assert "requires" in r.stderr
 
@@ -122,7 +111,7 @@ def test_workers_env_byte_identical():
                    "--n", "0..2", "--format", "csv")
     par = run_cli("table", "phi", "--a=-0.5", "--b", "0.25:2.25:0.5",
                   "--n", "0..2", "--format", "csv",
-                  env_extra={"RAMASERIES_WORKERS": "4"})
+                  env={"RAMASERIES_WORKERS": "4"})
     assert base.stdout == par.stdout
 
 
@@ -202,23 +191,23 @@ def test_single_value_flags_rejected(args, message):
      "integrand overflows"),
     (("eval", "integral", "--form", "F4", "--a", "0.5", "--b", "1", "--n", "2000"),
      "integrand overflows"),
-])
-def test_input_past_double_range_exits_2(argv, message, capsys):
-    # non-finite input, or a coefficient, head length or integrand past
-    # 1e308: an error line and exit 2, not a traceback
-    from ramaseries import cli
-
-    assert cli.main(list(argv)) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert message in err
+] + [(("verify", "twosided", "--tol", tol), "tolerance must be finite and >= 0")
+     for tol in ("inf", "nan", "-1")])
+def test_input_past_double_range_exits_2(argv, message):
+    # non-finite input, a coefficient, head length or integrand past 1e308,
+    # or a tolerance that would pass or fail every record: an error line and
+    # exit 2, not a traceback or a verdict
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
 
 
 @pytest.mark.parametrize("exc", ["DomainError", "DivergenceError"])
-def test_verify_cell_error_exits_2(exc, capsys, monkeypatch):
+def test_verify_cell_error_exits_2(exc, monkeypatch):
     # the suites are fixed cells, so one that raises is a fault: verify
     # reports it and exits 2 rather than leave the cell out of its records
-    from ramaseries import cli, special_fn, verify
+    from ramaseries import special_fn, verify
 
     dispatch = verify._dispatch
 
@@ -228,10 +217,46 @@ def test_verify_cell_error_exits_2(exc, capsys, monkeypatch):
         return dispatch(op, args)
 
     monkeypatch.setattr(verify, "_dispatch", faulty)
-    assert cli.main(["verify", "shifts", "--workers", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "error: eta cell failed" in err
+    r = run_cli("verify", "shifts", "--workers", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error: eta cell failed" in r.stderr
+
+
+@pytest.mark.parametrize("base, workers, env, size", [
+    (("verify", "errata"), ("--workers", "2"), None, 2),
+    (("verify", "errata"), ("--workers", "100000"), None, 3),  # 12 tasks
+    (("table", "sprime", "--r", "1..2"), (), {"RAMASERIES_WORKERS": "100000"}, 2),  # 2 tasks
+])
+def test_pool_size_capped(base, workers, env, size, monkeypatch):
+    # a forking pool starts all its processes at once, so it gets no more
+    # than min(workers, tasks, CPUs): here 3 CPUs and a fake pool, which
+    # maps serially and starts no process
+    import os
+
+    from ramaseries import verify
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    serial = run_cli(*base, "--format", "csv")
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pooled = run_cli(*base, *workers, "--format", "csv", env=env)
+    assert sizes == [size]
+    assert pooled == serial
 
 
 @pytest.mark.parametrize("cmd", ["eval", "table"])
@@ -300,16 +325,11 @@ _VALUES = {"format": "jsonl", "part": "c", "form": "F9"}
 @pytest.mark.parametrize("base, flag", [
     (base, flag) for base, read in _READS.items() for flag in _FLAGS if flag not in read
 ])
-def test_unread_flag_exits_2(base, flag, capsys):
+def test_unread_flag_exits_2(base, flag):
     # a flag the command would ignore is an error, before anything runs
-    from ramaseries import cli
-
-    try:
-        code = cli.main([*base, "--" + flag, _VALUES.get(flag, "1")])
-    except SystemExit as exc:  # argparse: the subcommand has no such flag
-        code = exc.code
-    assert code == 2
-    assert capsys.readouterr().out == ""
+    r = run_cli(*base, "--" + flag, _VALUES.get(flag, "1"))
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("text", ["0:inf:1", "0:nan:1", "-inf:0:1", "0:1:nan", "nan:1:1", "0:1:inf"])

@@ -2,8 +2,8 @@
 
 The files under tests/golden/ hold what each command printed, and
 exit_codes.json what it returned.  The test runs every command in process
-through cli.main and compares.  A change that alters a value on purpose
-regenerates them with
+through cli_runner.run_cli and compares.  A change that alters a value on
+purpose regenerates them with
 
     python tests/test_golden.py
 
@@ -11,13 +11,13 @@ and says in its change log which outputs moved and why; it prints the
 name of every file whose bytes it changed.
 """
 
-import contextlib
-import io
 import json
 import pathlib
 import sys
 
 import pytest
+
+from cli_runner import run_cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -61,15 +61,6 @@ CASES = {
 }
 
 
-def run(argv):
-    from ramaseries import cli
-
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main(argv)
-    return rc, out.getvalue()
-
-
 @pytest.fixture(scope="module")
 def exit_codes():
     return json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -77,9 +68,9 @@ def exit_codes():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, exit_codes):
-    rc, out = run(CASES[name])
-    assert rc == exit_codes[name]
-    assert out == (GOLDEN / (name + ".out")).read_text()
+    r = run_cli(*CASES[name])
+    assert r.returncode == exit_codes[name]
+    assert r.stdout == (GOLDEN / (name + ".out")).read_text()
 
 
 if __name__ == "__main__":
@@ -88,7 +79,7 @@ if __name__ == "__main__":
     codes = {}
     files = {}
     for name, argv in sorted(CASES.items()):
-        codes[name], files[name + ".out"] = run(argv)
+        codes[name], files[name + ".out"], _ = run_cli(*argv)
     files["exit_codes.json"] = json.dumps(codes, indent=1, sort_keys=True) + "\n"
     for fname, text in files.items():
         path = GOLDEN / fname

@@ -298,6 +298,32 @@ def test_derivative_integer_branch_pinned(a, b, n, want):
     assert abs(got.value - want) <= got.abs_error_bound <= 1e-13
 
 
+@pytest.mark.parametrize("a, b, n", [(0.5, 0.01, 700), (-0.5, 0.05, 400), (2.5, 0.1, 400),
+                                     (2.0, 0.01, 700), (1.0, 0.05, 500),
+                                     (2.0, 60.0, 192), (0.0, 60.0, 192), (3.0, 40.0, 200)])
+def test_derivative_terms_past_double_range(a, b, n):
+    # t_0 = b^-(n+1) passes 1e308 in the first five, though H_0 = 0 leaves it
+    # out of the sum; in the last three (b+m+1)^(n+1) in the closed form of
+    # t_(m+1) at a = m does, for a sum below 1e-340. The sum by mpmath:
+    # (-1)^i C(a,i) H_i (b+i)^-(n+1), past i = m at a = m its limit
+    # (-1)^(m+1) m! (i-m-1)!/i! (b+i)^-(n+1), to i = 600 where the terms
+    # have fallen by 1e-190
+    mp = pytest.importorskip("mpmath")
+    got = eval_phi_da_direct(a, b, n)
+    m = int(a) if a == math.floor(a) else None
+    with mp.workdps(60):
+        ref, h, w = mp.mpf(0), mp.mpf(0), mp.mpf(1)  # the sum, H_i, (-1)^i C(a, i)
+        for i in range(1, 600):
+            if m is not None and i > m:
+                t = (-1) ** (m + 1) * mp.factorial(m) * mp.factorial(i - m - 1) / mp.factorial(i)
+            else:
+                h += 1 / (mp.mpf(a) - (i - 1))
+                w *= -(mp.mpf(a) - (i - 1)) / i
+                t = w * h
+            ref += t / (b + mp.mpf(i)) ** (n + 1)
+        assert abs(got.value - ref) <= got.abs_error_bound
+
+
 def _reference(mp, a, b, beta, alpha):
     """S(a, b, beta, alpha) by mpmath: 2F1 at alpha = 0 (Gauss's Beta value
     at beta = -1), else (1/Gamma(alpha+1)) int_0^1 t^(b-1) (-ln t)^alpha
