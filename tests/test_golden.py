@@ -58,6 +58,15 @@ CASES = {
     "eval-integral-jsonl": ["eval", "integral", "--form", "F1", "--a=-0.5", "--b", "0.25",
                             "--alpha", "1", "--format", "jsonl"],
     "eval-missing-arg": ["eval", "phi", "--a", "0"],
+    "verify-twosided-text": ["verify", "twosided"],
+    "verify-twosided-csv": ["verify", "twosided", "--format", "csv"],
+    "errata-csv": ["errata", "--format", "csv"],
+    "eval-phi-csv": ["eval", "phi", "--a=-0.5", "--b", "0.25", "--n", "1", "--format", "csv"],
+    "eval-integral-text": ["eval", "integral", "--form", "F7", "--a", "1", "--w", "2"],
+    "table-phi-divergent-csv": ["table", "phi", "--a=-2:0:1", "--b", "1", "--n", "0", "--format", "csv"],
+    "table-phi-divergent-jsonl": ["table", "phi", "--a=-2:0:1", "--b", "1", "--n", "0",
+                                  "--format", "jsonl"],
+    "table-phi-divergent-text": ["table", "phi", "--a=-2:0:1", "--b", "1", "--n", "0"],
 }
 
 
