@@ -9,8 +9,8 @@ Subcommands:
   errata  reproduce the catalogued discrepancies with numeric evidence
 
 Output is deterministic: records are emitted in task order no matter how
-many workers computed them, and floats are formatted through a single
-helper so reruns are byte identical.
+many workers computed them, and every jsonl and csv row is printed by one
+writer, _emit, so reruns are byte identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coeff_triangle import build as build_triangle
 from .errata import reproduce_all
@@ -47,10 +47,6 @@ def _fmt(x: float, digits: int) -> str:
         mant, exp = s.split("e")
         s = mant + "e" + ("%d" % int(exp))
     return s
-
-
-def _fmt_full(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_range(text: str, name: str) -> List[float]:
@@ -98,6 +94,7 @@ def _parse_range(text: str, name: str) -> List[float]:
 
 _AXIS_FLAGS = ("a", "b", "beta", "alpha", "n", "s", "q", "r")  # the axes of _TARGETS
 _PARAM_FLAGS = _AXIS_FLAGS + ("w", "v", "part", "form")  # those of eval, integral included
+_SPELLINGS = (("alpha", "n"), ("w", "v"))  # two flags that give one parameter
 
 # integral form -> the parameter flags its oracle reads (see quadrature.oracle_value)
 _FORM_FLAGS = {
@@ -164,8 +161,11 @@ def _single(args: argparse.Namespace, name: str) -> Optional[float]:
 
 
 def _reject_unread(args: argparse.Namespace, read: Sequence[str]) -> None:
-    """DomainError for a parameter flag of eval or table outside read, the
-    flags the target reads."""
+    """DomainError for two spellings of one parameter given together, and for
+    a parameter flag of eval or table outside read, the flags the target reads."""
+    for pair in _SPELLINGS:
+        if None not in (getattr(args, pair[0], None), getattr(args, pair[1], None)):
+            raise DomainError("%s %s takes --%s or --%s, not both" % ((args.command, args.target) + pair))
     for nm in _PARAM_FLAGS:
         if getattr(args, nm, None) is not None and nm not in read:
             raise DomainError("%s %s does not take --%s" % (args.command, args.target, nm))
@@ -175,12 +175,10 @@ def _flag(args: argparse.Namespace, axis: str) -> str:
     """The flag that gives one axis of a target.
 
     The order of a series target is its "n" or "alpha" axis, and either
-    spelling gives it; giving both is an error.
+    spelling gives it (_reject_unread rejects both).
     """
     names = ("alpha", "n") if axis in ("alpha", "n") else (axis,)
     given = [nm for nm in names if getattr(args, nm) is not None]
-    if len(given) > 1:
-        raise DomainError("%s %s takes --alpha or --n, not both" % (args.command, args.target))
     if not given:
         want = "--alpha (or --n)" if len(names) > 1 else "--" + axis
         raise DomainError("%s %s requires %s" % (args.command, args.target, want))
@@ -227,6 +225,29 @@ def _eval_integral(args: argparse.Namespace) -> EvalResult:
     return oracle_value(IntegralSpec(form=args.form, params=ip))
 
 
+def _emit(rows: Sequence[Dict[str, object]], fmt: str, text_row: Optional[Callable[[Dict[str, object]], str]],
+          quoted: Sequence[str] = ()) -> None:
+    """Print rows, dicts in column order: jsonl as JSON with sorted keys; csv
+    as a header of the keys, then cells, a float by repr, None empty, others by
+    str, and the quoted columns in double quotes; text as text_row(row)."""
+    if fmt == "csv" and rows:
+        print(",".join(rows[0]))
+    for row in rows:
+        if fmt == "jsonl":
+            print(json.dumps(row, sort_keys=True))
+        elif fmt == "csv":
+            cells = ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                     for v in row.values())
+            print(",".join('"%s"' % c if k in quoted else c for k, c in zip(row, cells)))
+        else:
+            print(text_row(row))
+
+
+def _eval_text(row: Dict[str, object]) -> str:
+    return "value        %s\nerror bound  %s\nterms used   %d\nmethod       %s" % (
+        _fmt(row["value"], 8), _fmt(row["abs_error_bound"], 3), row["terms_used"], row["method"])
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.target == "integral":
         res = _eval_integral(args)
@@ -235,30 +256,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         names = [_flag(args, axis) for axis in axes]
         _reject_unread(args, names)
         res = evaluate(*(_single(args, nm) for nm in names))
-    if args.format == "jsonl":
-        print(
-            json.dumps(
-                {
-                    "target": args.target,
-                    "value": res.value,
-                    "abs_error_bound": res.abs_error_bound,
-                    "terms_used": res.terms_used,
-                    "method": res.method,
-                },
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
-        print("target,value,abs_error_bound,terms_used,method")
-        print(
-            "%s,%s,%s,%d,%s"
-            % (args.target, _fmt_full(res.value), _fmt_full(res.abs_error_bound), res.terms_used, res.method)
-        )
-    else:
-        print("value        %s" % _fmt(res.value, 8))
-        print("error bound  %s" % _fmt(res.abs_error_bound, 3))
-        print("terms used   %d" % res.terms_used)
-        print("method       %s" % res.method)
+    row = {"target": args.target, "value": res.value, "abs_error_bound": res.abs_error_bound,
+           "terms_used": res.terms_used, "method": res.method}
+    _emit([row], args.format, _eval_text)
     return 0
 
 
@@ -274,65 +274,37 @@ def _record_row(rec: VerificationRecord) -> Dict[str, object]:
     }
 
 
-def _emit_records(records: Sequence[VerificationRecord], fmt: str) -> Tuple[int, int]:
+def _record_text(row: Dict[str, object]) -> str:
+    line = "%-4s %-46s lhs=%s rhs=%s resid=%s tol=%s" % (
+        row["verdict"].upper(), row["id"], _fmt(row["series_value"], 10), _fmt(row["oracle_value"], 10),
+        _fmt(row["residual"], 3), _fmt(row["tolerance"], 3))
+    return line + ("  [%s]" % row["errata_note"] if row["errata_note"] else "")
+
+
+def _emit_records(records: Sequence[VerificationRecord], fmt: str) -> int:
+    """Print the records and, in jsonl and text, a summary line; return the
+    number that failed."""
     npass = sum(1 for r in records if r.verdict == "pass")
     nfail = len(records) - npass
+    _emit([_record_row(r) for r in records], fmt, _record_text, quoted=("id", "errata_note"))
     if fmt == "jsonl":
-        for rec in records:
-            print(json.dumps(_record_row(rec), sort_keys=True))
-        print(
-            json.dumps(
-                {"records": len(records), "pass": npass, "fail": nfail},
-                sort_keys=True,
-            )
-        )
-    elif fmt == "csv":
-        print("id,series_value,oracle_value,residual,tolerance,verdict,errata_note")
-        for rec in records:
-            row = _record_row(rec)
-            note = row["errata_note"] or ""
-            print(
-                '%s,%s,%s,%s,%s,%s,"%s"'
-                % (
-                    '"%s"' % row["id"],
-                    _fmt_full(rec.series_value),
-                    _fmt_full(rec.oracle_value),
-                    _fmt_full(rec.residual),
-                    _fmt_full(rec.tolerance),
-                    rec.verdict,
-                    note,
-                )
-            )
-    else:
-        for rec in records:
-            row = _record_row(rec)
-            line = "%-4s %-46s lhs=%s rhs=%s resid=%s tol=%s" % (
-                rec.verdict.upper(),
-                row["id"],
-                _fmt(rec.series_value, 10),
-                _fmt(rec.oracle_value, 10),
-                _fmt(rec.residual, 3),
-                _fmt(rec.tolerance, 3),
-            )
-            if rec.errata_note:
-                line += "  [%s]" % rec.errata_note
-            print(line)
+        print(json.dumps({"records": len(records), "pass": npass, "fail": nfail}, sort_keys=True))
+    elif fmt == "text":
         print("%d records, %d pass, %d fail" % (len(records), npass, nfail))
-    return npass, nfail
+    return nfail
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     records = run_suite(args.target, tol=args.tol, workers=_resolve_workers(args.workers))
-    _, nfail = _emit_records(records, args.format)
-    return 1 if nfail else 0
+    return 1 if _emit_records(records, args.format) else 0
 
 
-def _table_task(item: Tuple[int, str, Tuple[float, ...]]) -> Tuple[int, str, float]:
+def _table_task(item: Tuple[int, str, Tuple[float, ...]]) -> Tuple[int, str, Optional[float]]:
     ordinal, target, point = item
     try:
         return ordinal, "ok", _TARGETS[target][1](*point).value
     except DivergenceError:
-        return ordinal, "divergent", float("nan")
+        return ordinal, "divergent", None
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -343,28 +315,17 @@ def cmd_table(args: argparse.Namespace) -> int:
     points = list(itertools.product(*grids))
     tasks = [(i, args.target, pt) for i, pt in enumerate(points)]
     raw = ordered_map(_table_task, tasks, _resolve_workers(args.workers))
+    rows = [{**dict(zip(axes, pt)), "value": value, "status": status}
+            for (_, status, value), pt in zip(raw, points)]
 
-    header = list(axes) + ["value", "status"]
-    if args.format == "jsonl":
-        for (_, status, value), pt in zip(raw, points):
-            row = dict(zip(axes, pt))
-            row["value"] = None if value != value else value
-            row["status"] = status
-            print(json.dumps(row, sort_keys=True))
-    elif args.format == "csv":
-        print(",".join(header))
-        for (_, status, value), pt in zip(raw, points):
-            cells = [_fmt_full(v) for v in pt]
-            cells.append("" if value != value else _fmt_full(value))
-            cells.append(status)
-            print(",".join(cells))
-    else:
-        print("  ".join("%-10s" % h for h in header))
-        for (_, status, value), pt in zip(raw, points):
-            cells = ["%-10s" % _fmt(v, 6) for v in pt]
-            cells.append("%-10s" % ("" if value != value else _fmt(value, 7)))
-            cells.append(status)
-            print("  ".join(cells))
+    def text_row(row: Dict[str, object]) -> str:
+        cells = ["%-10s" % _fmt(row[ax], 6) for ax in axes]
+        cells.append("%-10s" % ("" if row["value"] is None else _fmt(row["value"], 7)))
+        return "  ".join(cells + [row["status"]])
+
+    if args.format == "text":
+        print("  ".join("%-10s" % h for h in rows[0]))
+    _emit(rows, args.format, text_row)
     return 0
 
 
@@ -378,10 +339,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         raise DomainError("coeffs needs an integer --m >= 1")
     depth = 4 if m is None else int(m)
     tri = build_triangle(p, b, depth)
-    print("m,k,A")
-    for m in range(1, depth + 1):
-        for k in range(1, m + 1):
-            print("%d,%d,%s" % (m, k, _fmt_full(tri.entry(m, k))))
+    rows = [{"m": m, "k": k, "A": tri.entry(m, k)} for m in range(1, depth + 1) for k in range(1, m + 1)]
+    _emit(rows, "csv", None)
     return 0
 
 

@@ -173,9 +173,10 @@ def integrate_two_sided(f: Callable[[float], float]) -> EvalResult:
 # Abel-regularized oscillatory route
 
 
-def _ts_rule(h: float = 2.0 ** -4) -> tuple[np.ndarray, np.ndarray]:
-    # tanh-sinh on (-1, 1): absorbs the log singularities that log|sin x|
-    # integrands carry at every panel edge
+def _ts_rule() -> tuple[np.ndarray, np.ndarray]:
+    # tanh-sinh on (-1, 1) with step 1/16: absorbs the log singularities that
+    # log|sin x| integrands carry at every panel edge
+    h = 2.0 ** -4
     j = np.arange(-int(6.1 / h), int(6.1 / h) + 1)
     t = j * h
     u = 0.5 * np.pi * np.sinh(t)
@@ -389,12 +390,12 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
 
 def inverse_factor_direct(b: float, n: int) -> float:
     """sum_{j>=1} 1/(j (b+j)^n) by direct summation, independent of the
-    identity layer: a 100000-term head by a sorted fsum, the rest by
-    Euler-Maclaurin with the integral mapped to a finite interval (u = 1/x)
-    and 16 Gauss nodes."""
+    identity layer: a 100000-term head by math.fsum, which is correctly
+    rounded in any order, the rest by Euler-Maclaurin with the integral
+    mapped to a finite interval (u = 1/x) and 16 Gauss nodes."""
     N = 100_000
     j = np.arange(1, N + 1, dtype=np.float64)
-    head = float(math.fsum(np.sort(1.0 / (j * (b + j) ** n))))
+    head = math.fsum(1.0 / (j * (b + j) ** n))
     x0 = float(N + 1)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     half = 0.5 / x0

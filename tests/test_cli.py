@@ -49,6 +49,37 @@ def test_bad_range_exits_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (("table", "phi", "--a", text, "--b", "1", "--n", "0"), None, "for --a")
+    for text in ("1..x", "3..1", "0:1", "a:b:1", "abc")
+] + [
+    (("table", "sprime", "--r", "1"), {"RAMASERIES_WORKERS": "two"}, "RAMASERIES_WORKERS must be an integer"),
+    (("eval", "integral", "--a", "1"), None, "eval integral requires --form"),
+    (("coeffs", "--p", "1"), None, "coeffs requires --p and --b"),
+])
+def test_malformed_input_exits_2(argv, env, message):
+    # a malformed range or worker count, or a missing required flag
+    r = run_cli(*argv, env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
+
+
+@pytest.mark.parametrize("params", [
+    ("--form", "F9", "--a", "1", "--v", "2", "--w", "5"),
+    ("--form", "F7", "--a", "1", "--w", "2", "--v", "3"),
+    ("--form", "F1", "--a=-0.5", "--b", "0.25", "--alpha", "1", "--n", "3"),
+    ("--form", "F2", "--a", "0.5", "--b", "1", "--n", "1", "--alpha", "2"),
+])
+def test_integral_two_spellings_rejected(params):
+    # --alpha and --n, or --w and --v, give one parameter; the oracle would
+    # read one of the two and drop the other
+    r = run_cli("eval", "integral", *params)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "not both" in r.stderr
+
+
 def test_table_grid_rows():
     r = run_cli("table", "phi", "--a=-0.5", "--b", "0.25:2.25:0.5", "--n", "0..3")
     assert r.returncode == 0

@@ -14,6 +14,7 @@ from ramaseries.quadrature import (
     make_record,
     oracle_value,
 )
+from ramaseries.series_engine import SeriesParams, eval_phi_tilde, eval_psi_general
 from ramaseries.special_fn import DomainError, beta_f
 
 
@@ -52,6 +53,27 @@ def test_substitution_consistency_f1_f2():
                 v1 = oracle_value(IntegralSpec("F1", sp)).value
                 v2 = oracle_value(IntegralSpec("F2", sp)).value
                 assert v1 == pytest.approx((-1.0) ** n * v2, rel=1e-9), (a, b, n)
+
+
+@pytest.mark.parametrize("form, a, b, beta, alpha, rel", [
+    ("F5", 0.5, 1.0, 1.0, 0.0, 1e-14),
+    ("F5", 2.0, 0.5, 1.0, 1.0, 1e-14),
+    ("F5", -0.5, 1.5, 1.0, 1.5, 1e-14),
+    ("F5", 1.5, 2.0, 1.0, 2.0, 1e-14),
+    ("F6", 0.5, 1.0, 0.5, 0.0, 1e-12),
+    ("F6", -1.5, 0.5, -0.7, 1.0, 1e-12),
+])
+def test_decay_forms_with_weight_one_plus_beta(form, a, b, beta, alpha, rel):
+    # int x^alpha e^(-bx) (1 + beta e^(-x))^a dx = Gamma(alpha+1) S(a, b, beta, alpha);
+    # F5 fixes beta = 1, the positive-weight series
+    params = {"a": a, "b": b, "alpha": alpha}
+    if form == "F5":
+        series = eval_phi_tilde(a, b, alpha)
+    else:
+        params["beta"] = beta
+        series = eval_psi_general(SeriesParams(a=a, b=b, beta=beta, alpha=alpha))
+    got = oracle_value(IntegralSpec(form, params)).value
+    assert got == pytest.approx(math.gamma(alpha + 1.0) * series.value, rel=rel)
 
 
 ABEL_CLOSED = [

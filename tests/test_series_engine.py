@@ -532,3 +532,14 @@ def test_terms_past_double_range_in_logs():
     with mp.workdps(30):
         ref = mp.fsum(mp.rf(200.5, i) / mp.factorial(i) / mp.mpf(1 + i) ** 201 for i in range(400))
     assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12
+
+
+@pytest.mark.parametrize("args, exc, message", [
+    ((0.5, 1.0, 0.5), DomainError, "n must be a non-negative integer"),
+    ((-1.5, 1.0, 0), DivergenceError, "derivative series diverges"),
+    ((-2.5, 1.0, 1), DivergenceError, "derivative series diverges"),
+])
+def test_derivative_input_checks(args, exc, message):
+    # a fractional order, and a + n <= -1 where the derivative series diverges
+    with pytest.raises(exc, match=message):
+        eval_phi_da_direct(*args)

@@ -11,6 +11,7 @@ from ramaseries.special_fn import (
     DivergenceError,
     DomainError,
     _em_damped,
+    _lerch,
     _em_zeta,
     beta_f,
     digamma,
@@ -107,6 +108,17 @@ def test_lerch_vs_reference():
         for beta, s, b in ((0.7, 1.5, 0.25), (-0.9, 0.5, 2.0), (0.3, 3.0, 1.75)):
             ref = float(mp.lerchphi(beta, s, b))
             assert lerch_phi(beta, s, b) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, s, b", [(0.5, -1.0, 1.0), (-0.7, -2.5, 0.5), (0.9, -0.5, 2.0),
+                                        (-0.3, -3.0, 0.1)])
+def test_lerch_negative_s_bound_holds(beta, s, b):
+    # at s < 0 the power factor (b+j)^-s grows, and the tail bound's term
+    # ratio takes it into account
+    mp = pytest.importorskip("mpmath")
+    value, bound, _ = _lerch(beta, s, b)
+    with mp.workdps(40):
+        assert abs(value - mp.lerchphi(beta, s, b)) <= bound
 
 
 @given(

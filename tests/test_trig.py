@@ -95,3 +95,35 @@ def test_trig_domain():
         trig_cos(1, 2.0, -1.0)
     with pytest.raises(DomainError):
         log_sin_integral(1, 3.0, 0.5)  # integer orders only
+
+
+def _abel_reference(mp, a, w, alpha, family):
+    """int_0^inf x^alpha sin^a(x) or cos^a(x) times cos(wx) and sin(wx), by
+    product-to-sum into exponentials e^(ikx), each with its Abel value
+    Gamma(alpha+1) |k|^-(alpha+1) e^(i sign(k) pi (alpha+1)/2)."""
+    def abel(k):
+        return mp.gamma(alpha + 1) * abs(k) ** -(alpha + 1) * mp.expjpi(mp.sign(k) * (alpha + 1) / 2)
+
+    cos_part = sin_part = 0
+    for j in range(a + 1):
+        # sin^a x = (2i)^-a sum_j C(a,j) (-1)^j e^(i(a-2j)x), cos^a x = 2^-a sum_j C(a,j) e^(i(a-2j)x)
+        c = mp.binomial(a, j) * ((-1) ** j / mp.mpc(0, 2) ** a if family == "sin" else mp.mpf(2) ** -a)
+        up, down = abel(w + a - 2 * j), abel(-w + a - 2 * j)
+        cos_part += c * (up + down) / 2
+        sin_part += c * (up - down) / mp.mpc(0, 2)
+    return float(mp.re(cos_part)), float(mp.re(sin_part))
+
+
+@pytest.mark.parametrize("fn, family, args", [
+    (trig_lambda, "sin", (1, 2.0, 0.5)),
+    (trig_cos, "cos", (2, 3.5, 1.5)),
+])
+def test_fractional_alpha_vs_abel_reference(fn, family, args):
+    # a fractional alpha takes the phase through sin and cos, not the exact
+    # quarter-period table
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want_c, want_s = _abel_reference(mp, *args, family)
+    got = fn(*args)
+    assert got.lambda_c == pytest.approx(want_c, rel=1e-13)
+    assert got.lambda_s == pytest.approx(want_s, rel=1e-13)
