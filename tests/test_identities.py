@@ -286,25 +286,25 @@ def test_single_pole_reduction_values():
             )
 
 
-@pytest.mark.parametrize("call, args, exc, message", [
-    (sigma, (0.5, 1.0, 0), DomainError, "order k must be a positive integer"),
-    (sigma, (0.5, 1.0, 1.5), DomainError, "order k must be a positive integer"),
-    (sigma, (0.5, 0.0, 1), DomainError, "need b > 0 and a \\+ b \\+ 1 > 0"),
-    (sigma, (-3.0, 1.0, 2), DomainError, "need b > 0 and a \\+ b \\+ 1 > 0"),
-    (master_shift, (0.5, 1.0, 0.5, 0.5, -1), DomainError, "depth m must be a non-negative integer"),
-    (master_shift, (0.5, 1.0, 0.5, 0.5, 1.5), DomainError, "depth m must be a non-negative integer"),
-    (master_shift, (0.5, 1.0, 1.5, 0.5, 1), DomainError, "need b > 0 and \\|beta\\| <= 1"),
-    (eta_reduction, (0.0, 1.0), DomainError, "need b > 0"),
-    (eta_reduction, (1.0, 0.0), DomainError, "unless alpha > 0"),
-    (phi_da_closed, (0.5, 1.0, -1), DomainError, "order n must be a non-negative integer"),
-    (phi_da_closed, (0.5, 1.0, 0.5), DomainError, "order n must be a non-negative integer"),
-    (phi_da_closed, (-1.0, 1.0, 0), DomainError, "need b > 0 and a > -1"),
-    (phi_da_closed, (0.5, 0.0, 0), DomainError, "need b > 0 and a > -1"),
-    (harmonic_weighted_sum, (0.5, 1.0, 0), DomainError, "order n must be a positive integer"),
-    (harmonic_weighted_sum, (0.5, 1.0, 1.5), DomainError, "order n must be a positive integer"),
-    (inverse_factor_sum, (1.0, 0), DomainError, "order n must be a positive integer"),
-    (inverse_factor_sum, (0.0, 2), DomainError, "need b > 0"),
+@pytest.mark.parametrize("call, args, message", [
+    (sigma, (0.5, 1.0, 0), "order k must be a positive integer"),
+    (sigma, (0.5, 1.0, 1.5), "order k must be a positive integer"),
+    (sigma, (0.5, 0.0, 1), "need b > 0 and a \\+ b \\+ 1 > 0"),
+    (sigma, (-3.0, 1.0, 2), "need b > 0 and a \\+ b \\+ 1 > 0"),
+    (master_shift, (0.5, 1.0, 0.5, 0.5, -1), "depth m must be a non-negative integer"),
+    (master_shift, (0.5, 1.0, 0.5, 0.5, 1.5), "depth m must be a non-negative integer"),
+    (master_shift, (0.5, 1.0, 1.5, 0.5, 1), "need b > 0 and \\|beta\\| <= 1"),
+    (eta_reduction, (0.0, 1.0), "need b > 0"),
+    (eta_reduction, (1.0, 0.0), "unless alpha > 0"),
+    (phi_da_closed, (0.5, 1.0, -1), "order n must be a non-negative integer"),
+    (phi_da_closed, (0.5, 1.0, 0.5), "order n must be a non-negative integer"),
+    (phi_da_closed, (-1.0, 1.0, 0), "need b > 0 and a > -1"),
+    (phi_da_closed, (0.5, 0.0, 0), "need b > 0 and a > -1"),
+    (harmonic_weighted_sum, (0.5, 1.0, 0), "order n must be a positive integer"),
+    (harmonic_weighted_sum, (0.5, 1.0, 1.5), "order n must be a positive integer"),
+    (inverse_factor_sum, (1.0, 0), "order n must be a positive integer"),
+    (inverse_factor_sum, (0.0, 2), "need b > 0"),
 ])
-def test_identity_input_checks(call, args, exc, message):
-    with pytest.raises(exc, match=message):
+def test_identity_input_checks(call, args, message):
+    with pytest.raises(DomainError, match=message):
         call(*args)
