@@ -192,7 +192,7 @@ def _panel_grid(n_panels: int, xi: np.ndarray, wi: np.ndarray) -> tuple[np.ndarr
     mid = (k + 0.5) * np.pi
     half = 0.5 * np.pi
     x = (mid + half * xi[None, :]).ravel()
-    w = np.broadcast_to(half * wi[None, :], (n_panels, xi.size)).ravel().copy()
+    w = np.tile(half * wi, n_panels)
     return x, w
 
 
@@ -204,6 +204,33 @@ def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
     return float(T[-1])
 
 
+# the damping schedule and the panel grid are the same on every call
+_ABEL_EPS = 0.2 * 0.5 ** np.arange(7)
+_ABEL_X_MAX = 40.0 / float(_ABEL_EPS.min())
+_ABEL_PANELS = int(np.ceil(_ABEL_X_MAX / np.pi))
+# tanh-sinh integrands are evaluated and damped this many nodes at a time
+_ABEL_SLICE = 1 << 15
+# log_singular -> (x, w, damping vectors); read-only, built on first use
+_ABEL_GRIDS: dict[bool, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = {}
+
+
+def _abel_grid(log_singular: bool) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The panel grid of one rule, with exp(-eps x) per eps for the Gauss rule only.
+
+    The tanh-sinh grid has four times the nodes, so keeping its seven
+    damping vectors would cost 23 MB; abel_oscillatory damps it slice by slice.
+    """
+    got = _ABEL_GRIDS.get(log_singular)
+    if got is None:
+        rule = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
+        x, w = _panel_grid(_ABEL_PANELS, *rule)
+        damp = () if log_singular else tuple(np.exp(-e * x) for e in _ABEL_EPS)
+        for arr in (x, w, *damp):
+            arr.flags.writeable = False
+        got = _ABEL_GRIDS[log_singular] = (x, w, damp)
+    return got
+
+
 def abel_oscillatory(f: Callable[[np.ndarray], np.ndarray], *,
                      log_singular: bool = False) -> EvalResult:
     """Regularized value of int_0^inf f(x) dx for trig-product integrands.
@@ -213,24 +240,41 @@ def abel_oscillatory(f: Callable[[np.ndarray], np.ndarray], *,
     (tanh-sinh panels when f carries log|sin| factors), then extrapolates
     eps to 0.  The reported bound is the difference of the last two
     extrapolants plus the analytic truncation tail.
+
+    f must be elementwise: the tanh-sinh path calls it on consecutive
+    slices of the grid, never on the whole.  Both grids, and the Gauss
+    grid's damping vectors, are built once per process and are read-only,
+    so f must not write into its argument.
     """
-    eps = 0.2 * 0.5 ** np.arange(7)
-    x_max = 40.0 / float(eps.min())
-    n_panels = int(np.ceil(x_max / np.pi))
-    rule = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
-    x, w = _panel_grid(n_panels, *rule)
-    fw = np.asarray(f(x), dtype=float) * w
-    F = np.array([np.sum(fw * np.exp(-e * x)) for e in eps])
-    val = _neville_to_zero(eps, F)
-    val_prev = _neville_to_zero(eps[:-1], F[:-1])
+    x, w, damp = _abel_grid(log_singular)
+    if damp:
+        fw = np.asarray(f(x), dtype=float) * w
+        F = [np.sum(fw * d) for d in damp]
+    else:
+        # slices hold the peak to four grid-sized arrays (x, w, fw, buf), not
+        # seven; each F(eps) is still one whole-array sum, so no bit depends
+        # on the slice length
+        slices = [slice(lo, lo + _ABEL_SLICE) for lo in range(0, x.size, _ABEL_SLICE)]
+        fw = np.empty_like(x)
+        buf = np.empty_like(x)
+        for sl in slices:
+            fw[sl] = np.asarray(f(x[sl]), dtype=float) * w[sl]
+        F = []
+        for e in _ABEL_EPS:
+            for sl in slices:
+                np.multiply(fw[sl], np.exp(-e * x[sl]), out=buf[sl])
+            F.append(np.sum(buf))
+    F = np.array(F)
+    val = _neville_to_zero(_ABEL_EPS, F)
+    val_prev = _neville_to_zero(_ABEL_EPS[:-1], F[:-1])
     est = abs(val - val_prev)
     if not math.isfinite(val) or est > 0.05 * (1.0 + abs(val)):
         raise ExtrapolationError(f"Abel extrapolants unstable (spread {est:.3g})")
-    tail = math.exp(-40.0) * (1.0 + x_max) ** 2
+    tail = math.exp(-40.0) * (1.0 + _ABEL_X_MAX) ** 2
     return EvalResult(
         value=val,
         abs_error_bound=est + tail,
-        terms_used=int(x.size * len(eps)),
+        terms_used=int(x.size * len(_ABEL_EPS)),
         method="oracle",
     )
 
@@ -392,7 +436,14 @@ def inverse_factor_direct(b: float, n: int) -> float:
     """sum_{j>=1} 1/(j (b+j)^n) by direct summation, independent of the
     identity layer: a 100000-term head by math.fsum, which is correctly
     rounded in any order, the rest by Euler-Maclaurin with the integral
-    mapped to a finite interval (u = 1/x) and 16 Gauss nodes."""
+    mapped to a finite interval (u = 1/x) and 16 Gauss nodes.  It takes the
+    domain of ``identities.inverse_factor_sum``: finite b > 0 and a positive
+    integer n; the series diverges at n <= 0."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise DomainError("order n must be a positive integer")
+    if not 0.0 < b < math.inf:
+        raise DomainError("need finite b > 0")
+    n = int(n)
     N = 100_000
     j = np.arange(1, N + 1, dtype=np.float64)
     head = math.fsum(1.0 / (j * (b + j) ** n))
