@@ -56,13 +56,18 @@ class TrigResult:
     lambda_s: float
 
 
+def _whole(n: float, least: int) -> bool:
+    """n is an integer >= least; NaN and the infinities are not."""
+    return n >= least and n != math.inf and n == int(n)
+
+
 def _sigma(a: float, b: float, k: int) -> Tuple[float, float]:
     """sigma as (value, error bound). x = a + b + 1 rounds by at most
     d = _EPS (|a| + b + 1), which moves psi(x) by <= (1/x + 1/x^2) d and
     zeta(k, x) by <= k zeta(k, x) d / x; digamma is off by at most
     5 _EPS (1/x + 4 + |ln x|) (3.7 against mpmath on [0.003, 316], the
     verify series grid inside); each zeta carries the kernel's bound."""
-    if k < 1 or k != int(k):
+    if not _whole(k, 1):
         raise DomainError("order k must be a positive integer")
     if b <= 0.0 or a + b + 1.0 <= 0.0:
         raise DomainError("need b > 0 and a + b + 1 > 0")
@@ -100,7 +105,7 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
     [0.003, 40]), 2 for the product and quotient, and |y psi(y)| <=
     1 + y (1 + |ln y|) times the rounding of y = a + 1 and a + b + 1.
     """
-    if n < 0 or n != int(n):
+    if not _whole(n, 0):
         raise DomainError("order n must be a non-negative integer")
     n = int(n)
     if b <= 0.0 or a <= -1.0 or a + b + 1.0 <= 0.0:
@@ -149,7 +154,7 @@ def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> Verifica
     where S is the general weighted series.  beta = -1 and +1 give the
     alternating and positive families; |beta| < 1 the geometric one.
     """
-    if m < 0 or m != int(m):
+    if not _whole(m, 0):
         raise DomainError("depth m must be a non-negative integer")
     m = int(m)
     if b <= 0.0 or abs(beta) > 1.0:
@@ -202,7 +207,7 @@ def phi_da_closed(a: float, b: float, n: int) -> float:
         + sum_{k=1}^n zeta(k+1, a+b+1) * value_{n-k}
     with the value_j taken from the recursion route.
     """
-    if n < 0 or n != int(n):
+    if not _whole(n, 0):
         raise DomainError("order n must be a non-negative integer")
     n = int(n)
     if b <= 0.0 or a <= -1.0:
@@ -221,7 +226,7 @@ def harmonic_weighted_sum(a: float, b: float, n: int) -> float:
     terminate at positive integer a: the weight poles cancel the binomial
     zeros and leave finite terms beyond i = a.
     """
-    if n < 1 or n != int(n):
+    if not _whole(n, 1):
         raise DomainError("order n must be a positive integer")
     return b ** (-float(n)) + phi_da_closed(a, b, int(n) - 1)
 
@@ -232,7 +237,7 @@ def inverse_factor_sum(b: float, n: int) -> float:
     The series is positive, so the derivative value it equals must be
     negated; the printed source form omits the sign (see errata).
     """
-    if n < 1 or n != int(n):
+    if not _whole(n, 1):
         raise DomainError("order n must be a positive integer")
     if b <= 0.0:
         raise DomainError("need b > 0")

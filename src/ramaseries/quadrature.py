@@ -7,7 +7,12 @@ Independent routes:
   substitutions,
 * regularized (Abel) evaluation for conditionally convergent oscillatory
   integrals: damp by exp(-eps x), integrate over pi-length panels, then
-  extrapolate eps -> 0,
+  extrapolate eps -> 0. One grid pass gives every part of an integrand,
+  so the cos(wx) and sin(wx) parts of one integral share it. Each rule
+  keeps its one-panel rule, and the Gauss rule its whole grid with the
+  damping vectors; the tanh-sinh nodes are generated a slice at a time,
+* an oracle memo (oracle_memo) that a verification pass holds open, so
+  records that share an integral or an inverse-factor sum evaluate it once,
 * closed-form dispatch table mapping tagged integral forms to the routes,
 * direct summation of the inverse-factor series sum_j 1/(j (b+j)^n).
 
@@ -19,9 +24,10 @@ integrand at t = 1-d as a function of the small distance d.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -186,14 +192,10 @@ def _ts_rule() -> tuple[np.ndarray, np.ndarray]:
     return xi[keep], wi[keep]
 
 
-def _panel_grid(n_panels: int, xi: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reference rule (xi, wi) on (-1, 1) mapped onto each pi-length panel of (0, n_panels pi)."""
-    k = np.arange(n_panels)[:, None]
-    mid = (k + 0.5) * np.pi
-    half = 0.5 * np.pi
-    x = (mid + half * xi[None, :]).ravel()
-    w = np.tile(half * wi, n_panels)
-    return x, w
+def _panel_x(k0: int, k1: int, hx: np.ndarray) -> np.ndarray:
+    """Nodes of the pi-length panels k0 .. k1-1, from the one-panel offsets hx."""
+    k = np.arange(k0, k1)[:, None]
+    return ((k + 0.5) * np.pi + hx[None, :]).ravel()
 
 
 def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
@@ -204,79 +206,114 @@ def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
     return float(T[-1])
 
 
-# the damping schedule and the panel grid are the same on every call
+# the damping schedule and the panel count are the same on every call
 _ABEL_EPS = 0.2 * 0.5 ** np.arange(7)
 _ABEL_X_MAX = 40.0 / float(_ABEL_EPS.min())
 _ABEL_PANELS = int(np.ceil(_ABEL_X_MAX / np.pi))
-# tanh-sinh integrands are evaluated and damped this many nodes at a time
-_ABEL_SLICE = 1 << 15
-# log_singular -> (x, w, damping vectors); read-only, built on first use
-_ABEL_GRIDS: dict[bool, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = {}
+# tanh-sinh integrands are evaluated and damped about this many nodes (whole panels) at a time
+_ABEL_SLICE = 1 << 14
+# log_singular -> the rule's one-panel offsets and weights, (pi/2) xi and (pi/2) wi;
+# the Gauss entry adds the whole grid's nodes and weights and its exp(-eps x)
+# per eps; read-only, built on first use
+_ABEL_GRIDS: dict[bool, tuple[np.ndarray, ...]] = {}
 
 
-def _abel_grid(log_singular: bool) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The panel grid of one rule, with exp(-eps x) per eps for the Gauss rule only.
+def _abel_grid(log_singular: bool) -> tuple[np.ndarray, ...]:
+    """(hx, hw) for the tanh-sinh rule; (hx, hw, x, w, *damping) for the Gauss rule.
 
-    The tanh-sinh grid has four times the nodes, so keeping its seven
-    damping vectors would cost 23 MB; abel_oscillatory damps it slice by slice.
+    The tanh-sinh grid has four times the nodes, so abel_oscillatory
+    generates its nodes slice by slice instead of keeping 6.6 MB of grid
+    and 23 MB of damping vectors.
     """
     got = _ABEL_GRIDS.get(log_singular)
     if got is None:
-        rule = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
-        x, w = _panel_grid(_ABEL_PANELS, *rule)
-        damp = () if log_singular else tuple(np.exp(-e * x) for e in _ABEL_EPS)
-        for arr in (x, w, *damp):
+        xi, wi = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
+        got = (0.5 * np.pi * xi, 0.5 * np.pi * wi)
+        if not log_singular:
+            x = _panel_x(0, _ABEL_PANELS, got[0])
+            got += (x, np.tile(got[1], _ABEL_PANELS), *(np.exp(-e * x) for e in _ABEL_EPS))
+        for arr in got:
             arr.flags.writeable = False
-        got = _ABEL_GRIDS[log_singular] = (x, w, damp)
+        _ABEL_GRIDS[log_singular] = got
     return got
 
 
-def abel_oscillatory(f: Callable[[np.ndarray], np.ndarray], *,
-                     log_singular: bool = False) -> EvalResult:
-    """Regularized value of int_0^inf f(x) dx for trig-product integrands.
-
-    Computes F(eps) = int f(x) e^(-eps x) dx for eps = 0.2 * 0.5^k, k < 7,
-    on a shared panel grid covering (0, 40/eps_min), pi-length Gauss panels
-    (tanh-sinh panels when f carries log|sin| factors), then extrapolates
-    eps to 0.  The reported bound is the difference of the last two
-    extrapolants plus the analytic truncation tail.
-
-    f must be elementwise: the tanh-sinh path calls it on consecutive
-    slices of the grid, never on the whole.  Both grids, and the Gauss
-    grid's damping vectors, are built once per process and are read-only,
-    so f must not write into its argument.
-    """
-    x, w, damp = _abel_grid(log_singular)
-    if damp:
-        fw = np.asarray(f(x), dtype=float) * w
-        F = [np.sum(fw * d) for d in damp]
-    else:
-        # slices hold the peak to four grid-sized arrays (x, w, fw, buf), not
-        # seven; each F(eps) is still one whole-array sum, so no bit depends
-        # on the slice length
-        slices = [slice(lo, lo + _ABEL_SLICE) for lo in range(0, x.size, _ABEL_SLICE)]
-        fw = np.empty_like(x)
-        buf = np.empty_like(x)
-        for sl in slices:
-            fw[sl] = np.asarray(f(x[sl]), dtype=float) * w[sl]
-        F = []
-        for e in _ABEL_EPS:
-            for sl in slices:
-                np.multiply(fw[sl], np.exp(-e * x[sl]), out=buf[sl])
-            F.append(np.sum(buf))
+def _abel_result(F: Sequence[float], nodes: int) -> EvalResult | ExtrapolationError:
     F = np.array(F)
     val = _neville_to_zero(_ABEL_EPS, F)
     val_prev = _neville_to_zero(_ABEL_EPS[:-1], F[:-1])
     est = abs(val - val_prev)
     if not math.isfinite(val) or est > 0.05 * (1.0 + abs(val)):
-        raise ExtrapolationError(f"Abel extrapolants unstable (spread {est:.3g})")
+        return ExtrapolationError(f"Abel extrapolants unstable (spread {est:.3g})")
     tail = math.exp(-40.0) * (1.0 + _ABEL_X_MAX) ** 2
     return EvalResult(
         value=val,
         abs_error_bound=est + tail,
-        terms_used=int(x.size * len(_ABEL_EPS)),
+        terms_used=int(nodes * len(_ABEL_EPS)),
         method="oracle",
     )
+
+
+def _parts(f: Callable, x: np.ndarray) -> tuple:
+    parts = f(x)
+    # iterating a bare array would take each of its values for a part
+    if not isinstance(parts, tuple):
+        raise TypeError("the integrand must return a tuple of parts")
+    return parts
+
+
+def abel_oscillatory(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], *,
+                     log_singular: bool = False) -> tuple[EvalResult | ExtrapolationError, ...]:
+    """Regularized values of int_0^inf f_p(x) dx for the parts f_p of trig-product integrands.
+
+    f returns a tuple of parts, the integrands at x; the result has one
+    EvalResult per part. Parts that share factors (the cos(wx) and sin(wx)
+    parts of one integral) thus share their evaluation, and every part is
+    damped by the same exp(-eps x). A part whose extrapolants do not settle
+    gets an ExtrapolationError in its place, not raised, so that its
+    siblings stay usable: sin(x) cos(x) has a value where sin(x)^2 has none.
+
+    Computes F(eps) = int f_p(x) e^(-eps x) dx for eps = 0.2 * 0.5^k,
+    k < 7, on a shared panel grid covering (0, 40/eps_min), pi-length Gauss
+    panels (tanh-sinh panels when f carries log|sin| factors), then
+    extrapolates eps to 0. The reported bound is the difference of the
+    last two extrapolants plus the analytic truncation tail.
+
+    f must be elementwise: the tanh-sinh path calls it on consecutive
+    slices of the grid, never on the whole. Each rule's one-panel rule,
+    and the whole Gauss grid with its damping vectors, are built once per
+    process; the tanh-sinh nodes are generated slice by slice, with the
+    same bits as a whole grid. Every array f receives is read-only, so f
+    must not write into its argument.
+    """
+    hx, hw, *gauss = _abel_grid(log_singular)
+    if gauss:
+        x, w, *damp = gauss
+        fws = [np.asarray(p, dtype=float) * w for p in _parts(f, x)]
+        return tuple(_abel_result([np.sum(fw * d) for d in damp], x.size) for fw in fws)
+    # a weighted and a damped integrand per part, each grid-sized: for two
+    # parts the peak is four grid arrays, and each F(eps) is still one
+    # whole-array sum per part, so no bit depends on the slice length
+    m = hx.size
+    n = _ABEL_PANELS * m
+    step = max(1, _ABEL_SLICE // m)
+    cuts = [(k0, min(k0 + step, _ABEL_PANELS)) for k0 in range(0, _ABEL_PANELS, step)]
+    fws = None
+    for k0, k1 in cuts:
+        x = _panel_x(k0, k1, hx)
+        x.flags.writeable = False
+        parts = np.asarray(_parts(f, x), dtype=float)
+        if fws is None:
+            fws = np.empty((len(parts), n))
+        np.multiply(parts, np.tile(hw, k1 - k0), out=fws[:, k0 * m:k1 * m])
+    bufs = np.empty_like(fws)
+    F = []
+    for e in _ABEL_EPS:
+        for k0, k1 in cuts:
+            d = np.exp(-e * _panel_x(k0, k1, hx))
+            np.multiply(fws[:, k0 * m:k1 * m], d, out=bufs[:, k0 * m:k1 * m])
+        F.append([np.sum(buf) for buf in bufs])
+    return tuple(_abel_result(Fp, n) for Fp in zip(*F))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +338,37 @@ class IntegralSpec:
     params: dict
 
 
-_TRIG_FORMS = {"F7", "F8", "F9", "F10", "F11"}
+# oscillatory form -> the factor it raises to the power a ("log": sin, with log|sin|)
+_TRIG_FORMS = {"F7": "sin", "F8": "sin", "F9": "cos", "F10": "cos", "F11": "log"}
+
+# the open oracle memo: integral or inverse-factor key -> its value
+_MEMO: Optional[dict] = None
+
+
+@contextlib.contextmanager
+def oracle_memo():
+    """Within the block, share each Abel integral and each inverse_factor_direct(b, n).
+
+    An oscillatory integral is evaluated once for both its parts, and an
+    inverse-factor sum once per (b, n); later calls read the memo. The
+    block starts with an empty memo and drops it on exit, so no value
+    outlives it. Outside every block each call evaluates afresh.
+    """
+    global _MEMO
+    outer, _MEMO = _MEMO, {}
+    try:
+        yield
+    finally:
+        _MEMO = outer
+
+
+def _memoized(key: tuple, compute: Callable[[], object]):
+    if _MEMO is None:
+        return compute()
+    got = _MEMO.get(key)
+    if got is None:
+        got = _MEMO[key] = compute()
+    return got
 
 
 def _series_params(spec: IntegralSpec, want_beta: Optional[float]) -> SeriesParams:
@@ -329,11 +396,40 @@ def _trig_params(spec: IntegralSpec) -> tuple[int, float, int, str]:
     return int(a), w, int(alpha), part
 
 
+def _trig_integral(base: str, a: int, w: float, alpha: int) -> tuple:
+    """The (cos(wx), sin(wx)) parts of one oscillatory integral: sin^a x
+    (F7, F8), cos^a x (F9, F10) or sin^a x with log|sin x| and its winding
+    (F11), times x^alpha. The parts share every other factor."""
+    if base != "log":
+        trig = np.sin if base == "sin" else np.cos
+
+        def g(x):
+            common = x ** alpha * trig(x) ** a
+            wx = w * x
+            return common * np.cos(wx), common * np.sin(wx)
+
+        return abel_oscillatory(g)
+
+    def g11(x):
+        s = np.sin(x)
+        common = x ** alpha * s ** a
+        logs = np.log(np.abs(s))
+        winding = np.pi * np.floor(x / np.pi)
+        wx = w * x
+        cw, sw = np.cos(wx), np.sin(wx)
+        return common * (logs * cw + winding * sw), common * (logs * sw - winding * cw)
+
+    return abel_oscillatory(g11, log_singular=True)
+
+
 def oracle_value(spec: IntegralSpec) -> EvalResult:
     """Evaluate the tagged integral by the appropriate independent route.
 
-    An integrand past double range (a log power log(d)^n near an endpoint,
-    say) raises DomainError, as the series routes do.
+    An oscillatory form (F7-F11) evaluates both parts of its integral in
+    one grid pass and returns its own part; inside oracle_memo the other
+    part is kept for the call that asks for it. An integrand past double
+    range (a log power log(d)^n near an endpoint, say) raises DomainError,
+    as the series routes do.
     """
     try:
         return _oracle(spec)
@@ -395,24 +491,15 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
         return integrate_decay(f3, b)
     if form in _TRIG_FORMS:
         a, w, alpha, part = _trig_params(spec)
-        if form != "F11":
-            # F7/F8: sin^a x times cos/sin(wx); F9/F10: cos^a x times cos/sin(wx)
-            base = np.sin if form in ("F7", "F8") else np.cos
-            osc = np.cos if form in ("F7", "F9") else np.sin
-            return abel_oscillatory(lambda x: x ** alpha * base(x) ** a * osc(w * x))
-        if part not in ("c", "s"):
+        if form == "F11" and part not in ("c", "s"):
             raise DomainError("F11 needs part 'c' or 's'")
-        winding = lambda x: np.pi * np.floor(x / np.pi)
-        logs = lambda x: np.log(np.abs(np.sin(x)))
-        if part == "c":
-            g = lambda x: x ** alpha * np.sin(x) ** a * (
-                logs(x) * np.cos(w * x) + winding(x) * np.sin(w * x)
-            )
-        else:
-            g = lambda x: x ** alpha * np.sin(x) ** a * (
-                logs(x) * np.sin(w * x) - winding(x) * np.cos(w * x)
-            )
-        return abel_oscillatory(g, log_singular=True)
+        base = _TRIG_FORMS[form]
+        pair = _memoized((base, a, w, alpha), lambda: _trig_integral(base, a, w, alpha))
+        # F7/F9 are the cos parts, F8/F10 the sin parts
+        got = pair[part == "s" if form == "F11" else form in ("F8", "F10")]
+        if isinstance(got, ExtrapolationError):
+            raise ExtrapolationError(*got.args)
+        return got
     if form == "F12":
         p = spec.params
         b = float(p["b"])
@@ -444,6 +531,10 @@ def inverse_factor_direct(b: float, n: int) -> float:
     if not 0.0 < b < math.inf:
         raise DomainError("need finite b > 0")
     n = int(n)
+    return _memoized(("invsum", b, n), lambda: _inverse_factor(b, n))
+
+
+def _inverse_factor(b: float, n: int) -> float:
     N = 100_000
     j = np.arange(1, N + 1, dtype=np.float64)
     head = math.fsum(1.0 / (j * (b + j) ** n))

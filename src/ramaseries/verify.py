@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import errata as errata_mod
 from . import identities
 from .quadrature import (IntegralSpec, VerificationRecord, inverse_factor_direct, make_record,
-                         oracle_value)
+                         oracle_memo, oracle_value)
 from .series_engine import SeriesParams, eval_phi, eval_phi_da_direct, eval_psi_general
 from .special_fn import (
     DomainError,
@@ -217,13 +217,38 @@ def build_suite(name: str, tol: Optional[float] = None) -> List[Task]:
     return [(i, op, args, tol) for i, (op, args) in enumerate(entries)]
 
 
-def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:
+def _units(tasks: Sequence[tuple], key: Optional[Callable], size: int = 4) -> List[list]:
+    """The tasks packed into units of `size` or a little more (the last may be
+    short), in order of their first appearance; tasks whose key is equal and
+    not None share a unit."""
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        k = key(task) if key is not None else None
+        groups.setdefault((0, i) if k is None else (1, k), []).append(task)
+    units: List[list] = []
+    for group in groups.values():
+        if not units or len(units[-1]) >= size:
+            units.append([])
+        units[-1].extend(group)
+    return units
+
+
+def _map_unit(job: tuple) -> list:
+    fn, unit = job
+    return [fn(task) for task in unit]
+
+
+def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
+                key: Optional[Callable] = None) -> list:
     """fn over tasks, serially or in a process pool; results sorted by ordinal.
 
     Each task and each result carries its ordinal first, so the output order
     does not depend on the worker count. The pool has at most one process a
     task and one a CPU this process may run on: a forking pool starts all
     its processes at once, so a large count would fork the host out of them.
+    It takes the tasks in units of about four, and tasks with the same
+    key(task), other than None, in one unit, so work they share stays in
+    one process.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(tasks), cpus)
@@ -231,14 +256,32 @@ def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:
         results = [fn(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, tasks, chunksize=4))
+            parts = pool.map(_map_unit, [(fn, unit) for unit in _units(tasks, key)])
+            results = [r for part in parts for r in part]
     results.sort(key=lambda r: r[0])
     return results
 
 
+def _shared_oracle(task: Task) -> Optional[tuple]:
+    """Tasks with one key read one oracle evaluation: the two parts of a
+    trig or log-sin integral, and the two inverse-factor records of a (b, n)."""
+    _, op, args, _ = task
+    if op in ("trig-sin", "trig-cos", "logsin"):
+        return (op, *args[:3])
+    if op in ("invsum", "invsum-expansion"):
+        return ("invsum", *args)
+    return None
+
+
 def execute(tasks: Sequence[Task], workers: int = 1) -> List[VerificationRecord]:
-    """Run tasks, serially or in a process pool; order follows the ordinals."""
-    return [rec for _, rec in ordered_map(_run_task, tasks, workers)]
+    """Run tasks, serially or in a process pool; order follows the ordinals.
+
+    The run holds an oracle memo (quadrature.oracle_memo), so tasks that
+    share an oracle evaluate it once. It starts empty and ends with the run;
+    a forked pool's processes inherit it empty, and each fills its own.
+    """
+    with oracle_memo():
+        return [rec for _, rec in ordered_map(_run_task, tasks, workers, _shared_oracle)]
 
 
 def run_suite(name: str, tol: Optional[float] = None,

@@ -304,6 +304,15 @@ def test_single_pole_reduction_values():
     (harmonic_weighted_sum, (0.5, 1.0, 1.5), "order n must be a positive integer"),
     (inverse_factor_sum, (1.0, 0), "order n must be a positive integer"),
     (inverse_factor_sum, (0.0, 2), "need b > 0"),
+    # a NaN or infinite order is no integer either
+    *[(call, args, message) for bad in (math.nan, math.inf, -math.inf) for call, args, message in (
+        (sigma, (0.5, 1.0, bad), "order k must be a positive integer"),
+        (ramanujan_phi, (0.5, 1.0, bad), "order n must be a non-negative integer"),
+        (master_shift, (0.5, 1.0, 0.5, 0.5, bad), "depth m must be a non-negative integer"),
+        (phi_da_closed, (0.5, 1.0, bad), "order n must be a non-negative integer"),
+        (harmonic_weighted_sum, (0.5, 1.0, bad), "order n must be a positive integer"),
+        (inverse_factor_sum, (1.0, bad), "order n must be a positive integer"),
+    )],
 ])
 def test_identity_input_checks(call, args, message):
     with pytest.raises(DomainError, match=message):

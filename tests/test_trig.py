@@ -58,7 +58,7 @@ def test_cos_family_vs_oscillatory_oracle():
 
 def test_abel_regularization_sanity():
     # int_0^inf sin(x)/x dx = pi/2 under damping, a classical control case
-    val = abel_oscillatory(lambda x: np.sin(x) / x)
+    (val,) = abel_oscillatory(lambda x: (np.sin(x) / x,))
     assert val.value == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
