@@ -385,28 +385,19 @@ def _series_params(spec: IntegralSpec, want_beta: Optional[float]) -> SeriesPara
     return sp
 
 
-def _trig_params(spec: IntegralSpec) -> tuple[int, float, int, str]:
-    p = spec.params
-    a, alpha = float(p["a"]), float(p.get("alpha", 0))
-    w = float(p.get("w", p.get("v", 0.0)))
-    part = str(p.get("part", ""))
-    # a fractional a or alpha is no integral of these forms; int() would pick another one
-    if not (a >= 1 and a.is_integer() and alpha >= 0 and alpha.is_integer() and 0.0 < w < math.inf):
-        raise DomainError("need integer a >= 1, finite frequency > 0, integer alpha >= 0")
-    return int(a), w, int(alpha), part
-
-
-def _trig_integral(base: str, a: int, w: float, alpha: int) -> tuple:
-    """The (cos(wx), sin(wx)) parts of one oscillatory integral: sin^a x
-    (F7, F8), cos^a x (F9, F10) or sin^a x with log|sin x| and its winding
-    (F11), times x^alpha. The parts share every other factor."""
+def _trig_integral(base: str, a: int, w: float, alpha: int, parts: Sequence[int] = (0, 1)) -> tuple:
+    """The cos(wx) (0) and sin(wx) (1) parts, those named by parts, of one
+    oscillatory integral: sin^a x (F7, F8), cos^a x (F9, F10) or sin^a x
+    with log|sin x| and its winding (F11), times x^alpha. The parts share
+    every other factor."""
     if base != "log":
         trig = np.sin if base == "sin" else np.cos
+        waves = [(np.cos, np.sin)[i] for i in parts]
 
         def g(x):
             common = x ** alpha * trig(x) ** a
             wx = w * x
-            return common * np.cos(wx), common * np.sin(wx)
+            return tuple(common * wave(wx) for wave in waves)
 
         return abel_oscillatory(g)
 
@@ -417,17 +408,33 @@ def _trig_integral(base: str, a: int, w: float, alpha: int) -> tuple:
         winding = np.pi * np.floor(x / np.pi)
         wx = w * x
         cw, sw = np.cos(wx), np.sin(wx)
-        return common * (logs * cw + winding * sw), common * (logs * sw - winding * cw)
+        both = (lambda: logs * cw + winding * sw, lambda: logs * sw - winding * cw)
+        return tuple(common * both[i]() for i in parts)
 
     return abel_oscillatory(g11, log_singular=True)
+
+
+def oracle_key(spec: IntegralSpec) -> Optional[tuple]:
+    """The key (base, a, w, alpha) under which oracle_memo holds spec's
+    evaluation, equal for the two parts of one oscillatory integral
+    (F7-F11); None for the forms it does not hold."""
+    if spec.form not in _TRIG_FORMS:
+        return None
+    p = spec.params
+    a, alpha = float(p["a"]), float(p.get("alpha", 0))
+    w = float(p.get("w", p.get("v", 0.0)))
+    # a fractional a or alpha is no integral of these forms; int() would pick another one
+    if not (a >= 1 and a.is_integer() and alpha >= 0 and alpha.is_integer() and 0.0 < w < math.inf):
+        raise DomainError("need integer a >= 1, finite frequency > 0, integer alpha >= 0")
+    return _TRIG_FORMS[spec.form], int(a), w, int(alpha)
 
 
 def oracle_value(spec: IntegralSpec) -> EvalResult:
     """Evaluate the tagged integral by the appropriate independent route.
 
-    An oscillatory form (F7-F11) evaluates both parts of its integral in
-    one grid pass and returns its own part; inside oracle_memo the other
-    part is kept for the call that asks for it. An integrand past double
+    Inside oracle_memo an oscillatory form (F7-F11) evaluates both parts
+    of its integral in one grid pass and keeps the other part for the call
+    that asks for it; outside, it evaluates its own part alone. An integrand past double
     range (a log power log(d)^n near an endpoint, say) raises DomainError,
     as the series routes do.
     """
@@ -490,13 +497,17 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
 
         return integrate_decay(f3, b)
     if form in _TRIG_FORMS:
-        a, w, alpha, part = _trig_params(spec)
+        key = oracle_key(spec)
+        part = str(spec.params.get("part", ""))
         if form == "F11" and part not in ("c", "s"):
             raise DomainError("F11 needs part 'c' or 's'")
-        base = _TRIG_FORMS[form]
-        pair = _memoized((base, a, w, alpha), lambda: _trig_integral(base, a, w, alpha))
         # F7/F9 are the cos parts, F8/F10 the sin parts
-        got = pair[part == "s" if form == "F11" else form in ("F8", "F10")]
+        i = int(part == "s" if form == "F11" else form in ("F8", "F10"))
+        if _MEMO is None:
+            # no call will ask for the other part
+            got = _trig_integral(*key, parts=(i,))[0]
+        else:
+            got = _memoized(key, lambda: _trig_integral(*key))[i]
         if isinstance(got, ExtrapolationError):
             raise ExtrapolationError(*got.args)
         return got
@@ -530,8 +541,12 @@ def inverse_factor_direct(b: float, n: int) -> float:
         raise DomainError("order n must be a positive integer")
     if not 0.0 < b < math.inf:
         raise DomainError("need finite b > 0")
-    n = int(n)
-    return _memoized(("invsum", b, n), lambda: _inverse_factor(b, n))
+    return _memoized(inverse_factor_key(b, n), lambda: _inverse_factor(b, int(n)))
+
+
+def inverse_factor_key(b: float, n: int) -> tuple:
+    """The key under which oracle_memo holds inverse_factor_direct(b, n)."""
+    return ("invsum", b, int(n))
 
 
 def _inverse_factor(b: float, n: int) -> float:

@@ -18,8 +18,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import errata as errata_mod
 from . import identities
-from .quadrature import (IntegralSpec, VerificationRecord, inverse_factor_direct, make_record,
-                         oracle_memo, oracle_value)
+from .quadrature import (IntegralSpec, VerificationRecord, inverse_factor_direct,
+                         inverse_factor_key, make_record, oracle_key, oracle_memo, oracle_value)
 from .series_engine import SeriesParams, eval_phi, eval_phi_da_direct, eval_psi_general
 from .special_fn import (
     DomainError,
@@ -115,12 +115,11 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
     if op == "eta":
         return identities.eta_reduction(*args)
     if op == "trig-sin" or op == "trig-cos":
-        # the sine family at frequency w (F7/F8), the cosine family at v (F9/F10)
         a, wv, alpha, part = args
         fam = op[len("trig-"):]
-        flag, forms = ("w", ("F7", "F8")) if fam == "sin" else ("v", ("F9", "F10"))
+        flag = "w" if fam == "sin" else "v"
         val = _trig_part(fam, a, wv, alpha, part)
-        orc = oracle_value(IntegralSpec(forms[part == "s"], {"a": a, flag: wv, "alpha": alpha})).value
+        orc = oracle_value(_abel_spec(op, args)).value
         return make_record(f"{op} {part} a={a} {flag}={wv:g} alpha={alpha:g}", val, orc, 1e-3)
     if op == "trig-spot":
         fam, a, wv, alpha, part, want = args
@@ -130,8 +129,7 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
         a, w, alpha, part = args
         dc, ds = identities.log_sin_integral(a, w, alpha)
         val = dc if part == "c" else ds
-        orc = oracle_value(
-            IntegralSpec("F11", {"a": a, "w": w, "alpha": alpha, "part": part})).value
+        orc = oracle_value(_abel_spec(op, args)).value
         return make_record(f"logsin {part} a={a} w={w:g} alpha={alpha:g}", val, orc, 1e-6)
     if op == "twosided":
         return identities.two_sided_family(*args)
@@ -217,25 +215,31 @@ def build_suite(name: str, tol: Optional[float] = None) -> List[Task]:
     return [(i, op, args, tol) for i, (op, args) in enumerate(entries)]
 
 
-def _units(tasks: Sequence[tuple], key: Optional[Callable], size: int = 4) -> List[list]:
-    """The tasks packed into units of `size` or a little more (the last may be
-    short), in order of their first appearance; tasks whose key is equal and
-    not None share a unit."""
+# tasks a pool unit takes, unless tasks sharing an oracle make it a little more
+_UNIT_SIZE = 4
+
+
+def _units(tasks: Sequence[tuple], key: Optional[Callable]) -> List[list]:
+    """The tasks packed into units of _UNIT_SIZE or a little more (the last
+    may be short), in order of their first appearance; tasks whose key is
+    equal and not None share a unit."""
     groups: dict = {}
     for i, task in enumerate(tasks):
         k = key(task) if key is not None else None
         groups.setdefault((0, i) if k is None else (1, k), []).append(task)
     units: List[list] = []
     for group in groups.values():
-        if not units or len(units[-1]) >= size:
+        if not units or len(units[-1]) >= _UNIT_SIZE:
             units.append([])
         units[-1].extend(group)
     return units
 
 
 def _map_unit(job: tuple) -> list:
+    # a memo of its own, whether the pool forks, spawns or uses a forkserver
     fn, unit = job
-    return [fn(task) for task in unit]
+    with oracle_memo():
+        return [fn(task) for task in unit]
 
 
 def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
@@ -247,8 +251,9 @@ def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
     task and one a CPU this process may run on: a forking pool starts all
     its processes at once, so a large count would fork the host out of them.
     It takes the tasks in units of about four, and tasks with the same
-    key(task), other than None, in one unit, so work they share stays in
-    one process.
+    key(task), other than None, in one unit; each unit runs in an oracle
+    memo of its own (quadrature.oracle_memo), so the oracle evaluations
+    they share are made once.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(tasks), cpus)
@@ -262,23 +267,33 @@ def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
     return results
 
 
+def _abel_spec(op: str, args: tuple) -> IntegralSpec:
+    """The oracle integral of a trig-sin, trig-cos or logsin cell."""
+    a, f, alpha, part = args
+    if op == "logsin":
+        return IntegralSpec("F11", {"a": a, "w": f, "alpha": alpha, "part": part})
+    # the sine family at frequency w (F7/F8), the cosine family at v (F9/F10)
+    flag, forms = ("w", ("F7", "F8")) if op == "trig-sin" else ("v", ("F9", "F10"))
+    return IntegralSpec(forms[part == "s"], {"a": a, flag: f, "alpha": alpha})
+
+
 def _shared_oracle(task: Task) -> Optional[tuple]:
-    """Tasks with one key read one oracle evaluation: the two parts of a
-    trig or log-sin integral, and the two inverse-factor records of a (b, n)."""
+    """The quadrature memo key of the oracle evaluation a task reads, None
+    for a task that reads none the memo holds."""
     _, op, args, _ = task
     if op in ("trig-sin", "trig-cos", "logsin"):
-        return (op, *args[:3])
+        return oracle_key(_abel_spec(op, args))
     if op in ("invsum", "invsum-expansion"):
-        return ("invsum", *args)
+        return inverse_factor_key(*args)
     return None
 
 
 def execute(tasks: Sequence[Task], workers: int = 1) -> List[VerificationRecord]:
     """Run tasks, serially or in a process pool; order follows the ordinals.
 
-    The run holds an oracle memo (quadrature.oracle_memo), so tasks that
-    share an oracle evaluate it once. It starts empty and ends with the run;
-    a forked pool's processes inherit it empty, and each fills its own.
+    A serial run holds one oracle memo (quadrature.oracle_memo), so tasks
+    that share an oracle evaluate it once; in a pool each unit holds its
+    own. A memo starts empty and ends with its run or unit.
     """
     with oracle_memo():
         return [rec for _, rec in ordered_map(_run_task, tasks, workers, _shared_oracle)]

@@ -16,11 +16,13 @@ _FORMS = {"trig-sin": ("F7", "F8"), "trig-cos": ("F9", "F10"), "logsin": ("F11",
 def _count_oracles(monkeypatch):
     """Counters of the Abel integrals and inverse-factor sums evaluated (not read from a memo)."""
     abel, invsum = collections.Counter(), collections.Counter()
+    abel.parts = []  # the parts each evaluation computed
     trig_integral, inverse_factor = quadrature._trig_integral, quadrature._inverse_factor
 
-    def count_trig(*key):
+    def count_trig(*key, **parts):
         abel[key] += 1
-        return trig_integral(*key)
+        abel.parts.append(parts.get("parts", (0, 1)))
+        return trig_integral(*key, **parts)
 
     def count_invsum(*key):
         invsum[key] += 1
@@ -40,11 +42,16 @@ def _spec(op, args):
     return IntegralSpec(form, params)
 
 
+def _memo_keys(tasks):
+    """The Abel and inverse-factor keys the tasks read, as the spies see them."""
+    abel = {(_BASE[op], *args[:3]) for _, op, args, _ in tasks if op in _BASE}
+    invsum = {args for _, op, args, _ in tasks if op in ("invsum", "invsum-expansion")}
+    return abel, invsum
+
+
 def test_suite_pass_evaluates_each_oracle_once(monkeypatch):
     abel, invsum = _count_oracles(monkeypatch)
-    tasks = verify.build_suite("all")
-    want_abel = {(_BASE[op], *args[:3]) for _, op, args, _ in tasks if op in _BASE}
-    want_invsum = {args for _, op, args, _ in tasks if op in ("invsum", "invsum-expansion")}
+    want_abel, want_invsum = _memo_keys(verify.build_suite("all"))
     assert len(want_abel) == 27 and len(want_invsum) == 9
     passes = []
     for _ in range(2):
@@ -65,9 +72,28 @@ def test_bare_oracle_after_pass_evaluates_again(monkeypatch):
     cells = [(op, args, rec) for (_, op, args, _), rec in zip(tasks, records) if op in _BASE]
     assert len(cells) == 54
     evaluated = sum(abel.values())
+    assert set(abel.parts) == {(0, 1)}
     for op, args, rec in cells:
         assert oracle_value(_spec(op, args)).value == rec.oracle_value, (op, args)
     assert sum(abel.values()) == evaluated + len(cells)
+    # a bare call computes its own part alone
+    assert abel.parts[evaluated:] == [(int(args[3] == "s"),) for _, args, _ in cells]
+
+
+def test_each_pool_unit_evaluates_its_oracles_once(monkeypatch):
+    # a spawned or forkserver worker imports quadrature afresh, with no memo
+    # open; the unit's own memo must share the evaluations all the same
+    abel, invsum = _count_oracles(monkeypatch)
+    tasks = [t for t in verify.build_suite("all") if verify._shared_oracle(t) is not None]
+    assert quadrature._MEMO is None
+    results = []
+    for unit in verify._units(tasks, verify._shared_oracle):
+        results.extend(verify._map_unit((verify._run_task, unit)))
+        assert quadrature._MEMO is None
+    want_abel, want_invsum = _memo_keys(tasks)
+    assert set(abel) == want_abel and set(abel.values()) == {1}
+    assert set(invsum) == want_invsum and set(invsum.values()) == {1}
+    assert sorted(results, key=lambda r: r[0]) == [verify._run_task(t) for t in tasks]
 
 
 def test_memo_dropped_when_a_task_raises(monkeypatch):

@@ -13,8 +13,8 @@ each side in seed order, their median and quartiles (linear
 interpolation), how many pairs the change won and lost, and the relative
 change of the medians. The bound and direction of each metric come from
 BENCHMARK.json. A seed traced on both sides (trace 1) adds its per-layer
-rows named by --rows. --extra KEY=FILE adds a JSON block, such as a
-measurement made outside perfbench, under KEY.
+rows whose names start with one of ROWS. --extra KEY=FILE adds a JSON
+block, such as a measurement made outside perfbench, under KEY.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NAME = re.compile(r"^(?P<workload>[a-z-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 ROWS = ("quadrature.", "verify.", "identities.inverse_factor_sum.", "trace.")
+PAIRING = "parent and change alternate which runs first, pair by pair; quartiles are linear percentiles"
 
 
 def read_results(directory: str) -> dict:
@@ -49,7 +50,7 @@ def summary(runs: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def workload_point(workload: str, parent: dict, change: dict, spec: dict, rows: tuple) -> dict:
+def workload_point(workload: str, parent: dict, change: dict, spec: dict) -> dict:
     seeds = sorted(s for (w, s, t) in parent if w == workload and t == 0
                    and (w, s, t) in change)
     sides = {"parent": [parent[workload, s, 0] for s in seeds],
@@ -80,7 +81,7 @@ def workload_point(workload: str, parent: dict, change: dict, spec: dict, rows: 
         p, c = parent[workload, seed, 1]["metrics"], change[workload, seed, 1]["metrics"]
         point["traced"] = {"seed": seed, "rows": {
             name: {"unit": p[name]["unit"], "parent": p[name]["value"], "change": c[name]["value"]}
-            for name in p if name in c and name.startswith(rows)}}
+            for name in p if name in c and name.startswith(ROWS)}}
     return point
 
 
@@ -91,12 +92,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="directory of the parent's result files")
     ap.add_argument("--change", required=True, help="directory of the change's result files")
     ap.add_argument("--host", required=True, help="the machine the runs were made on")
-    ap.add_argument("--pairing", default="parent and change alternate which runs first, "
-                    "pair by pair; quartiles are linear percentiles")
-    ap.add_argument("--rows", default=",".join(ROWS),
-                    help="comma-separated name prefixes of the traced rows to keep")
     ap.add_argument("--extra", action="append", default=[], metavar="KEY=FILE")
-    ap.add_argument("--out", help="default: BENCH_<pr>.json at the repository root")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -105,18 +101,17 @@ def main(argv=None) -> int:
         "parent_commit": args.parent_commit,
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1",
         "host": args.host,
-        "pairing": args.pairing,
+        "pairing": PAIRING,
         "workloads": {},
     }
-    rows = tuple(r for r in args.rows.split(",") if r)
     for workload in (w["name"] for w in spec["workloads"]):
         if any(k[0] == workload and k in change for k in parent):
-            point["workloads"][workload] = workload_point(workload, parent, change, spec, rows)
+            point["workloads"][workload] = workload_point(workload, parent, change, spec)
     for item in args.extra:
         key, _, path = item.partition("=")
         with open(path) as fh:
             point[key] = json.load(fh)
-    out = args.out or os.path.join(ROOT, "BENCH_%d.json" % args.pr)
+    out = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     with open(out, "w") as fh:
         json.dump(point, fh, indent=1)
         fh.write("\n")
