@@ -34,7 +34,7 @@ from .series_engine import (
     eval_phi_tilde,
     eval_psi_general,
 )
-from .special_fn import DivergenceError, DomainError, _hurwitz, _lerch, _s_prime
+from .special_fn import DivergenceError, DomainError, _hurwitz, _lerch, _s_prime, _whole
 from .verify import SUITE_NAMES, ordered_map, run_suite
 
 
@@ -185,14 +185,8 @@ def _flag(args: argparse.Namespace, axis: str) -> str:
     return given[0]
 
 
-def _int_order(target: str, n: float) -> int:
-    if n != int(n) or n < 0:
-        raise DomainError("%s needs a non-negative integer order" % target)
-    return int(n)
-
-
 def _phida(a: float, b: float, n: float) -> EvalResult:
-    return eval_phi_da_direct(a, b, _int_order("phida", n))
+    return eval_phi_da_direct(a, b, _whole(n, 0, "phida needs a non-negative integer order"))
 
 
 # target -> (parameter axes, evaluator at one point), shared by eval and table.
@@ -221,7 +215,7 @@ def _eval_integral(args: argparse.Namespace) -> EvalResult:
         if value is not None:
             ip[nm] = value
     if "n" in ip:
-        ip["n"] = _int_order("integral", ip["n"])
+        ip["n"] = _whole(ip["n"], 0, "integral needs a non-negative integer order")
     return oracle_value(IntegralSpec(form=args.form, params=ip))
 
 
@@ -335,9 +329,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if p is None or b is None:
         raise DomainError("coeffs requires --p and --b")
     m = _single(args, "m")
-    if m is not None and (m != int(m) or m < 1):
-        raise DomainError("coeffs needs an integer --m >= 1")
-    depth = 4 if m is None else int(m)
+    depth = 4 if m is None else _whole(m, 1, "coeffs needs an integer --m >= 1")
     tri = build_triangle(p, b, depth)
     rows = [{"m": m, "k": k, "A": tri.entry(m, k)} for m in range(1, depth + 1) for k in range(1, m + 1)]
     _emit(rows, "csv", None)

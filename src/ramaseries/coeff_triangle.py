@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .special_fn import DomainError
+from .special_fn import DomainError, _whole
 
 _MAX_DEPTH = 64
 
@@ -49,9 +49,7 @@ def build(p: float, b: float, M: int) -> CoeffTriangle:
     and each stored entry is the correctly rounded value.  A non-finite p or
     b, or an entry past double range, raises DomainError.
     """
-    M = int(M)
-    if M < 1:
-        raise DomainError("triangle depth must be >= 1")
+    M = _whole(M, 1, "triangle depth must be >= 1 and an integer, got {}")
     if M > _MAX_DEPTH:
         raise DomainError(f"triangle depth {M} exceeds {_MAX_DEPTH}")
     p = float(p)

@@ -39,6 +39,7 @@ from .special_fn import (
     DivergenceError,
     DomainError,
     _hurwitz,
+    _whole,
     beta_f,
     digamma,
     gamma,
@@ -56,20 +57,14 @@ class TrigResult:
     lambda_s: float
 
 
-def _whole(n: float, least: int) -> bool:
-    """n is an integer >= least; NaN and the infinities are not."""
-    return n >= least and n != math.inf and n == int(n)
-
-
 def _sigma(a: float, b: float, k: int) -> Tuple[float, float]:
     """sigma as (value, error bound). x = a + b + 1 rounds by at most
     d = _EPS (|a| + b + 1), which moves psi(x) by <= (1/x + 1/x^2) d and
     zeta(k, x) by <= k zeta(k, x) d / x; digamma is off by at most
     5 _EPS (1/x + 4 + |ln x|) (3.7 against mpmath on [0.003, 316], the
     verify series grid inside); each zeta carries the kernel's bound."""
-    if not _whole(k, 1):
-        raise DomainError("order k must be a positive integer")
-    if b <= 0.0 or a + b + 1.0 <= 0.0:
+    k = _whole(k, 1, "order k must be a positive integer")
+    if not (0.0 < b < math.inf and 0.0 < a + b + 1.0 < math.inf):
         raise DomainError("need b > 0 and a + b + 1 > 0")
     x = a + b + 1.0
     dx = _EPS * (abs(a) + b + 1.0)
@@ -105,11 +100,9 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
     [0.003, 40]), 2 for the product and quotient, and |y psi(y)| <=
     1 + y (1 + |ln y|) times the rounding of y = a + 1 and a + b + 1.
     """
-    if not _whole(n, 0):
-        raise DomainError("order n must be a non-negative integer")
-    n = int(n)
-    if b <= 0.0 or a <= -1.0 or a + b + 1.0 <= 0.0:
-        raise DomainError("need b > 0, a > -1, a + b + 1 > 0")
+    n = _whole(n, 0, "order n must be a non-negative integer")
+    if not (0.0 < b < math.inf and -1.0 < a < math.inf):
+        raise DomainError("need b > 0 and a > -1, both finite")
     try:
         phi0 = beta_f(0.0, a, b)
     except OverflowError:
@@ -154,11 +147,9 @@ def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> Verifica
     where S is the general weighted series.  beta = -1 and +1 give the
     alternating and positive families; |beta| < 1 the geometric one.
     """
-    if not _whole(m, 0):
-        raise DomainError("depth m must be a non-negative integer")
-    m = int(m)
-    if b <= 0.0 or abs(beta) > 1.0:
-        raise DomainError("need b > 0 and |beta| <= 1")
+    m = _whole(m, 0, "depth m must be a non-negative integer")
+    if not (0.0 < b < math.inf and abs(beta) <= 1.0 and math.isfinite(p + mu)):
+        raise DomainError("need b > 0 and |beta| <= 1, and p, b, mu finite")
     if abs(beta) == 1.0:
         if not p + mu > -1.0:
             raise DivergenceError(
@@ -189,7 +180,7 @@ def eta_reduction(b: float, alpha: float) -> VerificationRecord:
 
     Both sides need alpha > 0 individually.
     """
-    if b <= 0.0:
+    if not 0.0 < b < math.inf:
         raise DomainError("need b > 0")
     if not alpha > 0.0:
         raise DomainError("reduction sides individually diverge unless alpha > 0")
@@ -207,11 +198,9 @@ def phi_da_closed(a: float, b: float, n: int) -> float:
         + sum_{k=1}^n zeta(k+1, a+b+1) * value_{n-k}
     with the value_j taken from the recursion route.
     """
-    if not _whole(n, 0):
-        raise DomainError("order n must be a non-negative integer")
-    n = int(n)
-    if b <= 0.0 or a <= -1.0:
-        raise DomainError("need b > 0 and a > -1")
+    n = _whole(n, 0, "order n must be a non-negative integer")
+    if not (0.0 < b < math.inf and -1.0 < a < math.inf):
+        raise DomainError("need b > 0 and a > -1, both finite")
     phis = [ramanujan_phi(a, b, j).value for j in range(n + 1)]
     head = (digamma(a + 1.0) - digamma(a + b + 1.0)) * phis[n]
     tail = [hurwitz_zeta(k + 1.0, a + b + 1.0) * phis[n - k] for k in range(1, n + 1)]
@@ -226,9 +215,8 @@ def harmonic_weighted_sum(a: float, b: float, n: int) -> float:
     terminate at positive integer a: the weight poles cancel the binomial
     zeros and leave finite terms beyond i = a.
     """
-    if not _whole(n, 1):
-        raise DomainError("order n must be a positive integer")
-    return b ** (-float(n)) + phi_da_closed(a, b, int(n) - 1)
+    n = _whole(n, 1, "order n must be a positive integer")
+    return b ** (-float(n)) + phi_da_closed(a, b, n - 1)
 
 
 def inverse_factor_sum(b: float, n: int) -> float:
@@ -237,11 +225,10 @@ def inverse_factor_sum(b: float, n: int) -> float:
     The series is positive, so the derivative value it equals must be
     negated; the printed source form omits the sign (see errata).
     """
-    if not _whole(n, 1):
-        raise DomainError("order n must be a positive integer")
-    if b <= 0.0:
+    n = _whole(n, 1, "order n must be a positive integer")
+    if not 0.0 < b < math.inf:
         raise DomainError("need b > 0")
-    return -phi_da_closed(0.0, b, int(n) - 1)
+    return -phi_da_closed(0.0, b, n - 1)
 
 
 def interchange_check(a: float, b: float) -> VerificationRecord:
@@ -263,21 +250,20 @@ def _exact_quarter_phase(k: int) -> Tuple[float, float]:
 
 
 def _phase(x: float) -> Tuple[float, float]:
-    if x == int(x):
+    if float(x).is_integer():
         return _exact_quarter_phase(int(x))
     return math.sin(0.5 * math.pi * x), math.cos(0.5 * math.pi * x)
 
 
-def _trig_b(a: int, w: float, alpha: float, freq: str, whole_alpha: bool = False) -> float:
+def _trig_b(a: int, w: float, alpha: float, freq: str) -> float:
     """The series argument (w-a)/2 of a trig closed form, after checking that
     a is a positive integer, the frequency (named freq) exceeds a, and
-    alpha >= 0 (an integer if whole_alpha)."""
-    if a < 1 or a != int(a):
-        raise DomainError("need a a positive integer")
+    alpha >= 0."""
+    _whole(a, 1, "need a a positive integer")
     if not w > a:
         raise DomainError(f"need frequency {freq} > a")
-    if alpha < 0.0 or (whole_alpha and alpha != int(alpha)):
-        raise DomainError("need integer alpha >= 0" if whole_alpha else "need alpha >= 0")
+    if not alpha >= 0.0:
+        raise DomainError("need alpha >= 0")
     return 0.5 * (w - a)
 
 
@@ -328,8 +314,8 @@ def log_sin_integral(a: int, w: float, alpha: float) -> Tuple[float, float]:
     rotates by pi/2.  Integer alpha only (the parameter-derivative closed
     form is integer-order).
     """
-    bphi = _trig_b(a, w, alpha, "w", whole_alpha=True)
-    n = int(alpha)
+    n = _whole(alpha, 0, "need integer alpha >= 0")
+    bphi = _trig_b(a, w, n, "w")
     phi_val = eval_phi(float(a), bphi, float(n)).value
     phi_up = eval_phi(float(a), bphi, float(n + 1)).value
     dtotal = phi_da_closed(float(a), bphi, n) + 0.5 * (n + 1.0) * phi_up

@@ -32,14 +32,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .series_engine import EvalResult, SeriesParams
-from .special_fn import _EPS, DomainError
+from .special_fn import _EPS, DivergenceError, DomainError, _whole
 
 _MAX_LEVEL = 12
 _UNIT_TARGET = 1e-11
 
 
-class ExtrapolationError(RuntimeError):
-    """Abel extrapolants diverged instead of settling."""
+class ExtrapolationError(DivergenceError):
+    """Abel extrapolants diverged instead of settling: the integral has no
+    Abel value."""
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +422,12 @@ def oracle_key(spec: IntegralSpec) -> Optional[tuple]:
     if spec.form not in _TRIG_FORMS:
         return None
     p = spec.params
-    a, alpha = float(p["a"]), float(p.get("alpha", 0))
+    need = "need integer a >= 1, finite frequency > 0, integer alpha >= 0"
+    a, alpha = _whole(p["a"], 1, need), _whole(p.get("alpha", 0), 0, need)
     w = float(p.get("w", p.get("v", 0.0)))
-    # a fractional a or alpha is no integral of these forms; int() would pick another one
-    if not (a >= 1 and a.is_integer() and alpha >= 0 and alpha.is_integer() and 0.0 < w < math.inf):
-        raise DomainError("need integer a >= 1, finite frequency > 0, integer alpha >= 0")
-    return _TRIG_FORMS[spec.form], int(a), w, int(alpha)
+    if not 0.0 < w < math.inf:
+        raise DomainError(need)
+    return _TRIG_FORMS[spec.form], a, w, alpha
 
 
 def oracle_value(spec: IntegralSpec) -> EvalResult:
@@ -467,11 +468,11 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
 
         return integrate_decay(f_any, b)
     if form == "F2" or form == "F4":
+        # the order first: _series_params would take a NaN or inf order for any non-finite parameter
+        n = _whole(spec.params.get("alpha", spec.params.get("n", 0)), 0,
+                   "log power n must be a non-negative integer")
         sp = _series_params(spec, -1.0)
         a, b = sp.a, sp.b
-        n = int(sp.alpha)
-        if n != sp.alpha or n < 0:
-            raise DomainError("log power n must be a non-negative integer")
         if a <= -1.0 or b <= 0.0:
             raise DomainError("need a > -1 and b > 0 for endpoint integrability")
         with_logt = form == "F4"
@@ -537,11 +538,10 @@ def inverse_factor_direct(b: float, n: int) -> float:
     mapped to a finite interval (u = 1/x) and 16 Gauss nodes.  It takes the
     domain of ``identities.inverse_factor_sum``: finite b > 0 and a positive
     integer n; the series diverges at n <= 0."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError("order n must be a positive integer")
+    n = _whole(n, 1, "order n must be a positive integer")
     if not 0.0 < b < math.inf:
         raise DomainError("need finite b > 0")
-    return _memoized(inverse_factor_key(b, n), lambda: _inverse_factor(b, int(n)))
+    return _memoized(inverse_factor_key(b, n), lambda: _inverse_factor(b, n))
 
 
 def inverse_factor_key(b: float, n: int) -> tuple:

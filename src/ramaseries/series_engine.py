@@ -61,7 +61,7 @@ import numpy as np
 
 from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, DomainError,
                                    _em_damped, _em_dzeta, _em_zeta, _expint_orders, _hurwitz,
-                                   digamma)
+                                   _whole, digamma)
 
 _SCALAR_TERMS = 256  # _scalar_psi hands a geometric sum to _powerlaw_psi past this many terms
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
@@ -121,7 +121,7 @@ class ConvergenceReport:
 
 
 def _is_nonneg_int(a: float) -> bool:
-    return a >= 0.0 and a == math.floor(a)
+    return a >= 0.0 and float(a).is_integer()
 
 
 def _sign_recip_gamma_neg(a: float) -> float:
@@ -493,7 +493,7 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     if regime != "power-law":
         return _result("direct", _scalar_psi, a, b, beta, alpha,
                        cap if regime == "geometric" else None)
-    if beta == -1.0 and a == math.floor(a):
+    if beta == -1.0 and float(a).is_integer():
         return _result("closed-form", _negint_psi, int(-a), b, alpha)
     return _result("direct", _powerlaw_psi, a, b, beta, alpha, cap)
 
@@ -547,10 +547,8 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
     (-1)^(m+1) m! in place of 1/Gamma(-a), whose tail is _asymptotic_tail
     with no derivative. At a = 0 that leaves -sum_{i>=1} 1/(i (b+i)^(n+1)).
     """
-    SeriesParams(a, b, -1.0, float(n)).validate()
-    if n != int(n):
-        raise DomainError(f"n must be a non-negative integer, got {n}")
-    alpha = float(n)
+    alpha = float(_whole(n, 0, "n must be a non-negative integer, got {}"))
+    SeriesParams(a, b, -1.0, alpha).validate()
     if a + alpha <= -1.0:
         raise DivergenceError(
             f"derivative series diverges: a + n = {a + alpha} <= -1")

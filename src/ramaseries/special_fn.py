@@ -3,6 +3,9 @@
 Everything here is plain float64. The implementations favour transparent
 recurrence + asymptotic-series forms over maximal speed, because these
 values feed verification oracles and need to be auditable.
+
+_whole is the package's one test that an order or index is an integer >= a
+least value: every layer calls it, and NaN, inf and fractions raise DomainError.
 """
 
 from __future__ import annotations
@@ -47,29 +50,37 @@ class DivergenceError(ValueError):
     """The requested series does not converge for these parameters."""
 
 
+def _whole(n: float, least: int, message: str) -> int:
+    """int(n) where n is an integer >= least; otherwise DomainError(message),
+    with n put in place of a {} in it. NaN and the infinities are no integers."""
+    if n >= least and float(n).is_integer():
+        return int(n)
+    raise DomainError(message.format(n))
+
+
 def _is_nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+    return x <= 0.0 and float(x).is_integer()
 
 
 def gamma(x: float) -> float:
-    """Gamma function; DomainError at the poles x = 0, -1, -2, ...
-
-    Overflow for large positive x propagates as OverflowError unchanged.
+    """Gamma function; DomainError at the poles x = 0, -1, -2, ... and at a
+    non-finite x. Overflow for large positive x propagates as OverflowError.
     """
-    if _is_nonpositive_int(x):
-        raise DomainError(f"gamma pole at x = {x}")
+    if not math.isfinite(x) or _is_nonpositive_int(x):
+        raise DomainError(f"gamma needs a finite x off the poles 0, -1, -2, ..., got x = {x}")
     return math.gamma(x)
 
 
 def digamma(x: float) -> float:
-    """Logarithmic derivative of gamma; DomainError at non-positive integers.
+    """Logarithmic derivative of gamma; DomainError at non-positive integers
+    and at a non-finite x.
 
     Negative arguments go through the reflection formula, then the value is
     shifted up to x >= 15 with psi(x) = psi(x+1) - 1/x and finished with the
     asymptotic series log x - 1/(2x) - sum B_2n / (2n x^2n).
     """
-    if _is_nonpositive_int(x):
-        raise DomainError(f"digamma pole at x = {x}")
+    if not math.isfinite(x) or _is_nonpositive_int(x):
+        raise DomainError(f"digamma needs a finite x off the poles 0, -1, -2, ..., got x = {x}")
     if x < 0.5:
         # reflection keeps the shift count bounded for very negative x; the
         # exact reduction x - round(x) keeps pi cot(pi x) accurate near a pole
@@ -273,8 +284,8 @@ def hurwitz_zeta(s: float, q: float) -> float:
 
 def _lerch(beta: float, s: float, b: float):
     """lerch_phi as (value, bound, terms)."""
-    if not b > 0.0:
-        raise DomainError(f"lerch_phi needs b > 0, got b = {b}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"lerch_phi needs finite b > 0, got b = {b}")
     if not abs(beta) <= 1.0:
         raise DomainError(f"lerch_phi needs |beta| <= 1, got beta = {beta}")
     if beta == 1.0:
@@ -329,8 +340,7 @@ def lerch_phi(beta: float, s: float, b: float) -> float:
 
 def _s_prime(r: float):
     """s_prime as (value, bound, terms)."""
-    if not (1 <= r < math.inf and r == int(r)):
-        raise DomainError(f"sprime needs a positive integer index, got {r}")
+    r = _whole(r, 1, "sprime needs a positive integer index, got {}")
     if r == 1:
         return PI / 4.0, _EPS * PI / 4.0, 1
     if r >= 20:
@@ -340,7 +350,7 @@ def _s_prime(r: float):
         return value, 7.0 ** -r + _EPS * 2.0 * value, 3
     v1, b1, n1 = _hurwitz(float(r), 0.25)
     v2, b2, n2 = _hurwitz(float(r), 0.75)
-    f = 4.0 ** -int(r)  # exact
+    f = 4.0 ** -r  # exact
     return f * (v1 - v2), f * (b1 + b2 + _EPS * abs(v1 - v2)), n1 + n2
 
 

@@ -179,6 +179,7 @@ def test_tol_override_forces_failures():
 @pytest.mark.parametrize("args, message", [
     (("phida", "--a", "0.5", "--b", "1", "--n", "0.5"), "phida needs a non-negative integer order"),
     (("sprime", "--r", "1.5"), "sprime needs a positive integer index"),
+    (("phida", "--a", "0.5", "--b", "1", "--n", "nan"), "phida needs a non-negative integer order"),
 ])
 def test_non_integer_order_rejected(cmd, args, message):
     r = run_cli(cmd, *args)
@@ -204,6 +205,9 @@ def test_table_phida_fractional_grid_rejected():
     (("coeffs", "--p", "1", "--b", "1", "--m", "2.5"), "coeffs needs an integer --m >= 1"),
     (("eval", "integral", "--form", "F7", "--a", "1.5", "--w", "2", "--alpha", "0.7"),
      "need integer a >= 1"),
+    (("eval", "integral", "--form", "F2", "--a", "0.5", "--b", "1", "--n", "inf"),
+     "integral needs a non-negative integer order"),
+    (("coeffs", "--p", "1", "--b", "1", "--m", "inf"), "coeffs needs an integer --m >= 1"),
 ])
 def test_single_value_flags_rejected(args, message):
     # a range or a fractional order must not be cut to its first or integer part
@@ -234,17 +238,19 @@ def test_input_past_double_range_exits_2(argv, message):
     assert message in r.stderr
 
 
-@pytest.mark.parametrize("exc", ["DomainError", "DivergenceError"])
+@pytest.mark.parametrize("exc", ["DomainError", "DivergenceError", "ExtrapolationError"])
 def test_verify_cell_error_exits_2(exc, monkeypatch):
     # the suites are fixed cells, so one that raises is a fault: verify
-    # reports it and exits 2 rather than leave the cell out of its records
-    from ramaseries import special_fn, verify
+    # reports it and exits 2 rather than leave the cell out of its records;
+    # an oscillatory integral with no Abel value is such a fault too
+    from ramaseries import quadrature, special_fn, verify
 
     dispatch = verify._dispatch
+    error = quadrature.ExtrapolationError if exc == "ExtrapolationError" else getattr(special_fn, exc)
 
     def faulty(op, args):
         if op == "eta":
-            raise getattr(special_fn, exc)("eta cell failed")
+            raise error("eta cell failed")
         return dispatch(op, args)
 
     monkeypatch.setattr(verify, "_dispatch", faulty)

@@ -67,6 +67,9 @@ CASES = {
     "table-phi-divergent-jsonl": ["table", "phi", "--a=-2:0:1", "--b", "1", "--n", "0",
                                   "--format", "jsonl"],
     "table-phi-divergent-text": ["table", "phi", "--a=-2:0:1", "--b", "1", "--n", "0"],
+    "eval-phida-nan-order": ["eval", "phida", "--a", "0.5", "--b", "1", "--n", "nan"],
+    "eval-integral-no-abel-value": ["eval", "integral", "--form", "F8", "--a", "1", "--w", "1",
+                                    "--alpha", "0"],
 }
 
 

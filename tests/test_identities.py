@@ -313,6 +313,13 @@ def test_single_pole_reduction_values():
         (harmonic_weighted_sum, (0.5, 1.0, bad), "order n must be a positive integer"),
         (inverse_factor_sum, (1.0, bad), "order n must be a positive integer"),
     )],
+    # a NaN or infinite parameter fails the range checks, not a later gamma or sum
+    (ramanujan_phi, (0.5, math.nan, 1), "need b > 0 and a > -1"),
+    (ramanujan_phi, (0.5, math.inf, 1), "need b > 0 and a > -1"),
+    (phi_da_closed, (math.nan, 1.0, 1), "need b > 0 and a > -1"),
+    (harmonic_weighted_sum, (0.5, math.nan, 1), "need b > 0 and a > -1"),
+    (interchange_check, (math.nan, 1.0), "need b > 0 and a > -1"),
+    (master_shift, (math.nan, 1.0, -1.0, 0.5, 1), "need b > 0 and \\|beta\\| <= 1"),
 ])
 def test_identity_input_checks(call, args, message):
     with pytest.raises(DomainError, match=message):

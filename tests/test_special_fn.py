@@ -182,6 +182,17 @@ def test_overflow_raises_domain_error(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("call, args, message", [
+    *[(fn, (x,), "needs a finite x") for fn in (digamma, gamma) for x in (math.nan, math.inf, -math.inf)],
+    (beta_f, (0.0, math.nan, 1.0), "needs a finite x"),
+    (lerch_phi, (0.5, 2.0, math.inf), "needs finite b > 0"),
+])
+def test_non_finite_input_raises_domain_error(call, args, message):
+    # not a NaN or inf value passed on, nor an OverflowError from round()
+    with pytest.raises(DomainError, match=message):
+        call(*args)
+
+
 def test_s_prime_golden():
     assert s_prime(1) == pytest.approx(math.pi / 4.0, rel=1e-14)
     assert s_prime(2) == pytest.approx(0.9159655941772190, rel=1e-13)
