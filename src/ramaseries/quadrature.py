@@ -8,9 +8,11 @@ Independent routes:
 * regularized (Abel) evaluation for conditionally convergent oscillatory
   integrals: damp by exp(-eps x), integrate over pi-length panels, then
   extrapolate eps -> 0. One grid pass gives every part of an integrand,
-  so the cos(wx) and sin(wx) parts of one integral share it. Each rule
-  keeps its one-panel rule, and the Gauss rule its whole grid with the
-  damping vectors; the tanh-sinh nodes are generated a slice at a time,
+  so the cos(wx) and sin(wx) parts of one integral share it. A node is
+  x = (k+1/2) pi + h, panel k and one-panel offset h: the integrand
+  f(k, h) builds its trig and log factors from per-panel and per-offset
+  tables, and exp(-eps x) splits the same way, so each rule keeps
+  per-panel and per-offset tables only, no grid,
 * an oracle memo (oracle_memo) that a verification pass holds open, so
   records that share an integral or an inverse-factor sum evaluate it once,
 * closed-form dispatch table mapping tagged integral forms to the routes,
@@ -193,12 +195,6 @@ def _ts_rule() -> tuple[np.ndarray, np.ndarray]:
     return xi[keep], wi[keep]
 
 
-def _panel_x(k0: int, k1: int, hx: np.ndarray) -> np.ndarray:
-    """Nodes of the pi-length panels k0 .. k1-1, from the one-panel offsets hx."""
-    k = np.arange(k0, k1)[:, None]
-    return ((k + 0.5) * np.pi + hx[None, :]).ravel()
-
-
 def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
     T = vals.astype(float).copy()
     n = len(eps)
@@ -211,28 +207,29 @@ def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
 _ABEL_EPS = 0.2 * 0.5 ** np.arange(7)
 _ABEL_X_MAX = 40.0 / float(_ABEL_EPS.min())
 _ABEL_PANELS = int(np.ceil(_ABEL_X_MAX / np.pi))
-# tanh-sinh integrands are evaluated and damped about this many nodes (whole panels) at a time
+# integrands are evaluated and damped about this many nodes (whole panels) at a time
 _ABEL_SLICE = 1 << 14
-# log_singular -> the rule's one-panel offsets and weights, (pi/2) xi and (pi/2) wi;
-# the Gauss entry adds the whole grid's nodes and weights and its exp(-eps x)
-# per eps; read-only, built on first use
+# log_singular -> the rule's tables (see _abel_grid); read-only, built on first use
 _ABEL_GRIDS: dict[bool, tuple[np.ndarray, ...]] = {}
 
 
 def _abel_grid(log_singular: bool) -> tuple[np.ndarray, ...]:
-    """(hx, hw) for the tanh-sinh rule; (hx, hw, x, w, *damping) for the Gauss rule.
+    """(k, h, damp_h, damp_k) of the Gauss rule, or of the tanh-sinh rule.
 
-    The tanh-sinh grid has four times the nodes, so abel_oscillatory
-    generates its nodes slice by slice instead of keeping 6.6 MB of grid
-    and 23 MB of damping vectors.
+    Node j of panel k sits at x = (k+1/2) pi + h_j, so exp(-eps x) factors
+    into exp(-eps (k+1/2) pi) exp(-eps h_j). k is the column of panel
+    indices, h the row of one-panel offsets (pi/2) xi_j, damp_h the
+    offsets' weights times their damping, hw_j exp(-eps h_j) (7 x m), and
+    damp_k the panels' damping exp(-eps (k+1/2) pi) (7 x panels). No table
+    is grid-sized.
     """
     got = _ABEL_GRIDS.get(log_singular)
     if got is None:
         xi, wi = _ts_rule() if log_singular else np.polynomial.legendre.leggauss(24)
-        got = (0.5 * np.pi * xi, 0.5 * np.pi * wi)
-        if not log_singular:
-            x = _panel_x(0, _ABEL_PANELS, got[0])
-            got += (x, np.tile(got[1], _ABEL_PANELS), *(np.exp(-e * x) for e in _ABEL_EPS))
+        h, hw = 0.5 * np.pi * xi, 0.5 * np.pi * wi
+        k = np.arange(_ABEL_PANELS)
+        got = (k[:, None], h[None, :], hw * np.exp(-np.outer(_ABEL_EPS, h)),
+               np.exp(-np.outer(_ABEL_EPS, (k + 0.5) * np.pi)))
         for arr in got:
             arr.flags.writeable = False
         _ABEL_GRIDS[log_singular] = got
@@ -255,66 +252,55 @@ def _abel_result(F: Sequence[float], nodes: int) -> EvalResult | ExtrapolationEr
     )
 
 
-def _parts(f: Callable, x: np.ndarray) -> tuple:
-    parts = f(x)
-    # iterating a bare array would take each of its values for a part
+def _parts(f: Callable, k: np.ndarray, h: np.ndarray) -> np.ndarray:
+    parts = f(k, h)
+    # iterating a bare array would take each of its rows for a part
     if not isinstance(parts, tuple):
         raise TypeError("the integrand must return a tuple of parts")
-    return parts
+    return np.asarray(parts, dtype=float)
 
 
-def abel_oscillatory(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], *,
+def abel_oscillatory(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]], *,
                      log_singular: bool = False) -> tuple[EvalResult | ExtrapolationError, ...]:
     """Regularized values of int_0^inf f_p(x) dx for the parts f_p of trig-product integrands.
 
-    f returns a tuple of parts, the integrands at x; the result has one
-    EvalResult per part. Parts that share factors (the cos(wx) and sin(wx)
-    parts of one integral) thus share their evaluation, and every part is
-    damped by the same exp(-eps x). A part whose extrapolants do not settle
-    gets an ExtrapolationError in its place, not raised, so that its
+    f returns a tuple of parts, the integrands at the nodes; the result has
+    one EvalResult per part. Parts that share factors (the cos(wx) and
+    sin(wx) parts of one integral) thus share their evaluation, and every
+    part is damped by the same exp(-eps x). A part whose extrapolants do not
+    settle gets an ExtrapolationError in its place, not raised, so that its
     siblings stay usable: sin(x) cos(x) has a value where sin(x)^2 has none.
 
     Computes F(eps) = int f_p(x) e^(-eps x) dx for eps = 0.2 * 0.5^k,
-    k < 7, on a shared panel grid covering (0, 40/eps_min), pi-length Gauss
-    panels (tanh-sinh panels when f carries log|sin| factors), then
+    k < 7, on a shared grid of pi-length panels covering (0, 40/eps_min),
+    Gauss panels (tanh-sinh panels when f carries log|sin| factors), then
     extrapolates eps to 0. The reported bound is the difference of the
     last two extrapolants plus the analytic truncation tail.
 
-    f must be elementwise: the tanh-sinh path calls it on consecutive
-    slices of the grid, never on the whole. Each rule's one-panel rule,
-    and the whole Gauss grid with its damping vectors, are built once per
-    process; the tanh-sinh nodes are generated slice by slice, with the
-    same bits as a whole grid. Every array f receives is read-only, so f
-    must not write into its argument.
+    Node j of panel k is x = (k+1/2) pi + h_j, and f is called as f(k, h)
+    on a block of whole panels at a time: k is a column of panel indices
+    and h the row of one-panel offsets, so x = (k + 0.5) * np.pi + h, and
+    each part is a (len(k), len(h)) array. On every panel sin x =
+    (-1)^k cos h and cos x = -(-1)^k sin h, so an integrand can build its
+    factors from per-panel columns and per-offset rows. Both arrays are
+    read-only, so f must not write into them. The damping factors the same
+    way: each panel's dot products with the rows of the 7 x m table
+    hw_j exp(-eps h_j) give its damped sums M[k, eps], and F(eps) is one
+    whole-array sum over k of exp(-eps (k+1/2) pi) M[k, eps]. A dot product
+    sees one panel at a time (a matrix product would round a row by where
+    it falls in the block), so no bit depends on how the panels are cut
+    into blocks. The tables are built once per process.
     """
-    hx, hw, *gauss = _abel_grid(log_singular)
-    if gauss:
-        x, w, *damp = gauss
-        fws = [np.asarray(p, dtype=float) * w for p in _parts(f, x)]
-        return tuple(_abel_result([np.sum(fw * d) for d in damp], x.size) for fw in fws)
-    # a weighted and a damped integrand per part, each grid-sized: for two
-    # parts the peak is four grid arrays, and each F(eps) is still one
-    # whole-array sum per part, so no bit depends on the slice length
-    m = hx.size
-    n = _ABEL_PANELS * m
-    step = max(1, _ABEL_SLICE // m)
-    cuts = [(k0, min(k0 + step, _ABEL_PANELS)) for k0 in range(0, _ABEL_PANELS, step)]
-    fws = None
-    for k0, k1 in cuts:
-        x = _panel_x(k0, k1, hx)
-        x.flags.writeable = False
-        parts = np.asarray(_parts(f, x), dtype=float)
-        if fws is None:
-            fws = np.empty((len(parts), n))
-        np.multiply(parts, np.tile(hw, k1 - k0), out=fws[:, k0 * m:k1 * m])
-    bufs = np.empty_like(fws)
-    F = []
-    for e in _ABEL_EPS:
-        for k0, k1 in cuts:
-            d = np.exp(-e * _panel_x(k0, k1, hx))
-            np.multiply(fws[:, k0 * m:k1 * m], d, out=bufs[:, k0 * m:k1 * m])
-        F.append([np.sum(buf) for buf in bufs])
-    return tuple(_abel_result(Fp, n) for Fp in zip(*F))
+    k, h, damp_h, damp_k = _abel_grid(log_singular)
+    step = max(1, _ABEL_SLICE // h.size)
+    M = None
+    for k0 in range(0, _ABEL_PANELS, step):
+        parts = _parts(f, k[k0:k0 + step], h)
+        if M is None:
+            M = np.empty((len(parts), len(_ABEL_EPS), _ABEL_PANELS))
+        M[:, :, k0:k0 + step] = np.vecdot(parts[:, None], damp_h[:, None])
+    F = np.sum(M * damp_k, axis=2)
+    return tuple(_abel_result(Fp, _ABEL_PANELS * h.size) for Fp in F)
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +376,40 @@ def _trig_integral(base: str, a: int, w: float, alpha: int, parts: Sequence[int]
     """The cos(wx) (0) and sin(wx) (1) parts, those named by parts, of one
     oscillatory integral: sin^a x (F7, F8), cos^a x (F9, F10) or sin^a x
     with log|sin x| and its winding (F11), times x^alpha. The parts share
-    every other factor."""
-    if base != "log":
-        trig = np.sin if base == "sin" else np.cos
-        waves = [(np.cos, np.sin)[i] for i in parts]
+    every other factor.
 
-        def g(x):
-            common = x ** alpha * trig(x) ** a
-            wx = w * x
-            return tuple(common * wave(wx) for wave in waves)
+    Every factor but x^alpha splits into a per-panel column and a per-offset
+    row (see abel_oscillatory): sin^a x = (-1)^(ka) cos^a h, cos^a x =
+    (-1)^((k+1)a) sin^a h, log|sin x| = log cos h and the winding
+    pi floor(x/pi) = k pi. cos(wx) and sin(wx) come by angle addition from
+    the panel centre's cos/sin(w (k+1/2) pi) and the offset's cos/sin(wh).
+    Folding the power's sign into the columns and its magnitude into the
+    rows leaves outer products, x^alpha and sums on the node block.
+    """
 
-        return abel_oscillatory(g)
+    def g(k, h):
+        parity = 1 - 2 * (k % 2)  # (-1)^k
+        sign = (-parity if base == "cos" else parity) ** a
+        # w (k+1/2) reduced mod 2 before it is multiplied by pi: exact where w has few bits
+        turn = np.pi * np.fmod(w * (k + 0.5), 2.0)
+        cp, sp = sign * np.cos(turn), sign * np.sin(turn)
+        power = (np.sin(h) if base == "cos" else np.cos(h)) ** a
+        ch, sh = power * np.cos(w * h), power * np.sin(w * h)
+        if base != "log":
+            # the power times cos(wx) = cp ch - sp sh, times sin(wx) = sp ch + cp sh
+            waves = (lambda: cp * ch - sp * sh, lambda: sp * ch + cp * sh)
+        else:
+            # the power times log|sin x| cos(wx) + k pi sin(wx), and log|sin x| sin(wx) - k pi cos(wx)
+            logs, winding = np.log(np.cos(h)), k * np.pi
+            lch, lsh, wcp, wsp = logs * ch, logs * sh, winding * cp, winding * sp
+            waves = (lambda: cp * lch - sp * lsh + wsp * ch + wcp * sh,
+                     lambda: sp * lch + cp * lsh - wcp * ch + wsp * sh)
+        if alpha == 0:
+            return tuple(waves[i]() for i in parts)
+        xa = ((k + 0.5) * np.pi + h) ** alpha
+        return tuple(xa * waves[i]() for i in parts)
 
-    def g11(x):
-        s = np.sin(x)
-        common = x ** alpha * s ** a
-        logs = np.log(np.abs(s))
-        winding = np.pi * np.floor(x / np.pi)
-        wx = w * x
-        cw, sw = np.cos(wx), np.sin(wx)
-        both = (lambda: logs * cw + winding * sw, lambda: logs * sw - winding * cw)
-        return tuple(common * both[i]() for i in parts)
-
-    return abel_oscillatory(g11, log_singular=True)
+    return abel_oscillatory(g, log_singular=base == "log")
 
 
 def oracle_key(spec: IntegralSpec) -> Optional[tuple]:
@@ -546,7 +543,7 @@ def inverse_factor_direct(b: float, n: int) -> float:
 
 def inverse_factor_key(b: float, n: int) -> tuple:
     """The key under which oracle_memo holds inverse_factor_direct(b, n)."""
-    return ("invsum", b, int(n))
+    return ("invsum", b, _whole(n, 1, "order n must be a positive integer"))
 
 
 def _inverse_factor(b: float, n: int) -> float:

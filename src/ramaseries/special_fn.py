@@ -255,7 +255,10 @@ def _hurwitz(s: float, q: float, sm1: float | None = None, alternating: bool = F
     units of _EPS: s/2 + 1 a head term (q + j, the power) plus _HEAD for the
     sum; s/2 + 8 for the tail (Q, the power, Z); one for the last addition."""
     sm1 = s - 1.0 if sm1 is None else sm1
-    if not ((sm1 > 0.0 or alternating) and q > 0.0):
+    if not ((sm1 > 0.0 or alternating) and 0.0 < q < math.inf and s < math.inf):
+        for name, v in (("s", s), ("q", q)):
+            if not math.isfinite(v):
+                raise DomainError(f"hurwitz_zeta needs finite s and q, got {name} = {v}")
         raise DomainError(f"hurwitz_zeta needs s > 1 and q > 0, got s = {s}, q = {q}")
     try:
         ts = [(q + j) ** -s for j in range(_HEAD)]

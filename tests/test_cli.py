@@ -227,7 +227,9 @@ def test_single_value_flags_rejected(args, message):
     (("eval", "integral", "--form", "F4", "--a", "0.5", "--b", "1", "--n", "2000"),
      "integrand overflows"),
 ] + [(("verify", "twosided", "--tol", tol), "tolerance must be finite and >= 0")
-     for tol in ("inf", "nan", "-1")])
+     for tol in ("inf", "nan", "-1")] + [
+    (("eval", "zeta", "--s", "2", "--q", "inf"), "error: hurwitz_zeta needs finite s and q, got q = inf"),
+])
 def test_input_past_double_range_exits_2(argv, message):
     # non-finite input, a coefficient, head length or integrand past 1e308,
     # or a tolerance that would pass or fail every record: an error line and

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramaseries import quadrature
+from ramaseries.identities import trig_cos
 from ramaseries.quadrature import (
     ExtrapolationError,
     IntegralSpec,
@@ -101,14 +102,19 @@ def test_abel_closed_forms(form, params, want):
     assert r.abs_error_bound < 1e-6
 
 
+def _x(k, h):
+    """The Abel nodes of an integrand block: panel k's centre plus the offsets h."""
+    return (k + 0.5) * np.pi + h
+
+
 def test_abel_plain_sine():
-    (r,) = abel_oscillatory(lambda x: (np.sin(x),))
+    (r,) = abel_oscillatory(lambda k, h: (np.sin(_x(k, h)),))
     assert r.value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_abel_instability_raises():
     # the unsettled part comes back in its place, and the oracle raises it
-    (r,) = abel_oscillatory(lambda x: (np.exp(0.05 * x) * np.sin(x),))
+    (r,) = abel_oscillatory(lambda k, h: (np.exp(0.05 * _x(k, h)) * np.sin(_x(k, h)),))
     assert isinstance(r, ExtrapolationError)
     # sin(x) sin(x) has no Abel value; its sibling sin(x) cos(x) has, in and out of a memo
     for memo in (contextlib.nullcontext(), quadrature.oracle_memo()):
@@ -121,7 +127,7 @@ def test_abel_instability_raises():
 
 def test_abel_integrand_returns_a_tuple():
     with pytest.raises(TypeError):
-        abel_oscillatory(lambda x: np.sin(x))
+        abel_oscillatory(lambda k, h: np.sin(_x(k, h)))
 
 
 def test_two_sided():
@@ -184,76 +190,85 @@ def test_inverse_factor_direct_input_checks(b, n):
 
 
 def test_abel_cached_grids_read_only():
-    abel_oscillatory(lambda x: (np.sin(x), np.cos(x)))
-    abel_oscillatory(lambda x: (np.sin(x), np.cos(x)), log_singular=True)
-    hx, hw, x, w, *damp = quadrature._abel_grid(False)
-    assert len(damp) == len(quadrature._ABEL_EPS)
-    # the tanh-sinh rule keeps its one-panel rule only
-    assert len(quadrature._abel_grid(True)) == 2
+    both = lambda k, h: (np.sin(_x(k, h)), np.cos(_x(k, h)))
+    abel_oscillatory(both)
+    abel_oscillatory(both, log_singular=True)
+    eps, panels = len(quadrature._ABEL_EPS), quadrature._ABEL_PANELS
     for log_singular in (False, True):
+        k, h, damp_h, damp_k = quadrature._abel_grid(log_singular)
+        # one damping row per eps, for the offsets and for the panels
+        assert damp_h.shape == (eps, h.size) and damp_k.shape == (eps, panels)
+        assert k.shape == (panels, 1) and h.shape == (1, h.size)
+        # neither rule keeps a grid-sized table: the grid has panels x offsets nodes
+        assert max(arr.size for arr in (k, h, damp_h, damp_k)) < panels * h.size
         assert not any(arr.flags.writeable for arr in quadrature._abel_grid(log_singular))
 
-    def scribbler(x):
-        x *= 2.0
-        return np.sin(x), np.cos(x)
+    def scribbler(k, h):
+        h *= 2.0
+        return both(k, h)
+
+    def panel_scribbler(k, h):
+        k += 1
+        return both(k, h)
 
     for log_singular in (False, True):
-        with pytest.raises(ValueError):
-            abel_oscillatory(scribbler, log_singular=log_singular)
+        for f in (scribbler, panel_scribbler):
+            with pytest.raises(ValueError):
+                abel_oscillatory(f, log_singular=log_singular)
+
+
+def _trig_product(k, h):
+    x = _x(k, h)
+    return x * np.sin(x) ** 2 * np.cos(3.0 * x), x * np.sin(x) ** 2 * np.sin(3.0 * x)
 
 
 @pytest.mark.parametrize("log_singular", [False, True])
 def test_abel_cold_cache_same_bits(monkeypatch, log_singular):
-    f = lambda x: (x * np.sin(x) ** 2 * np.cos(3.0 * x), x * np.sin(x) ** 2 * np.sin(3.0 * x))
-    warm = abel_oscillatory(f, log_singular=log_singular)
+    warm = abel_oscillatory(_trig_product, log_singular=log_singular)
     monkeypatch.setattr(quadrature, "_ABEL_GRIDS", {})
-    cold = abel_oscillatory(f, log_singular=log_singular)
+    cold = abel_oscillatory(_trig_product, log_singular=log_singular)
     assert quadrature._ABEL_GRIDS
     assert len(cold) == 2
     assert ([(r.value, r.abs_error_bound) for r in cold]
             == [(r.value, r.abs_error_bound) for r in warm])
 
 
-@pytest.mark.parametrize("part", ["c", "s"])
-def test_abel_sliced_tanh_sinh_matches_whole_array(monkeypatch, part):
-    # the F11 integrand, damped and summed over the whole grid at once
-    seen, slices = [], []
+# F7/F8 and F9/F10 integrals on Gauss panels, an F11 integral on tanh-sinh panels
+_SLICE_KEYS = [("sin", 3, 5.0, 1), ("cos", 2, 3.5, 2), ("log", 2, 3.0, 1)]
+
+
+@pytest.mark.parametrize("slice_len, one_block", [(1 << 9, False), (1 << 20, True)])
+def test_abel_bits_do_not_depend_on_the_slice(monkeypatch, slice_len, one_block):
+    # at 2^9 a tanh-sinh block is five panels, at 2^20 one block is the whole grid
+    def bits():
+        return [(r.value, r.abs_error_bound) for key in _SLICE_KEYS
+                for r in quadrature._trig_integral(*key)]
+
+    want = bits()
+    blocks = []
     inner = quadrature.abel_oscillatory
 
     def spy(f, **kw):
-        seen.append(f)
-
-        def recorder(x):
-            slices.append((x.copy(), x.flags.writeable))
-            return f(x)
+        def recorder(k, h):
+            blocks.append((k.ravel().tolist(), k.flags.writeable or h.flags.writeable))
+            return f(k, h)
 
         return inner(recorder, **kw)
 
+    monkeypatch.setattr(quadrature, "_ABEL_SLICE", slice_len)
     monkeypatch.setattr(quadrature, "abel_oscillatory", spy)
-    r = oracle_value(IntegralSpec("F11", {"a": 2, "w": 3.0, "alpha": 1, "part": part}))
-    (f,) = seen
-    xi, wi = quadrature._ts_rule()
-    k = np.arange(quadrature._ABEL_PANELS)[:, None]
-    x = ((k + 0.5) * np.pi + 0.5 * np.pi * xi[None, :]).ravel()
-    w = np.tile(0.5 * np.pi * wi, quadrature._ABEL_PANELS)
-    assert x.size > 16 * quadrature._ABEL_SLICE
-    # the generated slices are the whole grid, bit for bit, and read-only
-    assert len(slices) > 16
-    assert np.concatenate([s for s, _ in slices]).tobytes() == x.tobytes()
-    assert not any(writeable for _, writeable in slices)
-    eps = quadrature._ABEL_EPS
-    (fx,) = f(x)  # a bare call evaluates its own part alone
-    fw = fx * w
-    F = np.array([np.sum(fw * np.exp(-e * x)) for e in eps])
-    val = quadrature._neville_to_zero(eps, F)
-    prev = quadrature._neville_to_zero(eps[:-1], F[:-1])
-    tail = math.exp(-40.0) * (1.0 + quadrature._ABEL_X_MAX) ** 2
-    assert r.value == val
-    assert r.abs_error_bound == abs(val - prev) + tail
+    assert bits() == want
+    # every integral saw each panel once, in order, in read-only blocks
+    panels = list(range(quadrature._ABEL_PANELS))
+    seen = [k for ks, _ in blocks for k in ks]
+    assert seen == panels * len(_SLICE_KEYS)
+    assert not any(writeable for _, writeable in blocks)
+    assert (len(blocks) == len(_SLICE_KEYS)) == one_block
 
 
 def test_abel_tanh_sinh_traced_peak(monkeypatch):
-    # a cold call, grid build included; the whole-array path peaked at 23 MB.
+    # a cold call, tables included; the whole-array path peaked at 23 MB, the
+    # slice-by-slice one at 14 MB, the panel-factored one at 1.7 MB.
     # Outside a memo the call computes one part, in a memo both.
     spec = IntegralSpec("F11", {"a": 2, "w": 3.0, "alpha": 1.0, "part": "c"})
     for memo in (contextlib.nullcontext(), quadrature.oracle_memo()):
@@ -265,15 +280,17 @@ def test_abel_tanh_sinh_traced_peak(monkeypatch):
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 16e6, peak
+        assert peak < 2.5e6, peak
 
 
 @pytest.mark.xfail(strict=True, reason="the Abel spread is no error bound (ROADMAP item 9)")
 def test_abel_bound_holds_at_f9_counterexample():
-    # the exact Abel value is 0 (trig_cos(1, 2, 2).lambda_c, a finite sum at
-    # integer a); the oracle gives 1.337e-7 with bound 1.325e-7
-    r = oracle_value(IntegralSpec("F9", {"a": 1, "v": 2, "alpha": 2}))
-    assert abs(r.value) <= r.abs_error_bound
+    # trig_cos(2, 4, 2).lambda_c is the exact Abel value (a finite sum at
+    # integer a). The oracle misses it by 1.44e-7 with bound 1.27e-7 (by
+    # 1.08e-6 with bound 9.2e-7 before the panel-factored damping; that moved
+    # the first counterexample, (1, 2, 2), inside its bound)
+    r = oracle_value(IntegralSpec("F9", {"a": 2, "v": 4, "alpha": 2}))
+    assert abs(r.value - trig_cos(2, 4.0, 2).lambda_c) <= r.abs_error_bound
 
 
 def test_graceful_level_cap():

@@ -186,6 +186,12 @@ def test_overflow_raises_domain_error(call, args):
     *[(fn, (x,), "needs a finite x") for fn in (digamma, gamma) for x in (math.nan, math.inf, -math.inf)],
     (beta_f, (0.0, math.nan, 1.0), "needs a finite x"),
     (lerch_phi, (0.5, 2.0, math.inf), "needs finite b > 0"),
+    # the message names the argument, not an overflow the sum never has
+    (hurwitz_zeta, (2.0, math.inf), "needs finite s and q, got q = inf"),
+    (hurwitz_zeta, (math.inf, 1.0), "needs finite s and q, got s = inf"),
+    (hurwitz_zeta, (math.nan, 1.0), "needs finite s and q, got s = nan"),
+    (hurwitz_zeta, (-math.inf, 1.0), "needs finite s and q, got s = -inf"),
+    (lerch_phi, (-1.0, math.inf, 1.0), "needs finite s and q, got s = inf"),
 ])
 def test_non_finite_input_raises_domain_error(call, args, message):
     # not a NaN or inf value passed on, nor an OverflowError from round()
