@@ -24,8 +24,8 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coeff_triangle import build as build_triangle
-from .errata import reproduce_all
-from .quadrature import IntegralSpec, VerificationRecord, oracle_value
+from .errata import ENTRIES
+from .quadrature import IntegralSpec, oracle_value
 from .series_engine import (
     SeriesParams,
     EvalResult,
@@ -35,7 +35,7 @@ from .series_engine import (
     eval_psi_general,
 )
 from .special_fn import DivergenceError, DomainError, _hurwitz, _lerch, _s_prime, _whole
-from .verify import SUITE_NAMES, ordered_map, run_suite
+from .verify import SUITE_NAMES, VerificationRecord, errata_records, ordered_map, run_suite
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -337,25 +337,16 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_errata(args: argparse.Namespace) -> int:
+    pairs = [(entry, *errata_records(entry)) for entry in ENTRIES]
     if args.format == "text":
-        for entry, printed, corrected in reproduce_all():
-            print("%s" % entry.key)
-            print("  printed:   %s" % entry.printed)
-            print("  corrected: %s" % entry.corrected)
-            print("  note:      %s" % entry.detail)
-            print(
-                "  evidence:  printed %s (resid %s), corrected %s (resid %s), oracle %s"
-                % (
-                    printed.verdict,
-                    _fmt(printed.residual, 3),
-                    corrected.verdict,
-                    _fmt(corrected.residual, 3),
-                    _fmt(corrected.oracle_value, 10),
-                )
-            )
+        for entry, printed, corrected in pairs:
+            print("%s\n  printed:   %s\n  corrected: %s\n  note:      %s"
+                  % (entry.key, entry.printed, entry.corrected, entry.detail))
+            print("  evidence:  printed %s (resid %s), corrected %s (resid %s), oracle %s" % (
+                printed.verdict, _fmt(printed.residual, 3), corrected.verdict,
+                _fmt(corrected.residual, 3), _fmt(corrected.oracle_value, 10)))
         return 0
-    rows = [rec for _, printed, corrected in reproduce_all() for rec in (printed, corrected)]
-    _emit_records(rows, args.format)
+    _emit_records([rec for _, printed, corrected in pairs for rec in (printed, corrected)], args.format)
     return 0
 
 

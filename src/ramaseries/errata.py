@@ -1,12 +1,13 @@
 """Catalog of printed-source discrepancies, each with live numeric evidence.
 
 Every entry pairs the uncorrected reading with the adopted one and can
-reproduce the adjudication on demand: the printed reading is evaluated and
-confronted with an independent oracle (quadrature, regularized oscillatory
-integration, or direct summation), then the corrected reading is confronted
-with the same oracle.  A healthy catalog has every printed record failing
-and every corrected record passing; the verification suite asserts exactly
-that, so none of these findings can silently rot.
+reproduce its evidence on demand: the printed value, the corrected value,
+the value of an independent oracle (quadrature, regularized oscillatory
+integration, or direct summation) and the tolerance.  verify.errata_records
+judges both readings against that one oracle; a healthy catalog has every
+printed record failing and every corrected record passing, and the
+verification suite asserts exactly that, so none of these findings can
+silently rot.
 
 Keys are the display tags of the source text, kept verbatim so readers can
 find the disputed lines; unnumbered displays get short descriptive keys.
@@ -19,17 +20,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from .coeff_triangle import build as build_triangle
-from .quadrature import (
-    IntegralSpec,
-    VerificationRecord,
-    integrate_decay,
-    inverse_factor_direct,
-    make_record,
-    oracle_value,
-)
+from .quadrature import IntegralSpec, integrate_decay, inverse_factor_direct, oracle_value
 from .series_engine import SeriesParams, eval_phi, eval_phi_tilde, eval_psi_general
 from .special_fn import beta_f, gamma, lerch_phi, s_prime
 from . import identities
+
+
+# (printed value, corrected value, oracle value, tolerance)
+Evidence = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -40,27 +38,21 @@ class ErrataEntry:
     printed: str
     corrected: str
     detail: str
-    _repro: Callable[[], Tuple[VerificationRecord, VerificationRecord]]
+    _repro: Callable[[], Evidence]
 
-    def reproduce(self) -> Tuple[VerificationRecord, VerificationRecord]:
-        """Return (printed_record, corrected_record) computed fresh."""
+    def reproduce(self) -> Evidence:
+        """The evidence, computed fresh: (printed, corrected, oracle, tol),
+        both readings to be judged against the one oracle value."""
         return self._repro()
 
 
-def _pair(key: str, printed: float, corrected: float, oracle: float,
-          tol: float) -> Tuple[VerificationRecord, VerificationRecord]:
-    """The printed and the corrected reading, each against the same oracle."""
-    return (make_record(f"errata {key} printed", printed, oracle, tol),
-            make_record(f"errata {key} corrected", corrected, oracle, tol))
-
-
-def _repro_2_9() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_2_9() -> Evidence:
     # (1+e^-x)^2 e^-x integrates to 7/3; a trailing minus on the last
     # expansion term would give 5/3
     orc = integrate_decay(lambda x: (1.0 + math.exp(-x)) ** 2 * math.exp(-x), 1.0).value
     printed = 1.0 + 2.0 / 2.0 - 1.0 / 3.0
     corrected = eval_phi_tilde(2.0, 1.0, 0.0).value
-    return _pair("(2.9)", printed, corrected, orc, 1e-9)
+    return printed, corrected, orc, 1e-9
 
 
 def _abel(form: str, a: int, wv: float, alpha: float) -> float:
@@ -77,28 +69,28 @@ def _conjugate_chain_sin(a: int, w: float, alpha: float) -> Tuple[float, float]:
     return s * val * math.sin(th), s * val * math.cos(th)
 
 
-def _repro_2_13b() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_2_13b() -> Evidence:
     orc = _abel("F8", 2, 3.0, 0.0)
     printed = _conjugate_chain_sin(2, 3.0, 0.0)[1]
     corrected = identities.trig_lambda(2, 3.0, 0.0).lambda_s
-    return _pair("(2.13b)", printed, corrected, orc, 1e-3)
+    return printed, corrected, orc, 1e-3
 
 
-def _repro_2_17() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_2_17() -> Evidence:
     orc = _abel("F7", 1, 2.0, 0.0)
     printed = _conjugate_chain_sin(1, 2.0, 0.0)[0]
     corrected = identities.trig_lambda(1, 2.0, 0.0).lambda_c
-    return _pair("(2.17)", printed, corrected, orc, 1e-3)
+    return printed, corrected, orc, 1e-3
 
 
-def _repro_2_18() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_2_18() -> Evidence:
     orc = _abel("F8", 1, 2.0, 1.0)
     printed = _conjugate_chain_sin(1, 2.0, 1.0)[1]
     corrected = identities.trig_lambda(1, 2.0, 1.0).lambda_s
-    return _pair("(2.18)", printed, corrected, orc, 1e-3)
+    return printed, corrected, orc, 1e-3
 
 
-def _repro_3_4() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_3_4() -> Evidence:
     # corrected recurrence reads the middle term from the previous row;
     # the printed superscript points it at the row being built.  At
     # (p, b) = (2, 2) the depth-3 middle entry separates the readings:
@@ -109,7 +101,7 @@ def _repro_3_4() -> Tuple[VerificationRecord, VerificationRecord]:
     prev = [b, -p]
     self_ref_first = b * prev[0]
     printed = -p * self_ref_first + (b + 1.0) * prev[1]
-    return _pair("(3.4)", printed, corrected, target, 1e-12)
+    return printed, corrected, target, 1e-12
 
 
 def _phi_quad(a: float, b: float, alpha: float) -> float:
@@ -124,16 +116,15 @@ def _zeta_combo_4_4(b: float, mu: float, halved: bool) -> float:
     return 0.5 * v if halved else v
 
 
-def _repro_4_4() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_4_4() -> Evidence:
     # depth-2 display drops the leading 1/2 of the three-zeta combination
     orc = _phi_quad(-3.0, 3.0, 3.0)
     printed = _zeta_combo_4_4(1.0, 1.0, halved=False)
     corrected = _zeta_combo_4_4(1.0, 1.0, halved=True)
-    tol = 1e-7 * max(1.0, abs(orc))
-    return _pair("(4.4)", printed, corrected, orc, tol)
+    return printed, corrected, orc, 1e-7 * max(1.0, abs(orc))
 
 
-def _repro_4_5() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_4_5() -> Evidence:
     # worked example fixes the ladder coefficients at the same p as the
     # series instances; relabeling the triangle argument one step down
     # changes the second coefficient from 1/2 to 3/2
@@ -142,11 +133,10 @@ def _repro_4_5() -> Tuple[VerificationRecord, VerificationRecord]:
     inst2 = eval_phi(-1.5, 1.25, 1.0).value
     corrected = 0.25 * inst1 + 0.5 * inst2
     printed = 0.25 * inst1 + 1.5 * inst2
-    tol = 1e-7 * max(1.0, abs(rhs))
-    return _pair("(4.5)", printed, corrected, rhs, tol)
+    return printed, corrected, rhs, 1e-7 * max(1.0, abs(rhs))
 
 
-def _repro_x3() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_x3() -> Evidence:
     # cubic-weight worked value: the printed bracket substitutes the closed
     # form of one constant while keeping its symbol in another term and
     # drops a factor pi on the middle term
@@ -156,35 +146,33 @@ def _repro_x3() -> Tuple[VerificationRecord, VerificationRecord]:
     g3 = s_prime(3)
     printed = phi0 * (5.0 * math.pi ** 3 + 48.0 * g2 + 128.0 * g3)
     corrected = phi0 * (math.pi ** 3 + 48.0 * math.pi * g2 + 128.0 * g3)
-    tol = 1e-7 * max(1.0, abs(orc))
-    return _pair("x3-example", printed, corrected, orc, tol)
+    return printed, corrected, orc, 1e-7 * max(1.0, abs(orc))
 
 
-def _repro_5_7() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_5_7() -> Evidence:
     # sum over j of 1/(j (1+j)^2) is positive; the display equates it to the
     # parameter derivative itself instead of its negative
     orc = inverse_factor_direct(1.0, 2)
     printed = identities.phi_da_closed(0.0, 1.0, 1)
     corrected = identities.inverse_factor_sum(1.0, 2)
-    return _pair("(5.7)", printed, corrected, orc, 1e-9)
+    return printed, corrected, orc, 1e-9
 
 
-def _repro_log_log() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_log_log() -> Evidence:
     spec = IntegralSpec("F4", {"a": -0.5, "b": 0.25, "beta": -1.0, "alpha": 1.0})
     orc = oracle_value(spec).value
     printed = identities.phi_da_closed(-0.5, 0.25, 1)
     corrected = -printed
-    tol = 1e-6 * max(1.0, abs(orc))
-    return _pair("log-log-example", printed, corrected, orc, tol)
+    return printed, corrected, orc, 1e-6 * max(1.0, abs(orc))
 
 
-def _repro_lerch() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_lerch() -> Evidence:
     # geometric single-shift series equals the transcendent at argument
     # -beta; the display keeps +beta
     orc = eval_psi_general(SeriesParams(a=-1.0, b=1.0, beta=0.5, alpha=0.0)).value
     printed = lerch_phi(0.5, 1.0, 1.0)
     corrected = lerch_phi(-0.5, 1.0, 1.0)
-    return _pair("lerch-reduction", printed, corrected, orc, 1e-10)
+    return printed, corrected, orc, 1e-10
 
 
 def two_sided_closed(b: float, beta: float) -> float:
@@ -206,14 +194,13 @@ def two_sided_closed(b: float, beta: float) -> float:
     return (K2 - beta ** (1.0 - b) * (K2 - 2.0 * c * K1 + c * c * K0)) / (1.0 - beta)
 
 
-def _repro_two_sided() -> Tuple[VerificationRecord, VerificationRecord]:
+def _repro_two_sided() -> Evidence:
     b, beta = 0.25, 0.25
     orc = oracle_value(IntegralSpec("F12", {"b": b, "beta": beta})).value
     s = math.sin(math.pi * b)
     printed = math.pi ** 3 / (1.0 - beta) / s * (2.0 - s * s)
     corrected = two_sided_closed(b, beta)
-    tol = 1e-6 * max(1.0, abs(orc))
-    return _pair("two-sided", printed, corrected, orc, tol)
+    return printed, corrected, orc, 1e-6 * max(1.0, abs(orc))
 
 
 ENTRIES: Tuple[ErrataEntry, ...] = (
@@ -349,9 +336,3 @@ def catalog() -> Dict[str, ErrataEntry]:
     """The fixed ledger, keyed by display tag."""
     return {e.key: e for e in ENTRIES}
 
-
-def reproduce_all():
-    """Recompute every adjudication; yields (entry, printed_rec, corrected_rec)."""
-    for entry in ENTRIES:
-        printed_rec, corrected_rec = entry.reproduce()
-        yield entry, printed_rec, corrected_rec

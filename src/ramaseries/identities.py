@@ -7,10 +7,11 @@ reduction, first-derivative closed forms with their series and integral
 cross-checks, trigonometric closed forms for oscillatory integrals, and the
 two-sided exponential family.
 
-Some printed source formulas fail their own oracles; those are implemented
-in corrected form here, with the printed readings preserved in ``errata``.
-Confrontation operations return VerificationRecords rather than asserting,
-so a failing closed form stays visible instead of being patched over.
+Every function returns a plain value; ``verify`` pairs each with an
+independent route and judges the pair. Some printed source formulas fail
+their own oracles; those are implemented in corrected form here, with the
+printed readings preserved in ``errata``. The printed two-sided closed form
+is kept as printed, so its failing records stay visible.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .coeff_triangle import build as build_triangle
-from .quadrature import (
-    IntegralSpec,
-    VerificationRecord,
-    integrate_two_sided,
-    make_record,
-    oracle_value,
-)
 from .series_engine import (
     EvalResult,
     SeriesParams,
@@ -133,13 +127,9 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
     )
 
 
-def _shift_id(p: float, b: float, beta: float, mu: float, m: int) -> str:
-    return f"shift p={p:g} b={b:g} beta={beta:g} mu={mu:g} m={m}"
-
-
-def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> VerificationRecord:
-    """Confront the weight-shift identity: the triangle ladder of shifted
-    series against the power-weighted series it reduces.
+def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> float:
+    """The left side of the weight-shift identity: the triangle ladder of
+    shifted series that reduces the power-weighted series S(p, b, beta, mu).
 
         sum_{k=1}^{m+1} A_k^(m+1)(p,b) (-beta)^(k-1)
             * S(p-k+1, b+k-1, beta, mu+m)  =  S(p, b, beta, mu)
@@ -157,26 +147,18 @@ def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> Verifica
             )
         if p <= -1.0 and not mu > 0.0:
             raise DivergenceError("need mu > 0 when p <= -1 at |beta|=1")
-    tri = build_triangle(p, b, m + 1)
-    row = tri.rows[m]
-    lhs_terms = []
-    for k in range(1, m + 2):
-        coeff = row[k - 1] * (-beta) ** (k - 1)
-        inst = eval_psi_general(
-            SeriesParams(a=p - k + 1.0, b=b + k - 1.0, beta=beta, alpha=mu + m)
-        )
-        lhs_terms.append(coeff * inst.value)
-    rhs = eval_psi_general(SeriesParams(a=p, b=b, beta=beta, alpha=mu))
-    lhs = math.fsum(lhs_terms)
-    tol = 1e-9 * max(1.0, abs(rhs.value))
-    return make_record(_shift_id(p, b, beta, mu, m), lhs, rhs.value, tol)
+    row = build_triangle(p, b, m + 1).rows[m]
+    return math.fsum(
+        row[k - 1] * (-beta) ** (k - 1)
+        * eval_psi_general(SeriesParams(a=p - k + 1.0, b=b + k - 1.0, beta=beta, alpha=mu + m)).value
+        for k in range(1, m + 2))
 
 
-def eta_reduction(b: float, alpha: float) -> VerificationRecord:
-    """Confront the alternating unit-weight series with its Hurwitz reduction
+def eta_reduction(b: float, alpha: float) -> float:
+    """The Hurwitz reduction of the alternating unit-weight series
 
-        sum_i (-1)^i/(b+i)^(alpha+1)  vs  2^(-alpha) zeta(alpha+1, b/2)
-                                          - zeta(alpha+1, b).
+        sum_i (-1)^i/(b+i)^(alpha+1)  =  2^(-alpha) zeta(alpha+1, b/2)
+                                         - zeta(alpha+1, b).
 
     Both sides need alpha > 0 individually.
     """
@@ -184,11 +166,7 @@ def eta_reduction(b: float, alpha: float) -> VerificationRecord:
         raise DomainError("need b > 0")
     if not alpha > 0.0:
         raise DomainError("reduction sides individually diverge unless alpha > 0")
-    series = eval_phi_tilde(-1.0, b, alpha)
-    closed = 2.0 ** (-alpha) * hurwitz_zeta(alpha + 1.0, 0.5 * b) - hurwitz_zeta(
-        alpha + 1.0, b
-    )
-    return make_record(f"eta b={b:g} alpha={alpha:g}", series.value, closed, 1e-11)
+    return 2.0 ** (-alpha) * hurwitz_zeta(alpha + 1.0, 0.5 * b) - hurwitz_zeta(alpha + 1.0, b)
 
 
 def phi_da_closed(a: float, b: float, n: int) -> float:
@@ -229,17 +207,6 @@ def inverse_factor_sum(b: float, n: int) -> float:
     if not 0.0 < b < math.inf:
         raise DomainError("need b > 0")
     return -phi_da_closed(0.0, b, n - 1)
-
-
-def interchange_check(a: float, b: float) -> VerificationRecord:
-    """Confront the two readings of mixed differentiation order at n = 0:
-    the parameter derivative against -1 times the order-1 series with its
-    first two parameters swapped (a,b) -> (b-1, a+1).
-    """
-    lhs = phi_da_closed(a, b, 0)
-    rhs = -ramanujan_phi(b - 1.0, a + 1.0, 1).value
-    tol = 1e-9 * max(1.0, abs(rhs))
-    return make_record(f"interchange a={a:g} b={b:g}", lhs, rhs, tol)
 
 
 def _exact_quarter_phase(k: int) -> Tuple[float, float]:
@@ -327,20 +294,19 @@ def log_sin_integral(a: int, w: float, alpha: float) -> Tuple[float, float]:
     return d_c, d_s
 
 
-def two_sided_family(b: float, beta: float, m: int) -> VerificationRecord:
-    """Confront the printed two-sided closed form with direct quadrature.
+def two_sided_family(b: float, beta: float, m: int) -> float:
+    """The printed two-sided closed form, kept as printed: it fails against
+    direct quadrature (quadrature.two_sided_direct) everywhere but the
+    symmetric point, see errata.
 
     m = 0: claimed pi^3/(1-beta) csc(b pi)(2-sin^2(b pi)) for the integral
     int x^2 e^(-bx)/((1+e^(-x))(1+beta e^(-x))) dx over the line.
     m = 1: the weight-shift ladder turns the (b+i) factor into two integrals,
     the base one times b minus beta times the shifted one with the geometric
-    factor squared; that combination is confronted with the claimed
-    geometric-weight right side.
-
-    The oracle side is always direct quadrature; where the claim fails, the
-    record says so (the series route behind the claim treats a shift-dependent
+    factor squared; the claim for that combination is the geometric-weight
+    right side. (The series route behind the claim treats a shift-dependent
     prefactor as constant and integrates terms outside their convergence
-    strip, see errata).
+    strip.)
     """
     if not (0.0 < b < 1.0):
         raise DomainError("need 0 < b < 1")
@@ -350,26 +316,5 @@ def two_sided_family(b: float, beta: float, m: int) -> VerificationRecord:
         raise DomainError("only m in {0, 1} is supported")
     base = math.pi ** 3 / math.sin(math.pi * b) * (2.0 - math.sin(math.pi * b) ** 2)
     if m == 0:
-        claim = base / (1.0 - beta)
-        oracle = oracle_value(IntegralSpec("F12", {"b": b, "beta": beta})).value
-    else:
-        claim = base * (b / (1.0 - beta) + beta / (1.0 - beta) ** 2)
-        i1 = oracle_value(IntegralSpec("F12", {"b": b, "beta": beta})).value
-        i2 = 0.0
-        if beta > 0.0:
-
-            def f_sq(x: float) -> float:
-                # factored left form decays like x^2 e^((2-b)x), fine for b < 1
-                if x < 0.0:
-                    g = math.exp(x)
-                    return x * x * math.exp((2.0 - b) * x) / ((1.0 + g) * (beta + g) ** 2)
-                e = math.exp(-x)
-                return x * x * math.exp(-(b + 1.0) * x) / ((1.0 + e) * (1.0 + beta * e) ** 2)
-
-            i2 = integrate_two_sided(f_sq).value
-        oracle = b * i1 - beta * i2
-    tol = 1e-6 * max(1.0, abs(oracle))
-    note = None
-    if not abs(claim - oracle) <= tol:
-        note = "printed closed form; the direct integral disagrees (see errata)"
-    return make_record(f"two-sided b={b:g} beta={beta:g} m={m}", claim, oracle, tol, note)
+        return base / (1.0 - beta)
+    return base * (b / (1.0 - beta) + beta / (1.0 - beta) ** 2)

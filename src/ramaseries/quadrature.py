@@ -16,6 +16,7 @@ Independent routes:
 * an oracle memo (oracle_memo) that a verification pass holds open, so
   records that share an integral or an inverse-factor sum evaluate it once,
 * closed-form dispatch table mapping tagged integral forms to the routes,
+* the direct side of the two-sided family (two_sided_direct),
 * direct summation of the inverse-factor series sum_j 1/(j (b+j)^n).
 
 Endpoint care: tanh-sinh abscissae cluster within 1e-270 of the endpoints,
@@ -434,12 +435,14 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
     of its integral in one grid pass and keeps the other part for the call
     that asks for it; outside, it evaluates its own part alone. An integrand past double
     range (a log power log(d)^n near an endpoint, say) raises DomainError,
-    as the series routes do.
+    as the series routes do, and so does a required parameter left out.
     """
     try:
         return _oracle(spec)
     except OverflowError:  # from ** or math.exp inside an integrand
         raise DomainError("the integrand overflows double precision") from None
+    except KeyError as exc:  # a required parameter left out of spec.params
+        raise DomainError(f"integral form {spec.form} needs parameter {exc.args[0]!r}") from None
 
 
 def _oracle(spec: IntegralSpec) -> EvalResult:
@@ -528,6 +531,30 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
     raise DomainError(f"unsupported integral form tag {form!r}")
 
 
+def two_sided_direct(b: float, beta: float, m: int) -> float:
+    """The direct-quadrature side of the two-sided family at depth m (see
+    identities.two_sided_family): the F12 integral at m = 0; at m = 1, b
+    times it minus beta times the integral whose geometric factor is squared."""
+    if m not in (0, 1):
+        raise DomainError("only m in {0, 1} is supported")
+    i1 = oracle_value(IntegralSpec("F12", {"b": b, "beta": beta})).value
+    if m == 0:
+        return i1
+    i2 = 0.0
+    if beta > 0.0:
+
+        def f_sq(x: float) -> float:
+            # factored left form decays like x^2 e^((2-b)x), fine for b < 1
+            if x < 0.0:
+                g = math.exp(x)
+                return x * x * math.exp((2.0 - b) * x) / ((1.0 + g) * (beta + g) ** 2)
+            e = math.exp(-x)
+            return x * x * math.exp(-(b + 1.0) * x) / ((1.0 + e) * (1.0 + beta * e) ** 2)
+
+        i2 = integrate_two_sided(f_sq).value
+    return b * i1 - beta * i2
+
+
 def inverse_factor_direct(b: float, n: int) -> float:
     """sum_{j>=1} 1/(j (b+j)^n) by direct summation, independent of the
     identity layer: a 100000-term head by math.fsum, which is correctly
@@ -557,41 +584,3 @@ def _inverse_factor(b: float, n: int) -> float:
     integ = float(np.sum(weights * half * u ** (n - 1) / (1.0 + b * u) ** n))
     correction = 0.5 / (x0 * (b + x0) ** n)
     return head + integ + correction
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    """One adjudicated identity: a claimed value against an independent oracle."""
-
-    spec: str
-    series_value: float
-    oracle_value: float
-    residual: float
-    tolerance: float
-    verdict: str
-    errata_note: Optional[str] = None
-
-
-def make_record(
-    spec: str,
-    series_value: float,
-    oracle: float,
-    tolerance: float,
-    errata_note: Optional[str] = None,
-) -> VerificationRecord:
-    series_value = float(series_value)
-    oracle = float(oracle)
-    residual = series_value - oracle
-    ok = math.isfinite(residual) and abs(residual) <= tolerance
-    return VerificationRecord(
-        spec=spec,
-        series_value=series_value,
-        oracle_value=oracle,
-        residual=residual,
-        tolerance=tolerance,
-        verdict="pass" if ok else "fail",
-        errata_note=errata_note,
-    )

@@ -268,10 +268,17 @@ def _hurwitz(s: float, q: float, sm1: float | None = None, alternating: bool = F
     head = sum(ts[0::2]) - sum(ts[1::2]) if alternating else mag
     Q = q + _HEAD
     w = Q ** -s
-    z, rem, zmag = _em_zeta(s, sm1, Q, alternating)
-    value = head + w * z
+    if w == 0.0:
+        # Q^-s underflows where the kernel's corrections may overflow, and
+        # 0 inf is NaN: the value is the head, and the tail is under the
+        # least subnormal (alternating), else 2 Q^-s (1 + Q/(s-1)) in logs
+        value, zmag = head, 0.0
+        tail = math.ulp(0.0) if alternating else 2.0 * math.exp(math.log1p(Q / sm1) - s * math.log(Q))
+    else:
+        z, rem, zmag = _em_zeta(s, sm1, Q, alternating)
+        value, tail = head + w * z, w * rem
     roundoff = (0.5 * s + 1.0 + _HEAD) * mag + (0.5 * s + 8.0) * w * zmag + abs(value)
-    bound = w * rem + _EPS * roundoff
+    bound = tail + _EPS * roundoff
     if not math.isfinite(bound):  # inf also where the value is
         raise DomainError(f"hurwitz_zeta({s}, {q}) overflows double precision")
     return value, bound, _HEAD

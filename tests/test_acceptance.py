@@ -15,17 +15,11 @@ import pytest
 
 from ramaseries.coeff_triangle import build
 from ramaseries.errata import catalog, two_sided_closed
-from ramaseries.identities import (
-    eta_reduction,
-    inverse_factor_sum,
-    master_shift,
-    phi_da_closed,
-    ramanujan_phi,
-)
+from ramaseries.identities import inverse_factor_sum, phi_da_closed, ramanujan_phi
 from ramaseries.quadrature import IntegralSpec, inverse_factor_direct, oracle_value
 from ramaseries.series_engine import SeriesParams, eval_phi, eval_phi_da_direct
 from ramaseries.special_fn import digamma, gamma, hurwitz_zeta, lerch_phi, s_prime
-from ramaseries.verify import run_suite
+from ramaseries.verify import _dispatch, run_suite
 from cli_runner import run_cli
 from triangle_ref import ladder, weighted_series
 
@@ -84,7 +78,7 @@ def test_criterion_04_shift_case2():
     for m in (0, 1, 2):
         for b in (0.5, 1.0, 2.0):
             for mu in (0.5, 1.0):
-                rec = master_shift(-1.0, b, -1.0, mu, m)
+                rec = _dispatch("shift", (-1.0, b, -1.0, mu, m))
                 worst = max(worst, abs(rec.residual))
     # the single-pole reductions behind those rows, against quadrature
     red_ok = True
@@ -133,7 +127,7 @@ def test_criterion_07_alternating_reduction():
     worst = 0.0
     for b in (0.5, 1.0, 2.0):
         for alpha in (1.0, 2.0):
-            rec = eta_reduction(b, alpha)
+            rec = _dispatch("eta", (b, alpha))
             worst = max(worst, abs(rec.residual))
     ok = worst < 1e-11
     _line(7, ok, "alternating unit-weight reduction: worst residual %.3g" % worst)

@@ -56,6 +56,11 @@ def test_bad_range_exits_2():
     (("table", "sprime", "--r", "1"), {"RAMASERIES_WORKERS": "two"}, "RAMASERIES_WORKERS must be an integer"),
     (("eval", "integral", "--a", "1"), None, "eval integral requires --form"),
     (("coeffs", "--p", "1"), None, "coeffs requires --p and --b"),
+] + [
+    (("eval", "integral", "--form", form, "--" + flag, value), None,
+     "integral form %s needs parameter '%s'" % (form, missing))
+    for form, flag, value, missing in (("F1", "b", "1", "a"), ("F7", "w", "3", "a"),
+                                        ("F12", "beta", "0.2", "b"), ("F2", "a", "0.5", "b"))
 ])
 def test_malformed_input_exits_2(argv, env, message):
     # a malformed range or worker count, or a missing required flag

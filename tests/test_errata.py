@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from ramaseries.errata import catalog, reproduce_all, two_sided_closed
+from ramaseries.errata import ENTRIES, catalog, two_sided_closed
+from ramaseries.verify import errata_records
 
 EXPECTED_KEYS = {
     "(2.9)",
@@ -25,7 +26,7 @@ EXPECTED_KEYS = {
 
 @pytest.fixture(scope="module")
 def reproduced():
-    return list(reproduce_all())
+    return [(entry, *errata_records(entry)) for entry in ENTRIES]
 
 
 def test_catalog_complete():
@@ -37,6 +38,8 @@ def test_every_entry_adjudicates(reproduced):
     for entry, printed, corrected in reproduced:
         assert printed.verdict == "fail", entry.key
         assert corrected.verdict == "pass", entry.key
+        assert (printed.spec, corrected.spec) == ("errata %s printed" % entry.key,
+                                                  "errata %s corrected" % entry.key)
         # same oracle on both sides, otherwise the comparison proves nothing
         assert printed.oracle_value == corrected.oracle_value, entry.key
 

@@ -2,19 +2,23 @@
 
 Every identity is confronted with a second route to the same number:
 either the direct summation engine, a brute-force partial sum, or a
-quadrature oracle.
+quadrature oracle. The identities return plain values; the records that
+pair them with their oracles come from the verify ops (verify._dispatch).
 """
 
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
+from ramaseries import verify
 from ramaseries.errata import two_sided_closed
 from ramaseries.identities import (
+    _sigma,
     eta_reduction,
     harmonic_weighted_sum,
-    interchange_check,
     inverse_factor_sum,
     master_shift,
     phi_da_closed,
@@ -34,6 +38,24 @@ from ramaseries.special_fn import (
 )
 
 CATALAN = 0.915965594177219015
+
+
+def interchange_check(a, b):
+    """The verify interchange record at (a, b)."""
+    return verify._dispatch("interchange", (a, b))
+
+
+def test_identities_need_no_quadrature():
+    # identities return values, and verify alone builds records: importing
+    # identities loads no oracle module, and quadrature has no record type
+    code = ("import sys, ramaseries.identities; "
+            "print('ramaseries.quadrature' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+    from ramaseries import quadrature
+    assert not hasattr(quadrature, "VerificationRecord")
+    assert not hasattr(quadrature, "make_record")
 
 
 def test_sigma_closed_forms():
@@ -69,7 +91,6 @@ def test_sigma_bound_holds_on_series_grid():
     # the digamma constant of _sigma's bound, and the kernel's zeta bounds,
     # on the grid the verify series suite runs
     mp = pytest.importorskip("mpmath")
-    from ramaseries.identities import _sigma
     from ramaseries.verify import _SERIES_A, _SERIES_B
 
     with mp.workdps(40):
@@ -78,6 +99,13 @@ def test_sigma_bound_holds_on_series_grid():
             A, B = mp.mpf(a), mp.mpf(b)
             ref = mp.digamma(A + B + 1) - mp.digamma(B) if k == 1 else mp.zeta(k, B) - mp.zeta(k, A + B + 1)
             assert abs(value - ref) <= bound <= 1e-12 * abs(ref), (a, b, k)
+
+
+def test_sigma_at_huge_order():
+    # zeta(k, 1) - zeta(k, 2.5) = 1 + 2^-k - ..., where (b + 12)^-k underflows
+    value, bound = _sigma(0.5, 1.0, 1e300)
+    assert math.isfinite(bound) and abs(1.0 - value) <= bound
+    assert sigma(0.5, 1.0, 1e300) == 1.0
 
 
 def test_recursion_vs_direct_summation():
@@ -134,7 +162,7 @@ def test_master_shift_unit_weight_cells():
     for m in (0, 1, 2):
         for b in (0.5, 1.0, 2.0):
             for mu in (0.5, 1.0):
-                rec = master_shift(-1.0, b, -1.0, mu, m)
+                rec = verify._dispatch("shift", (-1.0, b, -1.0, mu, m))
                 assert rec.verdict == "pass", rec
                 assert abs(rec.residual) < 1e-9
 
@@ -147,7 +175,7 @@ def test_master_shift_general_weight_cells():
         (0.5, 0.5, 1.0, 0.5, 1),
     )
     for p, b, beta, mu, m in cells:
-        rec = master_shift(p, b, beta, mu, m)
+        rec = verify._dispatch("shift", (p, b, beta, mu, m))
         assert rec.verdict == "pass", rec
 
 
@@ -170,7 +198,7 @@ def test_master_shift_divergence_preconditions():
 def test_eta_reduction_cells():
     for b in (0.5, 1.0, 2.0):
         for alpha in (1.0, 2.0):
-            rec = eta_reduction(b, alpha)
+            rec = verify._dispatch("eta", (b, alpha))
             assert rec.verdict == "pass"
             assert abs(rec.residual) < 1e-11
 
@@ -235,14 +263,14 @@ def test_interchange_identity():
 def test_two_sided_family_adjudication():
     # only the symmetric beta = 0 cell survives; everywhere else the printed
     # closed form disagrees with the direct integral
-    ok = two_sided_family(0.5, 0.0, 0)
+    ok = verify._dispatch("twosided", (0.5, 0.0, 0))
     assert ok.verdict == "pass"
-    bad = two_sided_family(0.25, 0.25, 0)
+    bad = verify._dispatch("twosided", (0.25, 0.25, 0))
     assert bad.verdict == "fail"
     assert bad.errata_note is not None
-    bad_m1 = two_sided_family(0.5, 0.5, 1)
+    bad_m1 = verify._dispatch("twosided", (0.5, 0.5, 1))
     assert bad_m1.verdict == "fail"
-    ok_m1 = two_sided_family(0.5, 0.0, 1)
+    ok_m1 = verify._dispatch("twosided", (0.5, 0.0, 1))
     assert ok_m1.verdict == "pass"
 
 

@@ -15,8 +15,8 @@ from ramaseries.quadrature import (
     integrate_two_sided,
     integrate_unit,
     inverse_factor_direct,
-    make_record,
     oracle_value,
+    two_sided_direct,
 )
 from ramaseries.series_engine import SeriesParams, eval_phi_tilde, eval_psi_general
 from ramaseries.special_fn import DomainError, beta_f
@@ -302,9 +302,19 @@ def test_graceful_level_cap():
     assert r.abs_error_bound > 1e-11
 
 
-def test_make_record_verdict():
-    rec = make_record("id1", 1.0, 1.0 + 5e-10, 1e-9)
-    assert rec.verdict == "pass"
-    rec = make_record("id2", 1.0, 1.1, 1e-9)
-    assert rec.verdict == "fail"
-    assert rec.residual == pytest.approx(-0.1)
+@pytest.mark.parametrize("form, params, missing", [
+    ("F1", {"b": 1.0}, "a"), ("F2", {"a": 0.5}, "b"), ("F7", {"w": 3.0}, "a"), ("F12", {"beta": 0.2}, "b"),
+])
+def test_missing_parameter_raises_domain_error(form, params, missing):
+    # a DomainError that names the form and the parameter, not a KeyError
+    with pytest.raises(DomainError, match=f"integral form {form} needs parameter '{missing}'"):
+        oracle_value(IntegralSpec(form, params))
+
+
+def test_two_sided_direct():
+    # m = 0 is the F12 integral; at beta = 0 the m = 1 side is b times it
+    f12 = oracle_value(IntegralSpec("F12", {"b": 0.25, "beta": 0.0})).value
+    assert two_sided_direct(0.25, 0.0, 0) == f12
+    assert two_sided_direct(0.25, 0.0, 1) == 0.25 * f12
+    with pytest.raises(DomainError, match="only m in"):
+        two_sided_direct(0.25, 0.0, 2)

@@ -11,6 +11,7 @@ from ramaseries.special_fn import (
     DivergenceError,
     DomainError,
     _em_damped,
+    _hurwitz,
     _lerch,
     _em_zeta,
     beta_f,
@@ -180,6 +181,25 @@ def test_overflow_raises_domain_error(call, args):
     # not an OverflowError from pow
     with pytest.raises(DomainError):
         call(*args)
+
+
+@pytest.mark.parametrize("s, q, alternating, want", [
+    (1e300, 1.0, False, 1.0), (1e300, 1.0, True, 1.0), (300.0, 1.0, False, 1.0),
+    # every term underflows; the tail is 1/(0.08 Q^0.08) = 1.25e-23, the head 0
+    (1.08, 1e300, False, 1.25e-23),
+])
+def test_hurwitz_underflowing_tail(s, q, alternating, want):
+    # Q^-s underflows to 0 while the kernel's corrections overflow: the sum
+    # is the head, with a finite bound that covers the tail
+    value, bound, _ = _hurwitz(s, q, alternating=alternating)
+    assert math.isfinite(bound)
+    assert abs(want - value) <= bound
+
+
+def test_hurwitz_huge_order_overflowing_head():
+    # 0.5^-1e4 is past double range, and so is the sum
+    with pytest.raises(DomainError, match="overflows double precision"):
+        hurwitz_zeta(1e4, 0.5)
 
 
 @pytest.mark.parametrize("call, args, message", [

@@ -8,6 +8,7 @@ import pytest
 
 from ramaseries import quadrature, verify
 from ramaseries.quadrature import IntegralSpec, oracle_value
+from ramaseries.verify import make_record
 
 _BASE = {"trig-sin": "sin", "trig-cos": "cos", "logsin": "log"}
 _FORMS = {"trig-sin": ("F7", "F8"), "trig-cos": ("F9", "F10"), "logsin": ("F11", "F11")}
@@ -47,6 +48,14 @@ def _memo_keys(tasks):
     abel = {(_BASE[op], *args[:3]) for _, op, args, _ in tasks if op in _BASE}
     invsum = {args for _, op, args, _ in tasks if op in ("invsum", "invsum-expansion")}
     return abel, invsum
+
+
+def test_make_record_verdict():
+    rec = make_record("id1", 1.0, 1.0 + 5e-10, 1e-9)
+    assert rec.verdict == "pass"
+    rec = make_record("id2", 1.0, 1.1, 1e-9)
+    assert rec.verdict == "fail"
+    assert rec.residual == pytest.approx(-0.1)
 
 
 def test_suite_pass_evaluates_each_oracle_once(monkeypatch):
