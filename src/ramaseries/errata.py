@@ -152,7 +152,7 @@ def _repro_x3() -> Evidence:
 def _repro_5_7() -> Evidence:
     # sum over j of 1/(j (1+j)^2) is positive; the display equates it to the
     # parameter derivative itself instead of its negative
-    orc = inverse_factor_direct(1.0, 2)
+    orc = inverse_factor_direct(1.0, 2).value
     printed = identities.phi_da_closed(0.0, 1.0, 1)
     corrected = identities.inverse_factor_sum(1.0, 2)
     return printed, corrected, orc, 1e-9

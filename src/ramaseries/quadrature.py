@@ -14,10 +14,14 @@ Independent routes:
   tables, and exp(-eps x) splits the same way, so each rule keeps
   per-panel and per-offset tables only, no grid,
 * an oracle memo (oracle_memo) that a verification pass holds open, so
-  records that share an integral or an inverse-factor sum evaluate it once,
+  records that share an Abel integral evaluate it once,
 * closed-form dispatch table mapping tagged integral forms to the routes,
 * the direct side of the two-sided family (two_sided_direct),
-* direct summation of the inverse-factor series sum_j 1/(j (b+j)^n).
+* direct summation of the inverse-factor series sum_j 1/(j (b+j)^n)
+  (inverse_factor_direct): a head of about 4b + 16 terms, the tail integral
+  as a series of positive terms, the half term and six Euler-Maclaurin
+  corrections, with a derived bound. A call costs a few dozen terms, so
+  it takes no memo.
 
 Endpoint care: tanh-sinh abscissae cluster within 1e-270 of the endpoints,
 far below float spacing around 1.0, so the rule always evaluates through
@@ -329,18 +333,18 @@ class IntegralSpec:
 # oscillatory form -> the factor it raises to the power a ("log": sin, with log|sin|)
 _TRIG_FORMS = {"F7": "sin", "F8": "sin", "F9": "cos", "F10": "cos", "F11": "log"}
 
-# the open oracle memo: integral or inverse-factor key -> its value
+# the open oracle memo: Abel integral key -> its parts
 _MEMO: Optional[dict] = None
 
 
 @contextlib.contextmanager
 def oracle_memo():
-    """Within the block, share each Abel integral and each inverse_factor_direct(b, n).
+    """Within the block, share each Abel integral.
 
-    An oscillatory integral is evaluated once for both its parts, and an
-    inverse-factor sum once per (b, n); later calls read the memo. The
-    block starts with an empty memo and drops it on exit, so no value
-    outlives it. Outside every block each call evaluates afresh.
+    An oscillatory integral is evaluated once for both its parts; later
+    calls read the memo. The block starts with an empty memo and drops it
+    on exit, so no value outlives it. Outside every block each call
+    evaluates afresh.
     """
     global _MEMO
     outer, _MEMO = _MEMO, {}
@@ -348,15 +352,6 @@ def oracle_memo():
         yield
     finally:
         _MEMO = outer
-
-
-def _memoized(key: tuple, compute: Callable[[], object]):
-    if _MEMO is None:
-        return compute()
-    got = _MEMO.get(key)
-    if got is None:
-        got = _MEMO[key] = compute()
-    return got
 
 
 def _series_params(spec: IntegralSpec, want_beta: Optional[float]) -> SeriesParams:
@@ -508,7 +503,9 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
             # no call will ask for the other part
             got = _trig_integral(*key, parts=(i,))[0]
         else:
-            got = _memoized(key, lambda: _trig_integral(*key))[i]
+            if key not in _MEMO:
+                _MEMO[key] = _trig_integral(*key)
+            got = _MEMO[key][i]
         if isinstance(got, ExtrapolationError):
             raise ExtrapolationError(*got.args)
         return got
@@ -555,32 +552,79 @@ def two_sided_direct(b: float, beta: float, m: int) -> float:
     return b * i1 - beta * i2
 
 
-def inverse_factor_direct(b: float, n: int) -> float:
-    """sum_{j>=1} 1/(j (b+j)^n) by direct summation, independent of the
-    identity layer: a 100000-term head by math.fsum, which is correctly
-    rounded in any order, the rest by Euler-Maclaurin with the integral
-    mapped to a finite interval (u = 1/x) and 16 Gauss nodes.  It takes the
-    domain of ``identities.inverse_factor_sum``: finite b > 0 and a positive
-    integer n; the series diverges at n <= 0."""
+# ---------------------------------------------------------------------------
+# the inverse-factor series sum_j 1/(j (b+j)^n), summed directly
+
+_U = 2.0 ** -53  # the unit roundoff (special_fn's _EPS rounds it down)
+# B_2k/(2k) for k = 1..7: B_2k/(2k)! times the (2k-1)! of f^(2k-1)
+_EM_B = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
+         -691.0 / 32760.0, 1.0 / 12.0)
+
+
+def inverse_factor_direct(b: float, n: int) -> EvalResult:
+    """sum_{j>=1} 1/(j (b+j)^n) with a derived error bound, independent of
+    the identity layer and of special_fn's Euler-Maclaurin code.
+
+    With f(x) = 1/(x (b+x)^n), N = max(16, ceil(4b) + 16) and x0 = N + 1:
+    * head: f(1) .. f(N) by math.fsum, which is correctly rounded;
+    * tail: int_x0^inf f dx = (b+x0)^-n sum_k T^k/(n+k), T = b/(b+x0) < 1/5,
+      a series of positive terms cut once its geometric remainder is below
+      the roundoff, then f(x0)/2 and K = 6 Euler-Maclaurin corrections
+      -B_2k/(2k)! f^(2k-1)(x0), each derivative by the Leibniz rule;
+    * bound: f is completely monotone, so the Euler-Maclaurin remainder lies
+      between 0 and the first omitted correction (DLMF 2.10(i)). To it add
+      the cut series' remainder, (n+4) roundings of each head term, the
+      roundoff of the tail, and 3 roundings of the value.
+    It takes finite b > 0 and a positive integer n, the domain of
+    ``identities.inverse_factor_sum`` (the series diverges at n <= 0), up
+    to b = 1e5 (400 016 head terms) and n = 10^6.
+    """
     n = _whole(n, 1, "order n must be a positive integer")
-    if not 0.0 < b < math.inf:
-        raise DomainError("need finite b > 0")
-    return _memoized(inverse_factor_key(b, n), lambda: _inverse_factor(b, n))
-
-
-def inverse_factor_key(b: float, n: int) -> tuple:
-    """The key under which oracle_memo holds inverse_factor_direct(b, n)."""
-    return ("invsum", b, _whole(n, 1, "order n must be a positive integer"))
-
-
-def _inverse_factor(b: float, n: int) -> float:
-    N = 100_000
-    j = np.arange(1, N + 1, dtype=np.float64)
-    head = math.fsum(1.0 / (j * (b + j) ** n))
+    # the head grows with b, and the corrections' binomials with n
+    if not (0.0 < b <= 1e5 and n <= 10 ** 6):
+        raise DomainError("need 0 < b <= 1e5 and n <= 10^6")
+    N = max(16, math.ceil(4.0 * b) + 16)
+    # b + j rounds once, which the power carries n-fold; pow is within one
+    # ulp (two roundings) and the quotient rounds once: n + 3 roundings a
+    # term, and n + 4 covers their second-order terms
+    head = math.fsum((b + j) ** -n / j for j in range(1, N + 1))
     x0 = float(N + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    bx = b + x0
+    F0 = bx ** -n
+    # 1/x = sum_k b^k/(b+x)^(k+1), so int_x0^inf f = F0 sum_k T^k/(n+k)
+    T = b / bx
+    series, tk, k = 0.0, 1.0, 0
+    while True:
+        series += tk / (n + k)
+        tk *= T
+        k += 1
+        cut = tk / ((n + k) * (1.0 - T))  # >= the terms left out
+        if cut <= _U * series / 16.0:
+            break
+    # Leibniz: f^(p)(x0) = (-1)^p p! x0^-(p+1) F0 P_p, where
+    # P_p = sum_{q<=p} C(n+q-1, q) r^q and r = x0/(b+x0); the k-th correction
+    # is then B_2k/(2k) x0^-2k F0 P_(2k-1), and the last is the first omitted
+    r = x0 / bx
+    P, rq, binom, ix2k = 0.0, 1.0, 1.0, 1.0
+    corr = []
+    for q in range(2 * len(_EM_B)):
+        P += binom * rq
+        rq *= r
+        binom = binom * (n + q) / (q + 1)
+        if q % 2:
+            ix2k /= x0 * x0
+            corr.append(_EM_B[q // 2] * ix2k * P)
+    omitted = abs(corr.pop())
     half = 0.5 / x0
-    u = half * (nodes + 1.0)
-    integ = float(np.sum(weights * half * u ** (n - 1) / (1.0 + b * u) ** n))
-    correction = 0.5 / (x0 * (b + x0) ** n)
-    return head + integ + correction
+    tail = F0 * (series + half + math.fsum(corr))
+    value = head + tail
+    # roundoff inside the bracket: T and r carry 2 roundings and their q-th
+    # powers 3q; a series term one more, and each addition one; a correction
+    # at most 8 (2K+1) in all. F0 carries n + 2 and the product one more.
+    inner = _U * ((4 * k + 6) * series + 3.0 * half
+                  + 8 * (2 * len(corr) + 1) * math.fsum(abs(c) for c in corr))
+    bound = (F0 * (omitted + cut + inner) + (n + 4) * _U * (head + tail)
+             + 3.0 * _U * abs(value)
+             # a term that underflows loses up to one subnormal unit a rounding
+             + (n + 4) * (N + 50) * 2.0 ** -1074)
+    return EvalResult(value=value, abs_error_bound=bound, terms_used=N, method="oracle")

@@ -24,8 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import errata as errata_mod
 from . import identities
-from .quadrature import (IntegralSpec, inverse_factor_direct, inverse_factor_key, oracle_key,
-                         oracle_memo, oracle_value, two_sided_direct)
+from .quadrature import (IntegralSpec, inverse_factor_direct, oracle_key, oracle_memo, oracle_value,
+                         two_sided_direct)
 from .series_engine import SeriesParams, eval_phi, eval_phi_da_direct, eval_phi_tilde, eval_psi_general
 from .special_fn import EULER_GAMMA, DomainError, digamma, hurwitz_zeta, lerch_phi
 
@@ -120,12 +120,12 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
         return make_record(f"deriv a={a:g} b={b:g} n={n}", closed, direct, 1e-7)
     if op == "invsum":
         b, n = args
-        orc = inverse_factor_direct(b, n)
+        orc = inverse_factor_direct(b, n).value
         val = identities.inverse_factor_sum(b, n)
         return make_record(f"invsum b={b:g} n={n}", val, orc, 1e-9)
     if op == "invsum-expansion":
         b, n = args
-        orc = inverse_factor_direct(b, n)
+        orc = inverse_factor_direct(b, n).value
         val = (digamma(b + 1.0) + EULER_GAMMA) / b ** n - math.fsum(
             hurwitz_zeta(k + 1.0, b + 1.0) * b ** (k - n) for k in range(1, n)
         )
@@ -302,8 +302,8 @@ def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
     its processes at once, so a large count would fork the host out of them.
     It takes the tasks in units of about four, and tasks with the same
     key(task), other than None, in one unit; each unit runs in an oracle
-    memo of its own (quadrature.oracle_memo), so the oracle evaluations
-    they share are made once.
+    memo of its own (quadrature.oracle_memo), so the Abel integrals they
+    share are evaluated once.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(tasks), cpus)
@@ -328,22 +328,18 @@ def _abel_spec(op: str, args: tuple) -> IntegralSpec:
 
 
 def _shared_oracle(task: Task) -> Optional[tuple]:
-    """The quadrature memo key of the oracle evaluation a task reads, None
-    for a task that reads none the memo holds."""
+    """The quadrature memo key of the Abel integral a task reads, None for a
+    task that reads none."""
     _, op, args, _ = task
-    if op in ("trig-sin", "trig-cos", "logsin"):
-        return oracle_key(_abel_spec(op, args))
-    if op in ("invsum", "invsum-expansion"):
-        return inverse_factor_key(*args)
-    return None
+    return oracle_key(_abel_spec(op, args)) if op in ("trig-sin", "trig-cos", "logsin") else None
 
 
 def execute(tasks: Sequence[Task], workers: int = 1) -> List[VerificationRecord]:
     """Run tasks, serially or in a process pool; order follows the ordinals.
 
     A serial run holds one oracle memo (quadrature.oracle_memo), so tasks
-    that share an oracle evaluate it once; in a pool each unit holds its
-    own. A memo starts empty and ends with its run or unit.
+    that share an Abel integral evaluate it once; in a pool each unit holds
+    its own. A memo starts empty and ends with its run or unit.
     """
     with oracle_memo():
         return [rec for _, rec in ordered_map(_run_task, tasks, workers, _shared_oracle)]

@@ -166,7 +166,7 @@ def test_criterion_10_inverse_factor_sums():
     worst = 0.0
     for b in (0.5, 1.0, 2.0):
         for n in (1, 2, 3):
-            direct = inverse_factor_direct(b, n)
+            direct = inverse_factor_direct(b, n).value
             closed = inverse_factor_sum(b, n)
             expansion = (digamma(b + 1.0) + 0.5772156649015329) * b ** (-float(n))
             for k in range(1, n):

@@ -17,8 +17,7 @@ from ramaseries.identities import (
     trig_cos,
     trig_lambda,
 )
-from ramaseries.quadrature import (IntegralSpec, inverse_factor_direct, inverse_factor_key, oracle_key,
-                                   oracle_value)
+from ramaseries.quadrature import IntegralSpec, inverse_factor_direct, oracle_key, oracle_value
 from ramaseries.series_engine import eval_phi_da_direct
 from ramaseries.special_fn import DomainError, s_prime
 
@@ -48,8 +47,6 @@ SITES = {
                  "log power n must be a non-negative integer"),
     "inverse_factor_direct": (lambda n: inverse_factor_direct(1.0, n), 1,
                               "order n must be a positive integer"),
-    # its memo key: NaN made int() raise ValueError, and 2.5 was cut to the key of n = 2
-    "inverse_factor_key": (lambda n: inverse_factor_key(1.0, n), 1, "order n must be a positive integer"),
     "eval_phi_da_direct": (lambda n: eval_phi_da_direct(0.5, 1.0, n), 0,
                            "n must be a non-negative integer"),
     "s_prime": (lambda r: s_prime(r), 1, "sprime needs a positive integer index"),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ramaseries import quadrature
+from ramaseries import quadrature, verify
 from ramaseries.identities import trig_cos
 from ramaseries.quadrature import (
     ExtrapolationError,
@@ -171,18 +171,51 @@ def test_trig_forms_reject_fractional_parameters(params):
         oracle_value(IntegralSpec("F7", params))
 
 
+# the (b, n) of the verify suite's invsum records
+_INVSUM_VERIFY_CELLS = [args for _, op, args, _ in verify.build_suite("series") if op == "invsum"]
+
+
 def test_inverse_factor_direct_vs_mpmath():
-    # the invsum oracle on the verify cells, against sum_j 1/(j (b+j)^n)
+    # sum_j 1/(j (b+j)^n) on the verify cells, five hard cells and 60 seeded
+    # ones: the error within the reported bound, and within 1e-15 relative
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        for b in (0.5, 1.0, 2.0):
-            for n in (1, 2, 3):
-                ref = mp.nsum(lambda j: 1 / (j * (b + j) ** n), [1, mp.inf])
-                got = inverse_factor_direct(b, n)
-                assert abs(got - ref) <= 1e-15 * abs(ref), (b, n)
+    rng = np.random.default_rng(22)
+    cells = _INVSUM_VERIFY_CELLS + [(0.25, 1), (2.5, 3), (40.0, 1), (0.01, 1), (7.3, 5)]
+    cells += [(float(10.0 ** rng.uniform(-3.0, 2.0)), int(rng.integers(1, 9))) for _ in range(60)]
+    for b, n in cells:
+        # (psi(b+1) + gamma)/b at n = 1, and S(b, n) = (S(b, n-1) - zeta(n, b+1))/b
+        # above it; the recursion cancels up to (n-1) log10(1/b) <= 21 digits,
+        # so 80 keep 40. (mp.nsum at 30 digits is off by 9.5e-4 at (90, 1).)
+        with mp.workdps(80):
+            bm = mp.mpf(b)
+            ref = (mp.digamma(bm + 1) + mp.euler) / bm
+            for m in range(2, n + 1):
+                ref = (ref - mp.zeta(m, bm + 1)) / bm
+        got = inverse_factor_direct(b, n)
+        err = abs(got.value - ref)
+        assert err <= got.abs_error_bound, (b, n, float(err), got.abs_error_bound)
+        assert err <= 1e-15 * ref, (b, n)
+        assert got.terms_used <= 4.0 * b + 40.0 and got.method == "oracle", (b, n)
 
 
-@pytest.mark.parametrize("b, n", [(-1.0, 2), (math.nan, 2), (1.0, 0), (1.0, -1), (1.0, 2.5)])
+def test_inverse_factor_direct_needs_no_special_fn(monkeypatch):
+    # the oracle of the identity routes may not run through them
+    from ramaseries import identities, special_fn
+
+    want = [inverse_factor_direct(b, n) for b, n in _INVSUM_VERIFY_CELLS]
+
+    def refuse(*args, **kw):
+        raise AssertionError("the inverse-factor oracle called the route it checks")
+
+    for owner, name in ((special_fn, "digamma"), (special_fn, "_hurwitz"),
+                        (special_fn, "hurwitz_zeta"), (identities, "inverse_factor_sum")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert len(want) == 9
+    assert [inverse_factor_direct(b, n) for b, n in _INVSUM_VERIFY_CELLS] == want
+
+
+@pytest.mark.parametrize("b, n", [(-1.0, 2), (math.nan, 2), (1.0, 0), (1.0, -1), (1.0, 2.5),
+                                  (math.inf, 2), (2e5, 2), (1.0, 10 ** 7)])
 def test_inverse_factor_direct_input_checks(b, n):
     # before, these returned inf, nan, or finite numbers for divergent series
     with pytest.raises(DomainError):

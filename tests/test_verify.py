@@ -15,23 +15,18 @@ _FORMS = {"trig-sin": ("F7", "F8"), "trig-cos": ("F9", "F10"), "logsin": ("F11",
 
 
 def _count_oracles(monkeypatch):
-    """Counters of the Abel integrals and inverse-factor sums evaluated (not read from a memo)."""
-    abel, invsum = collections.Counter(), collections.Counter()
+    """A counter of the Abel integrals evaluated (not read from a memo)."""
+    abel = collections.Counter()
     abel.parts = []  # the parts each evaluation computed
-    trig_integral, inverse_factor = quadrature._trig_integral, quadrature._inverse_factor
+    trig_integral = quadrature._trig_integral
 
     def count_trig(*key, **parts):
         abel[key] += 1
         abel.parts.append(parts.get("parts", (0, 1)))
         return trig_integral(*key, **parts)
 
-    def count_invsum(*key):
-        invsum[key] += 1
-        return inverse_factor(*key)
-
     monkeypatch.setattr(quadrature, "_trig_integral", count_trig)
-    monkeypatch.setattr(quadrature, "_inverse_factor", count_invsum)
-    return abel, invsum
+    return abel
 
 
 def _spec(op, args):
@@ -44,10 +39,8 @@ def _spec(op, args):
 
 
 def _memo_keys(tasks):
-    """The Abel and inverse-factor keys the tasks read, as the spies see them."""
-    abel = {(_BASE[op], *args[:3]) for _, op, args, _ in tasks if op in _BASE}
-    invsum = {args for _, op, args, _ in tasks if op in ("invsum", "invsum-expansion")}
-    return abel, invsum
+    """The Abel keys the tasks read, as the spy sees them."""
+    return {(_BASE[op], *args[:3]) for _, op, args, _ in tasks if op in _BASE}
 
 
 def test_make_record_verdict():
@@ -59,23 +52,21 @@ def test_make_record_verdict():
 
 
 def test_suite_pass_evaluates_each_oracle_once(monkeypatch):
-    abel, invsum = _count_oracles(monkeypatch)
-    want_abel, want_invsum = _memo_keys(verify.build_suite("all"))
-    assert len(want_abel) == 27 and len(want_invsum) == 9
+    abel = _count_oracles(monkeypatch)
+    want_abel = _memo_keys(verify.build_suite("all"))
+    assert len(want_abel) == 27
     passes = []
     for _ in range(2):
         abel.clear()
-        invsum.clear()
         passes.append(verify.run_suite("all"))
         # the errata entries read suite cells, so they add no evaluation
         assert set(abel) == want_abel and set(abel.values()) == {1}
-        assert set(invsum) == want_invsum and set(invsum.values()) == {1}
         assert quadrature._MEMO is None
     assert passes[0] == passes[1]
 
 
 def test_bare_oracle_after_pass_evaluates_again(monkeypatch):
-    abel, _ = _count_oracles(monkeypatch)
+    abel = _count_oracles(monkeypatch)
     tasks = verify.build_suite("all")
     records = verify.execute(tasks)
     cells = [(op, args, rec) for (_, op, args, _), rec in zip(tasks, records) if op in _BASE]
@@ -92,16 +83,14 @@ def test_bare_oracle_after_pass_evaluates_again(monkeypatch):
 def test_each_pool_unit_evaluates_its_oracles_once(monkeypatch):
     # a spawned or forkserver worker imports quadrature afresh, with no memo
     # open; the unit's own memo must share the evaluations all the same
-    abel, invsum = _count_oracles(monkeypatch)
+    abel = _count_oracles(monkeypatch)
     tasks = [t for t in verify.build_suite("all") if verify._shared_oracle(t) is not None]
     assert quadrature._MEMO is None
     results = []
     for unit in verify._units(tasks, verify._shared_oracle):
         results.extend(verify._map_unit((verify._run_task, unit)))
         assert quadrature._MEMO is None
-    want_abel, want_invsum = _memo_keys(tasks)
-    assert set(abel) == want_abel and set(abel.values()) == {1}
-    assert set(invsum) == want_invsum and set(invsum.values()) == {1}
+    assert set(abel) == _memo_keys(tasks) and set(abel.values()) == {1}
     assert sorted(results, key=lambda r: r[0]) == [verify._run_task(t) for t in tasks]
 
 
@@ -148,8 +137,8 @@ def test_pool_units_keep_shared_oracles_together(monkeypatch):
             key = verify._shared_oracle(task)
             if key is not None:
                 unit_of[key].add(i)
-    # 27 Abel integrals and 9 inverse-factor pairs, none split across units
-    assert len(unit_of) == 36
+    # 27 Abel integrals, none split across units
+    assert len(unit_of) == 27
     assert all(len(u) == 1 for u in unit_of.values())
     # in plain chunks of four, the first sine cell's c part (ordinal 394)
     # and s part (396) fell into two chunks
