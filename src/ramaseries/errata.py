@@ -9,6 +9,10 @@ printed record failing and every corrected record passing, and the
 verification suite asserts exactly that, so none of these findings can
 silently rot.
 
+The corrected forms the package computes with live in ``identities`` (and
+the triangle recurrence in ``coeff_triangle``); this module holds only the
+printed readings, the worked values of both readings, and the evidence.
+
 Keys are the display tags of the source text, kept verbatim so readers can
 find the disputed lines; unnumbered displays get short descriptive keys.
 """
@@ -20,9 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from .coeff_triangle import build as build_triangle
-from .quadrature import IntegralSpec, integrate_decay, inverse_factor_direct, oracle_value
+from .quadrature import (IntegralSpec, integrate_decay, inverse_factor_direct, oracle_value,
+                         two_sided_direct)
 from .series_engine import SeriesParams, eval_phi, eval_phi_tilde, eval_psi_general
-from .special_fn import beta_f, gamma, lerch_phi, s_prime
+from .special_fn import beta_f, gamma, hurwitz_zeta, lerch_phi, s_prime
 from . import identities
 
 
@@ -72,21 +77,21 @@ def _conjugate_chain_sin(a: int, w: float, alpha: float) -> Tuple[float, float]:
 def _repro_2_13b() -> Evidence:
     orc = _abel("F8", 2, 3.0, 0.0)
     printed = _conjugate_chain_sin(2, 3.0, 0.0)[1]
-    corrected = identities.trig_lambda(2, 3.0, 0.0).lambda_s
+    corrected = identities.trig_lambda(2, 3.0, 0.0)[1]
     return printed, corrected, orc, 1e-3
 
 
 def _repro_2_17() -> Evidence:
     orc = _abel("F7", 1, 2.0, 0.0)
     printed = _conjugate_chain_sin(1, 2.0, 0.0)[0]
-    corrected = identities.trig_lambda(1, 2.0, 0.0).lambda_c
+    corrected = identities.trig_lambda(1, 2.0, 0.0)[0]
     return printed, corrected, orc, 1e-3
 
 
 def _repro_2_18() -> Evidence:
     orc = _abel("F8", 1, 2.0, 1.0)
     printed = _conjugate_chain_sin(1, 2.0, 1.0)[1]
-    corrected = identities.trig_lambda(1, 2.0, 1.0).lambda_s
+    corrected = identities.trig_lambda(1, 2.0, 1.0)[1]
     return printed, corrected, orc, 1e-3
 
 
@@ -110,7 +115,6 @@ def _phi_quad(a: float, b: float, alpha: float) -> float:
 
 
 def _zeta_combo_4_4(b: float, mu: float, halved: bool) -> float:
-    from .special_fn import hurwitz_zeta
     v = (hurwitz_zeta(mu + 1.0, b) - (2.0 * b + 1.0) * hurwitz_zeta(mu + 2.0, b)
          + b * (b + 1.0) * hurwitz_zeta(mu + 3.0, b))
     return 0.5 * v if halved else v
@@ -175,31 +179,12 @@ def _repro_lerch() -> Evidence:
     return printed, corrected, orc, 1e-10
 
 
-def two_sided_closed(b: float, beta: float) -> float:
-    """Partial-fraction closed form of the two-sided base integral.
-
-    Splitting the two geometric factors and shifting the argument turns the
-    beta factor into the unit one, giving
-    [K2 - beta^(1-b) (K2 - 2c K1 + c^2 K0)] / (1-beta) with c = -ln beta
-    and K0, K1, K2 the power-weighted one-factor line integrals.
-    """
-    s = math.sin(math.pi * b)
-    cth = math.cos(math.pi * b)
-    K0 = math.pi / s
-    K1 = math.pi ** 2 * cth / s ** 2
-    K2 = math.pi ** 3 * (2.0 - s * s) / s ** 3
-    if beta == 0.0:
-        return K2
-    c = -math.log(beta)
-    return (K2 - beta ** (1.0 - b) * (K2 - 2.0 * c * K1 + c * c * K0)) / (1.0 - beta)
-
-
 def _repro_two_sided() -> Evidence:
     b, beta = 0.25, 0.25
-    orc = oracle_value(IntegralSpec("F12", {"b": b, "beta": beta})).value
+    orc = two_sided_direct(b, beta, 0)
     s = math.sin(math.pi * b)
     printed = math.pi ** 3 / (1.0 - beta) / s * (2.0 - s * s)
-    corrected = two_sided_closed(b, beta)
+    corrected = identities.two_sided_closed(b, beta)
     return printed, corrected, orc, 1e-6 * max(1.0, abs(orc))
 
 

@@ -7,18 +7,19 @@ reduction, first-derivative closed forms with their series and integral
 cross-checks, trigonometric closed forms for oscillatory integrals, and the
 two-sided exponential family.
 
-Every function returns a plain value; ``verify`` pairs each with an
-independent route and judges the pair. Some printed source formulas fail
-their own oracles; those are implemented in corrected form here, with the
-printed readings preserved in ``errata``. The printed two-sided closed form
-is kept as printed, so its failing records stay visible.
+Every function returns a plain value, and an oscillatory pair returns its
+(cos part, sin part) floats; ``verify`` pairs each with an independent route
+and judges the pair. Some printed source formulas fail their own oracles;
+those are implemented in corrected form here (the two-sided family's
+partial-fraction form among them), with the printed readings preserved in
+``errata``. The printed two-sided closed form is kept as printed too, so its
+failing records stay visible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from .coeff_triangle import build as build_triangle
 from .series_engine import (
@@ -41,14 +42,6 @@ from .special_fn import (
 )
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class TrigResult:
-    """Cosine- and sine-part values of an oscillatory integral pair."""
-
-    lambda_c: float
-    lambda_s: float
 
 
 def _sigma(a: float, b: float, k: int) -> Tuple[float, float]:
@@ -83,17 +76,9 @@ def sigma(a: float, b: float, k: int) -> float:
     return _sigma(a, b, k)[0]
 
 
-def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
-    """Integer-order alternating-weight series by the log-derivative recursion.
-
-    n*value_n = sum_{k=1}^n sigma_k * value_{n-k}, seeded with the beta-ratio
-    value_0 = Gamma(a+1)Gamma(b)/Gamma(a+b+1), through lgamma where a gamma
-    overflows.  The bound propagates the seed's error and each sigma_k's
-    (see _sigma) and counts every rounding.  The seed's relative error, in
-    units of _EPS: 8 a math.gamma (7.2 at worst against mpmath on
-    [0.003, 40]), 2 for the product and quotient, and |y psi(y)| <=
-    1 + y (1 + |ln y|) times the rounding of y = a + 1 and a + b + 1.
-    """
+def _phi_orders(a: float, b: float, n: int) -> Tuple[List[float], List[float]]:
+    """The recursion's values and bounds at every order 0..n, in one run
+    (see ramanujan_phi)."""
     n = _whole(n, 0, "order n must be a non-negative integer")
     if not (0.0 < b < math.inf and -1.0 < a < math.inf):
         raise DomainError("need b > 0 and a > -1, both finite")
@@ -119,10 +104,25 @@ def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
         prop = sum(abs(s) * errs[j - k] + (e + _EPS * abs(s)) * abs(vals[j - k])
                    for k, (s, e) in enumerate(sig[:j], 1))
         errs.append(prop / j + 2.0 * _EPS * abs(vals[j]))
+    return vals, errs
+
+
+def ramanujan_phi(a: float, b: float, n: int) -> EvalResult:
+    """Integer-order alternating-weight series by the log-derivative recursion.
+
+    n*value_n = sum_{k=1}^n sigma_k * value_{n-k}, seeded with the beta-ratio
+    value_0 = Gamma(a+1)Gamma(b)/Gamma(a+b+1), through lgamma where a gamma
+    overflows.  The bound propagates the seed's error and each sigma_k's
+    (see _sigma) and counts every rounding.  The seed's relative error, in
+    units of _EPS: 8 a math.gamma (7.2 at worst against mpmath on
+    [0.003, 40]), 2 for the product and quotient, and |y psi(y)| <=
+    1 + y (1 + |ln y|) times the rounding of y = a + 1 and a + b + 1.
+    """
+    vals, errs = _phi_orders(a, b, n)
     return EvalResult(
-        value=vals[n],
-        abs_error_bound=errs[n],
-        terms_used=n + 1,
+        value=vals[-1],
+        abs_error_bound=errs[-1],
+        terms_used=len(vals),
         method="recursion",
     )
 
@@ -174,14 +174,11 @@ def phi_da_closed(a: float, b: float, n: int) -> float:
 
     (psi(a+1) - psi(a+b+1)) * value_n
         + sum_{k=1}^n zeta(k+1, a+b+1) * value_{n-k}
-    with the value_j taken from the recursion route.
+    with the value_j taken from one run of the recursion route.
     """
-    n = _whole(n, 0, "order n must be a non-negative integer")
-    if not (0.0 < b < math.inf and -1.0 < a < math.inf):
-        raise DomainError("need b > 0 and a > -1, both finite")
-    phis = [ramanujan_phi(a, b, j).value for j in range(n + 1)]
-    head = (digamma(a + 1.0) - digamma(a + b + 1.0)) * phis[n]
-    tail = [hurwitz_zeta(k + 1.0, a + b + 1.0) * phis[n - k] for k in range(1, n + 1)]
+    phis, _ = _phi_orders(a, b, n)
+    head = (digamma(a + 1.0) - digamma(a + b + 1.0)) * phis[-1]
+    tail = [hurwitz_zeta(k + 1.0, a + b + 1.0) * phis[-1 - k] for k in range(1, len(phis))]
     return head + math.fsum(tail)
 
 
@@ -240,8 +237,9 @@ def _scale_phase(a: int, alpha: float, theta: float) -> Tuple[float, float, floa
     return (2.0 ** (-a - alpha - 1.0) * gamma(alpha + 1.0), *_phase(theta))
 
 
-def trig_lambda(a: int, w: float, alpha: float) -> TrigResult:
-    """Closed forms for int x^alpha sin^a(x) {cos,sin}(wx) dx (regularized).
+def trig_lambda(a: int, w: float, alpha: float) -> Tuple[float, float]:
+    """Closed forms for int x^alpha sin^a(x) {cos,sin}(wx) dx (regularized),
+    as the (cos part, sin part) pair.
 
     With s = 2^(-a-alpha-1) Gamma(alpha+1) and the series value at
     (a, (w-a)/2, alpha):
@@ -256,11 +254,12 @@ def trig_lambda(a: int, w: float, alpha: float) -> TrigResult:
     """
     val = eval_phi(float(a), _trig_b(a, w, alpha, "w"), alpha).value
     s, sin_t, cos_t = _scale_phase(a, alpha, a + alpha)
-    return TrigResult(lambda_c=-s * val * sin_t, lambda_s=s * val * cos_t)
+    return -s * val * sin_t, s * val * cos_t
 
 
-def trig_cos(a: int, v: float, alpha: float) -> TrigResult:
-    """Closed forms for int x^alpha cos^a(x) {cos,sin}(vx) dx (regularized).
+def trig_cos(a: int, v: float, alpha: float) -> Tuple[float, float]:
+    """Closed forms for int x^alpha cos^a(x) {cos,sin}(vx) dx (regularized),
+    as the (cos part, sin part) pair.
 
     Same scale factor as the sine family, series value at (a, (v-a)/2,
     alpha) with positive weights, and phase alpha alone.  These pass the
@@ -268,12 +267,13 @@ def trig_cos(a: int, v: float, alpha: float) -> TrigResult:
     """
     val = eval_phi_tilde(float(a), _trig_b(a, v, alpha, "v"), alpha).value
     s, sin_t, cos_t = _scale_phase(a, alpha, alpha)
-    return TrigResult(lambda_c=-s * val * sin_t, lambda_s=s * val * cos_t)
+    return -s * val * sin_t, s * val * cos_t
 
 
 def log_sin_integral(a: int, w: float, alpha: float) -> Tuple[float, float]:
     """a-derivatives of the sine-family pair at fixed frequency w: the values
-    of the log-sin-weighted integrals (with their winding-phase companion).
+    of the log-sin-weighted integrals (with their winding-phase companion),
+    as the (cos part, sin part) pair.
 
     Product rule on the corrected closed forms: the series derivative
     combines the direct parameter derivative with the chain term through
@@ -318,3 +318,23 @@ def two_sided_family(b: float, beta: float, m: int) -> float:
     if m == 0:
         return base / (1.0 - beta)
     return base * (b / (1.0 - beta) + beta / (1.0 - beta) ** 2)
+
+
+def two_sided_closed(b: float, beta: float) -> float:
+    """Partial-fraction closed form of the two-sided base integral (the
+    corrected reading of two_sided_family at m = 0, see errata).
+
+    Splitting the two geometric factors and shifting the argument turns the
+    beta factor into the unit one, giving
+    [K2 - beta^(1-b) (K2 - 2c K1 + c^2 K0)] / (1-beta) with c = -ln beta
+    and K0, K1, K2 the power-weighted one-factor line integrals.
+    """
+    s = math.sin(math.pi * b)
+    cth = math.cos(math.pi * b)
+    K0 = math.pi / s
+    K1 = math.pi ** 2 * cth / s ** 2
+    K2 = math.pi ** 3 * (2.0 - s * s) / s ** 3
+    if beta == 0.0:
+        return K2
+    c = -math.log(beta)
+    return (K2 - beta ** (1.0 - b) * (K2 - 2.0 * c * K1 + c * c * K0)) / (1.0 - beta)

@@ -41,6 +41,7 @@ import numpy as np
 from .series_engine import EvalResult, SeriesParams
 from .special_fn import _EPS, DivergenceError, DomainError, _whole
 
+_LN2 = math.log(2.0)
 _MAX_LEVEL = 12
 _UNIT_TARGET = 1e-11
 
@@ -330,6 +331,9 @@ class IntegralSpec:
     params: dict
 
 
+# decay form -> the beta it fixes (None: F6 reads beta from its params); F3
+# is F1's integrand times log(1 - e^-x)
+_DECAY_BETA = {"F1": -1.0, "F3": -1.0, "F5": 1.0, "F6": None}
 # oscillatory form -> the factor it raises to the power a ("log": sin, with log|sin|)
 _TRIG_FORMS = {"F7": "sin", "F8": "sin", "F9": "cos", "F10": "cos", "F11": "log"}
 
@@ -442,12 +446,12 @@ def oracle_value(spec: IntegralSpec) -> EvalResult:
 
 def _oracle(spec: IntegralSpec) -> EvalResult:
     form = spec.form
-    if form == "F1" or form == "F5" or form == "F6":
-        want = {"F1": -1.0, "F5": 1.0, "F6": None}[form]
-        sp = _series_params(spec, want)
+    if form in _DECAY_BETA:
+        sp = _series_params(spec, _DECAY_BETA[form])
         a, b, beta, alpha = sp.a, sp.b, sp.beta, sp.alpha
         if alpha + a <= -1.0:
             raise DomainError("x^(alpha+a) not integrable at 0")
+        with_log = form == "F3"
 
         def f_any(x: float) -> float:
             if beta == -1.0:
@@ -456,10 +460,16 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
                 base = 1.0 + beta * math.exp(-x)
             # log-space product: base**a alone can overflow for a < 0 even
             # though the x**alpha factor keeps the whole product finite
-            s = -b * x + a * math.log(base)
+            log_base = math.log(base)
+            s = -b * x + a * log_base
             if alpha != 0.0:
                 s += alpha * math.log(x)
-            return math.exp(s) if s < 709.0 else math.inf
+            out = math.exp(s) if s < 709.0 else math.inf
+            if not with_log:
+                return out
+            # past x = ln 2, 1 - e^-x rounds off the digits of e^-x that
+            # log(1 - e^-x) is made of; log1p keeps them
+            return out * (log_base if x < _LN2 else math.log1p(-math.exp(-x)))
 
         return integrate_decay(f_any, b)
     if form == "F2" or form == "F4":
@@ -481,17 +491,6 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
             return out * math.log1p(-d) if with_logt else out
 
         return integrate_unit(f_left, f_right=f_right)
-    if form == "F3":
-        sp = _series_params(spec, -1.0)
-        a, b, alpha = sp.a, sp.b, sp.alpha
-        if alpha + a <= -1.0:
-            raise DomainError("x^(alpha+a) not integrable at 0")
-
-        def f3(x: float) -> float:
-            base = -math.expm1(-x)
-            return x ** alpha * math.exp(-b * x) * base ** a * math.log(base)
-
-        return integrate_decay(f3, b)
     if form in _TRIG_FORMS:
         key = oracle_key(spec)
         part = str(spec.params.get("part", ""))

@@ -1,9 +1,12 @@
 """Verification suites: every identity confronted with an independent oracle.
 
 This module builds every VerificationRecord: the identities return plain
-values, the oracles in quadrature return theirs, each errata entry returns
-its evidence, and _dispatch and errata_records pair them and judge the
-pair against a tolerance (make_record).
+values (an oscillatory closed form its (cos part, sin part) pair), the
+oracles in quadrature return theirs, each errata entry returns its
+evidence, and _dispatch and errata_records pair them and judge the pair
+against a tolerance (make_record). One table, _ABEL_OPS, gives each of the
+three Abel families (trig-sin, trig-cos, logsin) its closed form, oracle
+forms and tolerance, and one _dispatch branch judges all three.
 
 A suite is a list of small, picklable tasks; each task produces one
 VerificationRecord.  Tasks carry an ordinal so parallel execution can merge
@@ -100,9 +103,16 @@ def _run_task(task: Task) -> Tuple[int, VerificationRecord]:
     return ordinal, rec
 
 
-def _trig_part(fam: str, a: int, wv: float, alpha: float, part: str) -> float:
-    res = (identities.trig_lambda if fam == "sin" else identities.trig_cos)(a, wv, alpha)
-    return res.lambda_c if part == "c" else res.lambda_s
+# the three Abel families: op -> (closed form in identities, frequency flag,
+# tolerance, oracle forms of the cos and sin parts). Each closed form returns
+# its (cos part, sin part) pair. It is held by name and looked up on
+# identities at each call, so a rebinding of the module attribute (a
+# tracer's, a test's) reaches every caller.
+_ABEL_OPS = {
+    "trig-sin": ("trig_lambda", "w", 1e-3, ("F7", "F8")),
+    "trig-cos": ("trig_cos", "v", 1e-3, ("F9", "F10")),
+    "logsin": ("log_sin_integral", "w", 1e-6, ("F11", "F11")),
+}
 
 
 def _dispatch(op: str, args: tuple) -> VerificationRecord:
@@ -158,23 +168,16 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
         closed = identities.eta_reduction(b, alpha)
         return make_record(f"eta b={b:g} alpha={alpha:g}", eval_phi_tilde(-1.0, b, alpha).value,
                            closed, 1e-11)
-    if op == "trig-sin" or op == "trig-cos":
-        a, wv, alpha, part = args
-        fam = op[len("trig-"):]
-        flag = "w" if fam == "sin" else "v"
-        val = _trig_part(fam, a, wv, alpha, part)
+    if op in _ABEL_OPS:
+        a, f, alpha, part = args
+        name, flag, tol, _ = _ABEL_OPS[op]
+        val = getattr(identities, name)(a, f, alpha)[part == "s"]
         orc = oracle_value(_abel_spec(op, args)).value
-        return make_record(f"{op} {part} a={a} {flag}={wv:g} alpha={alpha:g}", val, orc, 1e-3)
+        return make_record(f"{op} {part} a={a} {flag}={f:g} alpha={alpha:g}", val, orc, tol)
     if op == "trig-spot":
         fam, a, wv, alpha, part, want = args
-        val = _trig_part(fam, a, wv, alpha, part)
+        val = getattr(identities, _ABEL_OPS["trig-" + fam][0])(a, wv, alpha)[part == "s"]
         return make_record(f"spot-{fam} {part} a={a} f={wv:g} alpha={alpha:g}", val, want, 1e-12)
-    if op == "logsin":
-        a, w, alpha, part = args
-        dc, ds = identities.log_sin_integral(a, w, alpha)
-        val = dc if part == "c" else ds
-        orc = oracle_value(_abel_spec(op, args)).value
-        return make_record(f"logsin {part} a={a} w={w:g} alpha={alpha:g}", val, orc, 1e-6)
     if op == "twosided":
         b, beta, m = args
         claim = identities.two_sided_family(b, beta, m)
@@ -185,8 +188,8 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
         return make_record(f"two-sided b={b:g} beta={beta:g} m={m}", claim, orc, tol, note)
     if op == "twosided-closed":
         b, beta = args
-        val = errata_mod.two_sided_closed(b, beta)
-        orc = oracle_value(IntegralSpec("F12", {"b": b, "beta": beta})).value
+        val = identities.two_sided_closed(b, beta)
+        orc = two_sided_direct(b, beta, 0)
         return make_record(f"two-sided-closed b={b:g} beta={beta:g}", val, orc,
                            1e-6 * max(1.0, abs(orc)))
     if op == "errata":
@@ -320,18 +323,15 @@ def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
 def _abel_spec(op: str, args: tuple) -> IntegralSpec:
     """The oracle integral of a trig-sin, trig-cos or logsin cell."""
     a, f, alpha, part = args
-    if op == "logsin":
-        return IntegralSpec("F11", {"a": a, "w": f, "alpha": alpha, "part": part})
-    # the sine family at frequency w (F7/F8), the cosine family at v (F9/F10)
-    flag, forms = ("w", ("F7", "F8")) if op == "trig-sin" else ("v", ("F9", "F10"))
-    return IntegralSpec(forms[part == "s"], {"a": a, flag: f, "alpha": alpha})
+    _, flag, _, forms = _ABEL_OPS[op]
+    return IntegralSpec(forms[part == "s"], {"a": a, flag: f, "alpha": alpha, "part": part})
 
 
 def _shared_oracle(task: Task) -> Optional[tuple]:
     """The quadrature memo key of the Abel integral a task reads, None for a
     task that reads none."""
     _, op, args, _ = task
-    return oracle_key(_abel_spec(op, args)) if op in ("trig-sin", "trig-cos", "logsin") else None
+    return oracle_key(_abel_spec(op, args)) if op in _ABEL_OPS else None
 
 
 def execute(tasks: Sequence[Task], workers: int = 1) -> List[VerificationRecord]:

@@ -14,8 +14,8 @@ import math
 import pytest
 
 from ramaseries.coeff_triangle import build
-from ramaseries.errata import catalog, two_sided_closed
-from ramaseries.identities import inverse_factor_sum, phi_da_closed, ramanujan_phi
+from ramaseries.errata import catalog
+from ramaseries.identities import inverse_factor_sum, phi_da_closed, ramanujan_phi, two_sided_closed
 from ramaseries.quadrature import IntegralSpec, inverse_factor_direct, oracle_value
 from ramaseries.series_engine import SeriesParams, eval_phi, eval_phi_da_direct
 from ramaseries.special_fn import digamma, gamma, hurwitz_zeta, lerch_phi, s_prime

@@ -36,6 +36,13 @@ def test_eval_jsonl_shape():
     assert rec["value"] == pytest.approx(0.8109302162163288, rel=1e-10)
 
 
+def test_eval_integral_f3_at_negative_a():
+    # finite, though (1 - e^-x)^-5.5 alone overflows near x = 0
+    r = run_cli("eval", "integral", "--form", "F3", "--a=-5.5", "--b", "1", "--alpha", "5")
+    assert r.returncode == 0
+    assert "-9.6966622" in r.stdout
+
+
 def test_eval_missing_arg_exits_2():
     # the one real `python -m ramaseries`: __main__ hands main's exit code to the shell
     r = subprocess.run([sys.executable, "-m", "ramaseries", "eval", "phi", "--a", "0"],

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from ramaseries.errata import ENTRIES, catalog, two_sided_closed
+from ramaseries.errata import ENTRIES, catalog
+from ramaseries.identities import two_sided_closed
 from ramaseries.verify import errata_records
 
 EXPECTED_KEYS = {

@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from ramaseries import verify
-from ramaseries.errata import two_sided_closed
 from ramaseries.identities import (
     _sigma,
     eta_reduction,
@@ -24,6 +23,7 @@ from ramaseries.identities import (
     phi_da_closed,
     ramanujan_phi,
     sigma,
+    two_sided_closed,
     two_sided_family,
 )
 from ramaseries.quadrature import IntegralSpec, oracle_value
