@@ -11,6 +11,10 @@ Subcommands:
 Output is deterministic: records are emitted in task order no matter how
 many workers computed them, and every jsonl and csv row is printed by one
 writer, _emit, so reruns are byte identical.
+
+At import this module loads only series_engine and special_fn, which do
+not load numpy; each command imports the rest of the package the first
+time it runs, so a one-cell eval pays for nothing it does not call.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .coeff_triangle import build as build_triangle
-from .errata import ENTRIES
-from .quadrature import IntegralSpec, oracle_value
 from .series_engine import (
     SeriesParams,
     EvalResult,
@@ -35,7 +36,9 @@ from .series_engine import (
     eval_psi_general,
 )
 from .special_fn import DivergenceError, DomainError, _hurwitz, _lerch, _s_prime, _whole
-from .verify import SUITE_NAMES, VerificationRecord, errata_records, ordered_map, run_suite
+
+if TYPE_CHECKING:
+    from .verify import VerificationRecord
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -125,11 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument("--" + flag, type={"tol": float, "workers": int}.get(flag, str),
                                 default=None)
         sp.set_defaults(run=run)
+        return sp
 
     add("eval", "evaluate one quantity at a point", cmd_eval, tuple(_TARGETS) + ("integral",),
         ("format",) + _PARAM_FLAGS)
-    add("verify", "run a verification suite", cmd_verify, ("all",) + SUITE_NAMES,
-        ("format", "tol", "workers"))
+    verify = add("verify", "run a verification suite", cmd_verify, None, ("format", "tol", "workers"))
+    # any name: verify.build_suite rejects an unknown one, so the parser need not load verify
+    verify.add_argument("target", metavar="suite", help="all, or the name of one suite")
     add("table", "evaluate over a parameter grid", cmd_table, tuple(_TARGETS),
         ("format", "workers") + _AXIS_FLAGS)
     add("coeffs", "print the coefficient triangle", cmd_coeffs, None, ("p", "b", "m"))
@@ -205,6 +210,8 @@ _TARGETS = {
 
 
 def _eval_integral(args: argparse.Namespace) -> EvalResult:
+    from .quadrature import IntegralSpec, oracle_value
+
     if args.form not in _FORM_FLAGS:
         raise DomainError("eval integral requires --form (one of F1..F12)")
     flags = _FORM_FLAGS[args.form]
@@ -289,6 +296,8 @@ def _emit_records(records: Sequence[VerificationRecord], fmt: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     records = run_suite(args.target, tol=args.tol, workers=_resolve_workers(args.workers))
     return 1 if _emit_records(records, args.format) else 0
 
@@ -302,6 +311,8 @@ def _table_task(item: Tuple[int, str, Tuple[float, ...]]) -> Tuple[int, str, Opt
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .verify import ordered_map
+
     axes = _TARGETS[args.target][0]
     names = [_flag(args, axis) for axis in axes]
     _reject_unread(args, names)
@@ -324,6 +335,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
+    from .coeff_triangle import build as build_triangle
+
     p = _single(args, "p")
     b = _single(args, "b")
     if p is None or b is None:
@@ -337,6 +350,9 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_errata(args: argparse.Namespace) -> int:
+    from .errata import ENTRIES
+    from .verify import errata_records
+
     pairs = [(entry, *errata_records(entry)) for entry in ENTRIES]
     if args.format == "text":
         for entry, printed, corrected in pairs:

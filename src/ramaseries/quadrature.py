@@ -158,12 +158,37 @@ def integrate_decay(f: Callable[[float], float], b: float) -> EvalResult:
 
     Substitution t = e^(-x) maps to the unit interval with left-endpoint
     exponent b-1; an integrable singularity of f at 0 lands at the right
-    endpoint, evaluated in distance coordinates throughout.
+    endpoint, evaluated in distance coordinates throughout. The nodes stop
+    at x = 633.7 or later, and the bound does not count the integral past
+    them: a caller that knows f adds that tail (_decay_tail).
     """
     if not b > 0.0:
         raise DomainError("decay rate b must be positive")
     left, right = _decay_halves(f)
     return integrate_unit(left, f_right=right)
+
+
+def _decay_tail(a: float, b: float, beta: float, alpha: float, with_log: bool) -> float:
+    """A bound on int_X^inf of |x^alpha e^(-bx) (1 + beta e^(-x))^a|, times
+    |log(1 - e^(-x))| with_log, past X = 633.7, the x of level 0's last node
+    under t = e^(-x): integrate_decay adds nodes at or past it at every
+    level, so what it drops lies past X. inf where no bound is finite.
+
+    Past X, ln(x/X) <= (x - X)/X gives x^alpha e^(-bx) <= X^alpha e^(-bX)
+    e^(-(b - alpha/X)(x - X)) at alpha >= 0 (at alpha < 0, x^alpha <= X^alpha),
+    so the integral is at most X^alpha e^(-bX) / (b - max(alpha, 0)/X) once
+    bX > alpha. The binomial factor lies between 1 and its value at X, and
+    |log(1 - e^(-x))| falls from its value at X.
+    """
+    X = -math.log(_level_nodes(0)[-1][0])
+    rate = b - max(alpha, 0.0) / X
+    if rate <= 0.0:
+        return math.inf
+    e = math.exp(-X)
+    log_tail = alpha * math.log(X) - b * X + max(0.0, a * math.log1p(beta * e)) - math.log(rate)
+    if with_log:
+        log_tail += math.log(-math.log1p(-e))
+    return math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
 def integrate_two_sided(f: Callable[[float], float]) -> EvalResult:
@@ -471,7 +496,9 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
             # log(1 - e^-x) is made of; log1p keeps them
             return out * (log_base if x < _LN2 else math.log1p(-math.exp(-x)))
 
-        return integrate_decay(f_any, b)
+        res = integrate_decay(f_any, b)
+        tail = _decay_tail(a, b, beta, alpha, with_log)
+        return EvalResult(res.value, res.abs_error_bound + tail, res.terms_used, res.method)
     if form == "F2" or form == "F4":
         # the order first: _series_params would take a NaN or inf order for any non-finite parameter
         n = _whole(spec.params.get("alpha", spec.params.get("n", 0)), 0,

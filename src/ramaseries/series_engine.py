@@ -57,8 +57,6 @@ import operator
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, DomainError,
                                    _em_damped, _em_dzeta, _em_zeta, _expint_orders, _hurwitz,
                                    _whole, digamma)
@@ -328,6 +326,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     J = min(max(0, math.ceil(1.0 / lam - q)), _DIRECT) if lam and (beta < 0.0 or s <= 0.0) else 0
     q1 = q + J
     if J:
+        import numpy as np  # here, so that importing the package does not load numpy
         jj = np.arange(J, dtype=np.float64)
         damp, lx, lx1 = -lam * jj, np.log1p(jj / q), math.log1p(J / q)
     orders = _expint_orders(s, q1 * lam, _TAIL_ORDERS) if lam and beta < 0.0 else None

@@ -254,7 +254,7 @@ def _entries(name: str) -> List[Tuple[str, tuple]]:
         for entry in errata_mod.ENTRIES:
             entries.append(("errata", (entry.key,)))
     else:
-        raise DomainError(f"unknown suite: {name}")
+        raise DomainError("unknown suite %r (choose from %s)" % (name, ", ".join(("all",) + SUITE_NAMES)))
     return entries
 
 

@@ -51,6 +51,25 @@ def test_eval_missing_arg_exits_2():
     assert "requires" in r.stderr
 
 
+def test_cli_import_loads_only_the_series_layers():
+    # a command imports the rest of the package when it runs, so a one-cell
+    # eval pays for no oracle, suite or numpy
+    code = ("import sys, ramaseries.cli; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ramaseries')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str(["ramaseries", "ramaseries.cli", "ramaseries.series_engine",
+                                    "ramaseries.special_fn"])
+
+
+def test_verify_unknown_suite_exits_2():
+    # the parser takes any suite name, and verify.build_suite rejects it
+    r = run_cli("verify", "nosuch")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unknown suite 'nosuch'" in r.stderr
+
+
 def test_bad_range_exits_2():
     r = run_cli("table", "phi", "--a", "0", "--b", "1:0:1", "--n", "0")
     assert r.returncode == 2

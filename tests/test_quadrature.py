@@ -166,6 +166,29 @@ def test_f3_is_the_a_derivative(a, b, n):
     assert abs(r.value - g * d.value) <= r.abs_error_bound + g * d.abs_error_bound
 
 
+@pytest.mark.parametrize("form, a, b, beta, alpha", [
+    ("F1", 0.5, 0.01, -1.0, 5.0), ("F1", -0.5, 0.02, -1.0, 3.5), ("F5", 0.5, 0.01, 1.0, 5.0),
+    ("F6", 1.5, 0.012, 0.5, 4.0), ("F6", -2.5, 0.01, -0.5, 5.0)])
+def test_decay_bound_counts_the_dropped_tail(form, a, b, beta, alpha):
+    # the decay nodes stop near x = 634-745; at b = 0.01 and alpha = 5 the
+    # integrand there is still about 1e11, and F1's first cell dropped 3.9e13
+    # of 1.2e14 under a bound of 1.3e10
+    params = {"a": a, "b": b, "alpha": alpha}
+    if form == "F6":
+        params["beta"] = beta
+    r = oracle_value(IntegralSpec(form, params))
+    s = eval_psi_general(SeriesParams(a=a, b=b, beta=beta, alpha=alpha))
+    g = gamma(alpha + 1.0)
+    assert math.isfinite(r.abs_error_bound)
+    assert abs(r.value - g * s.value) <= r.abs_error_bound + g * s.abs_error_bound
+
+
+def test_decay_bound_infinite_where_the_tail_has_no_finite_bound():
+    # b X <= alpha at the last node X: x^alpha e^(-bx) has not begun to fall there
+    r = oracle_value(IntegralSpec("F1", {"a": 0.5, "b": 0.005, "alpha": 5.0}))
+    assert r.abs_error_bound == math.inf
+
+
 def test_validation():
     with pytest.raises(DomainError):
         integrate_decay(lambda x: 1.0, 0.0)

@@ -2,6 +2,8 @@
 error bounds, and agreement with independent summation."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +23,31 @@ from ramaseries.series_engine import (
     eval_psi_general,
 )
 from ramaseries.special_fn import DivergenceError, DomainError, _lerch, hurwitz_zeta, lerch_phi
+
+
+def _fresh(code):
+    """The stdout of code run in a new interpreter."""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
+
+
+def test_import_loads_no_numpy():
+    assert _fresh("import sys, ramaseries; print('numpy' in sys.modules)") == "False"
+
+
+def test_damped_direct_block_loads_numpy_when_first_reached():
+    # (0.5, 1, -0.99, 0) sums J > 0 terms of its damped tail directly, the one
+    # numpy block of the engine: the same result in a process that has not
+    # loaded numpy, which the block then loads
+    want = eval_psi_general(SeriesParams(0.5, 1.0, -0.99, 0.0))
+    assert (want.value, want.abs_error_bound, want.terms_used) == (
+        0.6727272727272727, 1.7264821045217488e-15, 32)
+    got = _fresh("import sys; from ramaseries import SeriesParams, eval_psi_general; "
+                 "before = 'numpy' in sys.modules; "
+                 "r = eval_psi_general(SeriesParams(0.5, 1.0, -0.99, 0.0)); "
+                 "print(repr((before, r.value, r.abs_error_bound, r.terms_used, 'numpy' in sys.modules)))")
+    assert got == repr((False, want.value, want.abs_error_bound, want.terms_used, True))
 
 
 def _exact_finite(a, b_num, b_den, beta_num, beta_den, alpha):

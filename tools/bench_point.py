@@ -28,7 +28,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NAME = re.compile(r"^(?P<workload>[a-z-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
-ROWS = ("quadrature.", "identities.", "errata.", "verify.", "trace.")
+ROWS = ("quadrature.", "identities.", "errata.", "verify.", "cli.", "trace.")
 PAIRING = "parent and change alternate which runs first, pair by pair; quartiles are linear percentiles"
 
 
