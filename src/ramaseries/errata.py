@@ -19,6 +19,7 @@ find the disputed lines; unnumbered displays get short descriptive keys.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
@@ -60,38 +61,16 @@ def _repro_2_9() -> Evidence:
     return printed, corrected, orc, 1e-9
 
 
-def _abel(form: str, a: int, wv: float, alpha: float) -> float:
-    return oracle_value(IntegralSpec(form, {"a": a, "w": wv, "alpha": alpha})).value
-
-
-def _conjugate_chain_sin(a: int, w: float, alpha: float) -> Tuple[float, float]:
+def _trig_evidence(form: str, a: int, w: float, alpha: float) -> Evidence:
     # the uncorrected reading: frequency parameter u = 2b - a, so b = (u+a)/2,
-    # joint phase (a - alpha), cos part +sin convention
-    bphi = 0.5 * (w + a)
-    val = eval_phi(float(a), bphi, alpha).value
-    s = 2.0 ** (-a - alpha - 1.0) * gamma(alpha + 1.0)
+    # joint phase (a - alpha), cos part +sin convention; F7 is the cos part,
+    # F8 the sin part
+    sin_part = form == "F8"
+    orc = oracle_value(IntegralSpec(form, {"a": a, "w": w, "alpha": alpha})).value
+    s = 2.0 ** (-a - alpha - 1.0) * gamma(alpha + 1.0) * eval_phi(float(a), 0.5 * (w + a), alpha).value
     th = 0.5 * math.pi * (a - alpha)
-    return s * val * math.sin(th), s * val * math.cos(th)
-
-
-def _repro_2_13b() -> Evidence:
-    orc = _abel("F8", 2, 3.0, 0.0)
-    printed = _conjugate_chain_sin(2, 3.0, 0.0)[1]
-    corrected = identities.trig_lambda(2, 3.0, 0.0)[1]
-    return printed, corrected, orc, 1e-3
-
-
-def _repro_2_17() -> Evidence:
-    orc = _abel("F7", 1, 2.0, 0.0)
-    printed = _conjugate_chain_sin(1, 2.0, 0.0)[0]
-    corrected = identities.trig_lambda(1, 2.0, 0.0)[0]
-    return printed, corrected, orc, 1e-3
-
-
-def _repro_2_18() -> Evidence:
-    orc = _abel("F8", 1, 2.0, 1.0)
-    printed = _conjugate_chain_sin(1, 2.0, 1.0)[1]
-    corrected = identities.trig_lambda(1, 2.0, 1.0)[1]
+    printed = s * (math.cos(th) if sin_part else math.sin(th))
+    corrected = identities.trig_lambda(a, w, alpha)[sin_part]
     return printed, corrected, orc, 1e-3
 
 
@@ -208,7 +187,7 @@ ENTRIES: Tuple[ErrataEntry, ...] = (
                "downstream: frequency parameter printed as 2b - a and joint "
                "phase printed as (a - alpha).  At (a, w, alpha) = (2, 3, 0) "
                "the chain value misses the oscillatory oracle by a factor 21.",
-        _repro=_repro_2_13b,
+        _repro=functools.partial(_trig_evidence, "F8", 2, 3.0, 0.0),
     ),
     ErrataEntry(
         key="(2.17)",
@@ -218,7 +197,7 @@ ENTRIES: Tuple[ErrataEntry, ...] = (
                   "sin((a+alpha)pi/2), w = 2b + a",
         detail="At (a, w, alpha) = (1, 2, 0) the printed form gives +1/15; "
                "the oscillatory oracle and the corrected form give -1/3.",
-        _repro=_repro_2_17,
+        _repro=functools.partial(_trig_evidence, "F7", 1, 2.0, 0.0),
     ),
     ErrataEntry(
         key="(2.18)",
@@ -227,7 +206,7 @@ ENTRIES: Tuple[ErrataEntry, ...] = (
         corrected="series argument (w-a)/2 and phase cos((a+alpha)pi/2)",
         detail="At (a, w, alpha) = (1, 2, 1) the printed form gives "
                "+0.03556; oracle and corrected form give -4/9.",
-        _repro=_repro_2_18,
+        _repro=functools.partial(_trig_evidence, "F8", 1, 2.0, 1.0),
     ),
     ErrataEntry(
         key="(3.4)",

@@ -31,6 +31,7 @@ from .series_engine import (
 )
 from .special_fn import (
     _EPS,
+    EULER_GAMMA,
     DivergenceError,
     DomainError,
     _hurwitz,
@@ -204,6 +205,16 @@ def inverse_factor_sum(b: float, n: int) -> float:
     if not 0.0 < b < math.inf:
         raise DomainError("need b > 0")
     return -phi_da_closed(0.0, b, n - 1)
+
+
+def inverse_factor_expansion(b: float, n: int) -> float:
+    """sum_{j>=1} 1/(j (b+j)^n) by the displayed expansion
+    (psi(b+1) + gamma)/b^n - sum_{k=1}^{n-1} zeta(k+1, b+1) b^(k-n)."""
+    n = _whole(n, 1, "order n must be a positive integer")
+    if not 0.0 < b < math.inf:
+        raise DomainError("need b > 0")
+    return (digamma(b + 1.0) + EULER_GAMMA) / b ** n - math.fsum(
+        hurwitz_zeta(k + 1.0, b + 1.0) * b ** (k - n) for k in range(1, n))
 
 
 def _exact_quarter_phase(k: int) -> Tuple[float, float]:

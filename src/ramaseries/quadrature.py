@@ -371,12 +371,13 @@ def oracle_memo():
     """Within the block, share each Abel integral.
 
     An oscillatory integral is evaluated once for both its parts; later
-    calls read the memo. The block starts with an empty memo and drops it
-    on exit, so no value outlives it. Outside every block each call
-    evaluates afresh.
+    calls read the memo. A block opened inside an open one shares that
+    memo. The outermost block starts with an empty memo and drops it on
+    exit, raise or not, so no value outlives it. Outside every block each
+    call evaluates afresh.
     """
     global _MEMO
-    outer, _MEMO = _MEMO, {}
+    outer, _MEMO = _MEMO, {} if _MEMO is None else _MEMO
     try:
         yield
     finally:

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import errata as errata_mod
 from . import identities
+from .pool import ordered_map
 from .quadrature import (IntegralSpec, inverse_factor_direct, oracle_key, oracle_memo, oracle_value,
                          two_sided_direct)
 from .series_engine import SeriesParams, eval_phi, eval_phi_da_direct, eval_phi_tilde, eval_psi_general
-from .special_fn import EULER_GAMMA, DomainError, digamma, hurwitz_zeta, lerch_phi
+from .special_fn import DomainError, lerch_phi
 
 Task = Tuple[int, str, tuple, Optional[float]]  # ordinal, op, args, --tol override
 
@@ -136,9 +135,7 @@ def _dispatch(op: str, args: tuple) -> VerificationRecord:
     if op == "invsum-expansion":
         b, n = args
         orc = inverse_factor_direct(b, n).value
-        val = (digamma(b + 1.0) + EULER_GAMMA) / b ** n - math.fsum(
-            hurwitz_zeta(k + 1.0, b + 1.0) * b ** (k - n) for k in range(1, n)
-        )
+        val = identities.inverse_factor_expansion(b, n)
         return make_record(f"invsum-exp b={b:g} n={n}", val, orc, 1e-9)
     if op == "harmonic":
         a, b, n = args
@@ -268,58 +265,6 @@ def build_suite(name: str, tol: Optional[float] = None) -> List[Task]:
     return [(i, op, args, tol) for i, (op, args) in enumerate(entries)]
 
 
-# tasks a pool unit takes, unless tasks sharing an oracle make it a little more
-_UNIT_SIZE = 4
-
-
-def _units(tasks: Sequence[tuple], key: Optional[Callable]) -> List[list]:
-    """The tasks packed into units of _UNIT_SIZE or a little more (the last
-    may be short), in order of their first appearance; tasks whose key is
-    equal and not None share a unit."""
-    groups: dict = {}
-    for i, task in enumerate(tasks):
-        k = key(task) if key is not None else None
-        groups.setdefault((0, i) if k is None else (1, k), []).append(task)
-    units: List[list] = []
-    for group in groups.values():
-        if not units or len(units[-1]) >= _UNIT_SIZE:
-            units.append([])
-        units[-1].extend(group)
-    return units
-
-
-def _map_unit(job: tuple) -> list:
-    # a memo of its own, whether the pool forks, spawns or uses a forkserver
-    fn, unit = job
-    with oracle_memo():
-        return [fn(task) for task in unit]
-
-
-def ordered_map(fn: Callable, tasks: Sequence[tuple], workers: int = 1,
-                key: Optional[Callable] = None) -> list:
-    """fn over tasks, serially or in a process pool; results sorted by ordinal.
-
-    Each task and each result carries its ordinal first, so the output order
-    does not depend on the worker count. The pool has at most one process a
-    task and one a CPU this process may run on: a forking pool starts all
-    its processes at once, so a large count would fork the host out of them.
-    It takes the tasks in units of about four, and tasks with the same
-    key(task), other than None, in one unit; each unit runs in an oracle
-    memo of its own (quadrature.oracle_memo), so the Abel integrals they
-    share are evaluated once.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, len(tasks), cpus)
-    if workers <= 1:
-        results = [fn(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_map_unit, [(fn, unit) for unit in _units(tasks, key)])
-            results = [r for part in parts for r in part]
-    results.sort(key=lambda r: r[0])
-    return results
-
-
 def _abel_spec(op: str, args: tuple) -> IntegralSpec:
     """The oracle integral of a trig-sin, trig-cos or logsin cell."""
     a, f, alpha, part = args
@@ -334,15 +279,51 @@ def _shared_oracle(task: Task) -> Optional[tuple]:
     return oracle_key(_abel_spec(op, args)) if op in _ABEL_OPS else None
 
 
+# tasks a pool unit takes, unless tasks sharing an Abel integral make it a little more
+_UNIT_SIZE = 4
+
+
+def _units(tasks: Sequence[Task]) -> List[List[Task]]:
+    """The tasks packed into units of _UNIT_SIZE or a little more (the last
+    may be short), in order of their first appearance; tasks that read one
+    Abel integral (_shared_oracle) share a unit."""
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        k = _shared_oracle(task)
+        groups.setdefault((0, i) if k is None else (1, k), []).append(task)
+    units: List[List[Task]] = []
+    for group in groups.values():
+        if not units or len(units[-1]) >= _UNIT_SIZE:
+            units.append([])
+        units[-1].extend(group)
+    return units
+
+
+def _map_unit(job: tuple) -> list:
+    # inside the pass's memo when the unit runs in this process or a forked
+    # worker; a spawned or forkserver worker starts with none, and the unit's
+    # memo is its own
+    fn, unit = job
+    with oracle_memo():
+        return [fn(task) for task in unit]
+
+
 def execute(tasks: Sequence[Task], workers: int = 1) -> List[VerificationRecord]:
     """Run tasks, serially or in a process pool; order follows the ordinals.
 
-    A serial run holds one oracle memo (quadrature.oracle_memo), so tasks
-    that share an Abel integral evaluate it once; in a pool each unit holds
-    its own. A memo starts empty and ends with its run or unit.
+    The tasks go to pool.ordered_map in units (_units), or in one unit when
+    serial. The pass holds one oracle memo (quadrature.oracle_memo), and
+    each unit's memo nests in it, so a serial pass, and each forked worker,
+    evaluates an Abel integral once, the errata's included. _run_task is
+    read when the pass starts, so a stand-in bound on this module is what
+    the units run.
     """
+    # the serial pass shares one memo anyway; packed into units, it ran
+    # about 2% slower in perfbench's verify-all (20 pairs, 2-core host)
+    units = _units(tasks) if workers > 1 else [list(tasks)]
     with oracle_memo():
-        return [rec for _, rec in ordered_map(_run_task, tasks, workers, _shared_oracle)]
+        parts = ordered_map(_map_unit, [(_run_task, unit) for unit in units], workers)
+    return [rec for _, rec in sorted((r for part in parts for r in part), key=lambda r: r[0])]
 
 
 def run_suite(name: str, tol: Optional[float] = None,

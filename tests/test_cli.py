@@ -62,6 +62,19 @@ def test_cli_import_loads_only_the_series_layers():
                                     "ramaseries.special_fn"])
 
 
+def test_table_loads_only_the_pool_and_series_layers():
+    # table reaches the process pool through pool, so a one-cell table loads
+    # no oracle, suite or numpy
+    code = ("import contextlib, io, sys; from ramaseries import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['table', 'phi', '--a', '0.5', '--b', '1', '--n', '1', '--workers', '1'])\n"
+            "print(rc, sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ramaseries')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0 " + str(["ramaseries", "ramaseries.cli", "ramaseries.pool",
+                                           "ramaseries.series_engine", "ramaseries.special_fn"])
+
+
 def test_verify_unknown_suite_exits_2():
     # the parser takes any suite name, and verify.build_suite rejects it
     r = run_cli("verify", "nosuch")
@@ -295,16 +308,17 @@ def test_verify_cell_error_exits_2(exc, monkeypatch):
 
 @pytest.mark.parametrize("base, workers, env, size", [
     (("verify", "errata"), ("--workers", "2"), None, 2),
-    (("verify", "errata"), ("--workers", "100000"), None, 3),  # 12 tasks
-    (("table", "sprime", "--r", "1..2"), (), {"RAMASERIES_WORKERS": "100000"}, 2),  # 2 tasks
+    (("verify", "errata"), ("--workers", "100000"), None, 3),  # 12 tasks, 3 units
+    (("table", "sprime", "--r", "1..100"), (), {"RAMASERIES_WORKERS": "100000"}, 2),  # 2 units of 64
+    (("table", "sprime", "--r", "1..200"), (), {"RAMASERIES_WORKERS": "100000"}, 3),  # 4 units
 ])
 def test_pool_size_capped(base, workers, env, size, monkeypatch):
     # a forking pool starts all its processes at once, so it gets no more
-    # than min(workers, tasks, CPUs): here 3 CPUs and a fake pool, which
+    # than min(workers, units, CPUs): here 3 CPUs and a fake pool, which
     # maps serially and starts no process
     import os
 
-    from ramaseries import verify
+    from ramaseries import pool
 
     sizes = []
 
@@ -322,7 +336,7 @@ def test_pool_size_capped(base, workers, env, size, monkeypatch):
             return map(fn, tasks)
 
     serial = run_cli(*base, "--format", "csv")
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     pooled = run_cli(*base, *workers, "--format", "csv", env=env)
     assert sizes == [size]

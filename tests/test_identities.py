@@ -18,6 +18,7 @@ from ramaseries.identities import (
     _sigma,
     eta_reduction,
     harmonic_weighted_sum,
+    inverse_factor_expansion,
     inverse_factor_sum,
     master_shift,
     phi_da_closed,
@@ -245,6 +246,12 @@ def test_inverse_factor_golden():
         assert inverse_factor_sum(b, n) == pytest.approx(want, rel=1e-12), (b, n)
 
 
+def test_inverse_factor_expansion_agrees():
+    # the displayed expansion and minus the a-derivative give one sum
+    for b, n in ((0.5, 1), (0.5, 3), (1.0, 2), (2.0, 3), (7.3, 5)):
+        assert inverse_factor_expansion(b, n) == pytest.approx(inverse_factor_sum(b, n), rel=1e-12), (b, n)
+
+
 def test_inverse_factor_vs_brute():
     for b, n in ((0.5, 1), (1.0, 2), (2.0, 3)):
         head = math.fsum(
@@ -348,6 +355,9 @@ def test_single_pole_reduction_values():
     (harmonic_weighted_sum, (0.5, math.nan, 1), "need b > 0 and a > -1"),
     (interchange_check, (math.nan, 1.0), "need b > 0 and a > -1"),
     (master_shift, (math.nan, 1.0, -1.0, 0.5, 1), "need b > 0 and \\|beta\\| <= 1"),
+    (inverse_factor_expansion, (1.0, 0), "order n must be a positive integer"),
+    (inverse_factor_expansion, (0.0, 2), "need b > 0"),
+    (inverse_factor_expansion, (math.inf, 2), "need b > 0"),
 ])
 def test_identity_input_checks(call, args, message):
     with pytest.raises(DomainError, match=message):

@@ -8,6 +8,7 @@ import pytest
 from ramaseries.coeff_triangle import build
 from ramaseries.identities import (
     harmonic_weighted_sum,
+    inverse_factor_expansion,
     inverse_factor_sum,
     log_sin_integral,
     master_shift,
@@ -33,6 +34,8 @@ SITES = {
     "harmonic_weighted_sum": (lambda n: harmonic_weighted_sum(0.5, 1.0, n), 1,
                               "order n must be a positive integer"),
     "inverse_factor_sum": (lambda n: inverse_factor_sum(1.0, n), 1, "order n must be a positive integer"),
+    "inverse_factor_expansion": (lambda n: inverse_factor_expansion(1.0, n), 1,
+                                 "order n must be a positive integer"),
     "trig_lambda": (lambda a: trig_lambda(a, 20.0, 0.0), 1, "need a a positive integer"),
     "trig_cos": (lambda a: trig_cos(a, 20.0, 0.0), 1, "need a a positive integer"),
     "log_sin_integral a": (lambda a: log_sin_integral(a, 20.0, 0.0), 1, "need a a positive integer"),

@@ -87,7 +87,7 @@ def test_each_pool_unit_evaluates_its_oracles_once(monkeypatch):
     tasks = [t for t in verify.build_suite("all") if verify._shared_oracle(t) is not None]
     assert quadrature._MEMO is None
     results = []
-    for unit in verify._units(tasks, verify._shared_oracle):
+    for unit in verify._units(tasks):
         results.extend(verify._map_unit((verify._run_task, unit)))
         assert quadrature._MEMO is None
     assert set(abel) == _memo_keys(tasks) and set(abel.values()) == {1}
@@ -104,8 +104,30 @@ def test_memo_dropped_when_a_task_raises(monkeypatch):
     assert quadrature._MEMO is None
 
 
+def test_nested_memo_shares_the_outer_one(monkeypatch):
+    abel = _count_oracles(monkeypatch)
+    spec = _spec("trig-sin", (1, 2.0, 0.0, "c"))
+    with quadrature.oracle_memo():
+        want = oracle_value(spec).value
+        with quadrature.oracle_memo():
+            assert oracle_value(spec).value == want
+            oracle_value(_spec("trig-cos", (1, 2.0, 0.0, "s")))
+        # the inner block's entry outlives it, inside the outer one
+        oracle_value(_spec("trig-cos", (1, 2.0, 0.0, "c")))
+    assert sum(abel.values()) == 2
+    assert quadrature._MEMO is None
+    with pytest.raises(RuntimeError):
+        with quadrature.oracle_memo():
+            with quadrature.oracle_memo():
+                raise RuntimeError("a faulty block")
+    assert quadrature._MEMO is None
+
+
 def test_pool_units_keep_shared_oracles_together(monkeypatch):
     # a fake pool, which maps serially and starts no process, records the units
+    from ramaseries import pool
+
+    abel = _count_oracles(monkeypatch)
     units = []
 
     class FakePool:
@@ -125,10 +147,15 @@ def test_pool_units_keep_shared_oracles_together(monkeypatch):
 
     tasks = verify.build_suite("all")
     serial = verify.execute(tasks)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    abel.clear()
     pooled = verify.execute(tasks, workers=2)
     assert pooled == serial
+    # each unit's memo nests in the pass's, so the errata units read the
+    # suite's integrals: 27 evaluations, one each
+    assert set(abel) == _memo_keys(tasks) and set(abel.values()) == {1}
+    assert quadrature._MEMO is None
     assert sorted(t for unit in units for t in unit) == tasks
     assert all(len(unit) >= 4 for unit in units[:-1])
     unit_of = collections.defaultdict(set)

@@ -32,6 +32,11 @@ COMMANDS = {
     "eval_phi": (["-m", "ramaseries", "eval", "phi", "--a", "0.5", "--b", "1", "--n", "1"], 0),
     "eval_integral_f1": (["-m", "ramaseries", "eval", "integral", "--form", "F1",
                           "--a", "0.5", "--b", "1", "--alpha", "1"], 0),
+    # the cell of eval_phi, through table's grid and pool path
+    "table_phi": (["-m", "ramaseries", "table", "phi", "--a", "0.5", "--b", "1", "--n", "1"], 0),
+    # 130 x 21 x 2 = 5460 points in a 2-process pool
+    "table_grid_2w": (["-m", "ramaseries", "table", "phi", "--a=-0.9:12:0.1", "--b", "0.25:2.25:0.1",
+                       "--n", "0..1", "--workers", "2"], 0),
     "coeffs": (["-m", "ramaseries", "coeffs", "--p", "0.5", "--b", "1"], 0),
     # the two-sided suite holds the paper's honestly failing records: exit 1
     "verify_twosided": (["-m", "ramaseries", "verify", "twosided", "--workers", "1"], 1),
