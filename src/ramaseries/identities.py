@@ -146,8 +146,6 @@ def master_shift(p: float, b: float, beta: float, mu: float, m: int) -> float:
             raise DivergenceError(
                 f"instance k={m + 1} (a={p - m:g}, order {mu + m:g}) diverges at |beta|=1"
             )
-        if p <= -1.0 and not mu > 0.0:
-            raise DivergenceError("need mu > 0 when p <= -1 at |beta|=1")
     row = build_triangle(p, b, m + 1).rows[m]
     return math.fsum(
         row[k - 1] * (-beta) ** (k - 1)
@@ -213,6 +211,8 @@ def inverse_factor_expansion(b: float, n: int) -> float:
     n = _whole(n, 1, "order n must be a positive integer")
     if not 0.0 < b < math.inf:
         raise DomainError("need b > 0")
+    if not -708.0 < n * math.log(b) < 709.0:  # b^n within the normal range
+        raise DomainError(f"b^n leaves double range at b = {b}, n = {n}")
     return (digamma(b + 1.0) + EULER_GAMMA) / b ** n - math.fsum(
         hurwitz_zeta(k + 1.0, b + 1.0) * b ** (k - n) for k in range(1, n))
 
@@ -305,6 +305,12 @@ def log_sin_integral(a: int, w: float, alpha: float) -> Tuple[float, float]:
     return d_c, d_s
 
 
+def _two_sided_domain(b: float, beta: float) -> None:
+    """DomainError outside the two-sided integral's domain, which the F12 oracle shares."""
+    if not (0.0 < b < 1.0 and 0.0 <= beta < 1.0):
+        raise DomainError("need 0 < b < 1 and 0 <= beta < 1")
+
+
 def two_sided_family(b: float, beta: float, m: int) -> float:
     """The printed two-sided closed form, kept as printed: it fails against
     direct quadrature (quadrature.two_sided_direct) everywhere but the
@@ -319,10 +325,7 @@ def two_sided_family(b: float, beta: float, m: int) -> float:
     prefactor as constant and integrates terms outside their convergence
     strip.)
     """
-    if not (0.0 < b < 1.0):
-        raise DomainError("need 0 < b < 1")
-    if not (0.0 <= beta < 1.0):
-        raise DomainError("need 0 <= beta < 1")
+    _two_sided_domain(b, beta)
     if m not in (0, 1):
         raise DomainError("only m in {0, 1} is supported")
     base = math.pi ** 3 / math.sin(math.pi * b) * (2.0 - math.sin(math.pi * b) ** 2)
@@ -340,6 +343,7 @@ def two_sided_closed(b: float, beta: float) -> float:
     [K2 - beta^(1-b) (K2 - 2c K1 + c^2 K0)] / (1-beta) with c = -ln beta
     and K0, K1, K2 the power-weighted one-factor line integrals.
     """
+    _two_sided_domain(b, beta)
     s = math.sin(math.pi * b)
     cth = math.cos(math.pi * b)
     K0 = math.pi / s

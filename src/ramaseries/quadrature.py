@@ -139,40 +139,41 @@ def integrate_unit(
     return EvalResult(value=total, abs_error_bound=bound, terms_used=evals, method="oracle")
 
 
-def _decay_halves(f: Callable[[float], float]):
-    """Distance-coordinate callables for int_0^inf f(x) dx under t = e^(-x)."""
+def _decay_halves(f: Callable[[float], float], c: float):
+    """Distance-coordinate callables for int_0^inf f(x) dx under t = e^(-cx)."""
 
     def left(t: float) -> float:
-        x = -math.log(t)
-        return f(x) / t
+        x = -math.log(t) / c
+        return f(x) / t / c
 
     def right(d: float) -> float:
-        x = -math.log1p(-d)
-        return f(x) / (1.0 - d)
+        x = -math.log1p(-d) / c
+        return f(x) / (1.0 - d) / c
 
     return left, right
 
 
-def integrate_decay(f: Callable[[float], float], b: float) -> EvalResult:
-    """Integrate f over (0, inf) where f is dominated by x^alpha e^(-bx) (logs allowed).
+def integrate_decay(f: Callable[[float], float], c: float) -> EvalResult:
+    """Integrate f over (0, inf) where f falls like x^alpha e^(-bx), b >= c
+    (logs allowed).
 
-    Substitution t = e^(-x) maps to the unit interval with left-endpoint
-    exponent b-1; an integrable singularity of f at 0 lands at the right
-    endpoint, evaluated in distance coordinates throughout. The nodes stop
-    at x = 633.7 or later, and the bound does not count the integral past
-    them: a caller that knows f adds that tail (_decay_tail).
+    Substitution t = e^(-cx) maps to the unit interval with left-endpoint
+    exponent b/c - 1; an integrable singularity of f at 0 lands at the
+    right endpoint, evaluated in distance coordinates throughout. The nodes
+    stop at x = 633.7/c or later, and the bound does not count the integral
+    past them: a caller that knows f adds that tail (_decay_tail).
     """
-    if not b > 0.0:
-        raise DomainError("decay rate b must be positive")
-    left, right = _decay_halves(f)
+    if not c > 0.0:
+        raise DomainError("decay rate c must be positive")
+    left, right = _decay_halves(f, c)
     return integrate_unit(left, f_right=right)
 
 
-def _decay_tail(a: float, b: float, beta: float, alpha: float, with_log: bool) -> float:
+def _decay_tail(a: float, b: float, beta: float, alpha: float, with_log: bool, c: float) -> float:
     """A bound on int_X^inf of |x^alpha e^(-bx) (1 + beta e^(-x))^a|, times
-    |log(1 - e^(-x))| with_log, past X = 633.7, the x of level 0's last node
-    under t = e^(-x): integrate_decay adds nodes at or past it at every
-    level, so what it drops lies past X. inf where no bound is finite.
+    |log(1 - e^(-x))| with_log, past X = 633.7/c, the x of level 0's last
+    node under t = e^(-cx): integrate_decay adds nodes at or past it at
+    every level, so what it drops lies past X. inf where no bound is finite.
 
     Past X, ln(x/X) <= (x - X)/X gives x^alpha e^(-bx) <= X^alpha e^(-bX)
     e^(-(b - alpha/X)(x - X)) at alpha >= 0 (at alpha < 0, x^alpha <= X^alpha),
@@ -180,7 +181,7 @@ def _decay_tail(a: float, b: float, beta: float, alpha: float, with_log: bool) -
     bX > alpha. The binomial factor lies between 1 and its value at X, and
     |log(1 - e^(-x))| falls from its value at X.
     """
-    X = -math.log(_level_nodes(0)[-1][0])
+    X = -math.log(_level_nodes(0)[-1][0]) / c
     rate = b - max(alpha, 0.0) / X
     if rate <= 0.0:
         return math.inf
@@ -197,8 +198,8 @@ def integrate_two_sided(f: Callable[[float], float]) -> EvalResult:
     Split at 0; each half runs through the exponential substitution to
     5e-11.  The caller guarantees genuine decay on both sides.
     """
-    left_l, left_r = _decay_halves(lambda x: f(-x))
-    right_l, right_r = _decay_halves(f)
+    left_l, left_r = _decay_halves(lambda x: f(-x), 1.0)
+    right_l, right_r = _decay_halves(f, 1.0)
     pos = integrate_unit(right_l, f_right=right_r, target=5e-11)
     neg = integrate_unit(left_l, f_right=left_r, target=5e-11)
     return EvalResult(
@@ -438,12 +439,10 @@ def _trig_integral(base: str, a: int, w: float, alpha: int, parts: Sequence[int]
     return abel_oscillatory(g, log_singular=base == "log")
 
 
-def oracle_key(spec: IntegralSpec) -> Optional[tuple]:
-    """The key (base, a, w, alpha) under which oracle_memo holds spec's
-    evaluation, equal for the two parts of one oscillatory integral
-    (F7-F11); None for the forms it does not hold."""
-    if spec.form not in _TRIG_FORMS:
-        return None
+def oracle_key(spec: IntegralSpec) -> tuple:
+    """The key (base, a, w, alpha) under which oracle_memo holds the
+    evaluation of an oscillatory spec (F7-F11), equal for the two parts of
+    one integral."""
     p = spec.params
     need = "need integer a >= 1, finite frequency > 0, integer alpha >= 0"
     a, alpha = _whole(p["a"], 1, need), _whole(p.get("alpha", 0), 0, need)
@@ -497,8 +496,11 @@ def _oracle(spec: IntegralSpec) -> EvalResult:
             # log(1 - e^-x) is made of; log1p keeps them
             return out * (log_base if x < _LN2 else math.log1p(-math.exp(-x)))
 
-        res = integrate_decay(f_any, b)
-        tail = _decay_tail(a, b, beta, alpha, with_log)
+        # t = e^(-x) drops the integral past x = 633.7; where that tail
+        # passes the target at b < 1, t = e^(-bx) reaches 633.7/b
+        c = b if b < 1.0 and _decay_tail(a, b, beta, alpha, with_log, 1.0) > _UNIT_TARGET else 1.0
+        res = integrate_decay(f_any, c)
+        tail = _decay_tail(a, b, beta, alpha, with_log, c)
         return EvalResult(res.value, res.abs_error_bound + tail, res.terms_used, res.method)
     if form == "F2" or form == "F4":
         # the order first: _series_params would take a NaN or inf order for any non-finite parameter

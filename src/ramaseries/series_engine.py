@@ -21,8 +21,8 @@ Summation strategy by regime (_regime classifies it):
     a + 1 terms to the exact zero t_(a+1) = 0, summed by fsum.
   * |beta| < 1: the same loop, stopped by a geometric tail bound whose
     ratio bound holds where the terms still grow (i < a). A sum not done
-    after 256 terms is summed again as a head plus the asymptotic tail
-    below, its Hurwitz sums damped by |beta|^j (lam = -log|beta|).
+    after 256 terms goes to the paper's integral, by the trapezoid rule in
+    t = ln x with a derived bound (_integral_psi).
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
@@ -33,9 +33,7 @@ Summation strategy by regime (_regime classifies it):
     kept, the Euler-Maclaurin remainders, and the roundoff of head and tail.
   * every Hurwitz value above comes from the one Euler-Maclaurin kernel,
     special_fn._em_zeta (and its s-derivative _em_dzeta), with its
-    remainder bound; its damped form _em_damped takes the exponential
-    integral e^x E_sig(x) as integral term and sums alternating sums by
-    Euler-Boole.
+    remainder bound.
   * the a-derivative of the alternating series: the same head and tail,
     differentiated in a. The loop's head, with the same length rule, gives
     t_i H_i with H_i a cumulative sum of 1/(a-j); the tail is the
@@ -58,16 +56,14 @@ import sys
 from dataclasses import dataclass
 
 from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, DomainError,
-                                   _em_damped, _em_dzeta, _em_zeta, _expint_orders, _hurwitz,
-                                   _whole, digamma)
+                                   _em_dzeta, _em_zeta, _hurwitz, _whole, digamma)
 
-_SCALAR_TERMS = 256  # _scalar_psi hands a geometric sum to _powerlaw_psi past this many terms
+_SCALAR_TERMS = 256  # _scalar_psi hands a geometric sum to _integral_psi past this many terms
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
-_DIRECT = 1 << 20  # most terms of a damped tail sum summed directly before the kernel
 _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
+_STRIP = 1.2  # half-width D of the strip |Im t| <= D in which _integral_psi bounds its rule
 _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
-_LOG_MAX = math.log(sys.float_info.max)
 _SUBNORMAL = 4.0 * sys.float_info.min  # in units of _EPS, about 2^-1073: see _sum
 
 # _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
@@ -106,7 +102,7 @@ class EvalResult:
     value: float
     abs_error_bound: float
     terms_used: int
-    method: str  # direct | closed-form | recursion | oracle
+    method: str  # direct | closed-form | integral | recursion | oracle
 
 
 @dataclass(frozen=True)
@@ -266,15 +262,15 @@ def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int | None):
     """The loop from t_0: without cap (a terminating sum, a a non-negative
     integer) its a + 1 terms to the exact zero t_(a+1) = 0; with cap
     (|beta| < 1) under _loop's geometric stop test, and a sum not done after
-    _SCALAR_TERMS terms (or cap) goes to _powerlaw_psi. Once the loop stops,
+    _SCALAR_TERMS terms (or cap) goes to _integral_psi. Once the loop stops,
     the bound adds eps (the roundoff of every term + |S|) to the tail.
     """
     stop = int(a) + 1 if cap is None else min(cap, _SCALAR_TERMS)
     terms, extra, _, tail = _loop(a, b, beta, alpha, 0, None, stop, cap)
     if tail is None and cap is not None:
-        return _powerlaw_psi(a, b, beta, alpha, cap)
+        return _integral_psi(a, b, beta, alpha)
     value, roundoff = _sum(terms, extra, 0, b, alpha)
-    return value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms)
+    return value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms), "direct"
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -286,23 +282,14 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     lgamma(-a) and sign that of 1/Gamma(-a) for the series itself.
     l_n = L_n / q^n (q = n + c) with L_n = (-1)^(n+1) [(B_(n+1)(-a-c)
     - B_(n+1)(1-c)) / (n(n+1)) - (alpha+1) (b-c)^n / n], then e_k / q^k from
-    k e_k = sum_n n L_n e_(k-n); L_1 = 0 where s > 1 (c from
-    _head_length). The sum stops once two consecutive
-    contributions fall under thr, from k = 3 on (the k = 1 one of the
-    value is zero), since odd orders nearly vanish when c is near -a/2. The bound adds
-    twice those two, the Euler-Maclaurin remainders, and the roundoff of
-    the prefactor exp(-lg - s log q - lam n) and of the series. Z_k =
-    q^(s+k) sum_(j>=0) (+-1)^j e^(-lam j) (q+j)^-(s+k), lam = -log|beta|,
-    and its remainder come from the kernel special_fn._em_zeta (its damped
-    form _em_damped where lam > 0), plain at beta < 0 and alternating at
-    beta > 0. Where the damped kernel needs lam q >= 1 (at beta < 0 for its
-    exponential-integral fraction, at s <= 0 for its remainder), the first
-    J = 1/lam - q terms of each Z_k are summed directly as
-    exp(-lam j - (s+k) log(1 + j/q)), each within
-    2 lam j + 3 |s+k| log(1 + j/q) + 4 units, plus 20 + log2 J for numpy's
-    pairwise sum (8-way runs of 16 in blocks of 128), and the kernel takes
-    the rest at q + J; the integral terms of all orders there come from
-    one special_fn._expint_orders.
+    k e_k = sum_n n L_n e_(k-n); L_1 = 0 where s > 1 (c from _head_length).
+    The sum stops once two consecutive contributions fall under thr, from
+    k = 3 on (the k = 1 one of the value is zero), since odd orders nearly
+    vanish when c is near -a/2. The bound adds twice those two, the
+    Euler-Maclaurin remainders, and the roundoff of the prefactor
+    exp(-lg - s log q) and of the series. Z_k = q^(s+k) sum_(j>=0) (+-1)^j
+    (q+j)^-(s+k) and its remainder come from the kernel special_fn._em_zeta,
+    plain at beta = -1 and alternating at beta = +1.
 
     Given psi = digamma(-a) (beta = -1 only), it returns the a-derivative
     of the tail instead, with n and c held: the prefactor gives
@@ -321,15 +308,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
     up = [1.0, u]  # u^m
     nl, dnl = [0.0], [0.0]  # n l_n and its a-derivative
     e, de = [1.0], [0.0]
-    lam = -math.log(abs(beta)) if abs(beta) < 1.0 else 0.0
-    rho = sign * math.exp(-lg - s * lnq - lam * n)  # |beta|^n at |beta| < 1
-    J = min(max(0, math.ceil(1.0 / lam - q)), _DIRECT) if lam and (beta < 0.0 or s <= 0.0) else 0
-    q1 = q + J
-    if J:
-        import numpy as np  # here, so that importing the package does not load numpy
-        jj = np.arange(J, dtype=np.float64)
-        damp, lx, lx1 = -lam * jj, np.log1p(jj / q), math.log1p(J / q)
-    orders = _expint_orders(s, q1 * lam, _TAIL_ORDERS) if lam and beta < 0.0 else None
+    rho = sign * math.exp(-lg - s * lnq)
     if beta > 0.0 and n % 2:
         rho = -rho  # (-beta)^i alternates from (-1)^n
     parts = []
@@ -357,25 +336,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
                 de.append((sum(map(operator.mul, dnl[1:], e[::-1]))
                            + sum(map(operator.mul, nl[1:], de[::-1]))) / k)
             e.append(sum(map(operator.mul, nl[1:], reversed(e))) / k)
-        if lam:
-            z, rem, zabs = _em_damped(s + k, q1, lam, beta > 0.0, orders and orders[k])
-        else:
-            z, rem, zabs = _em_zeta(s + k, sm1 + k, q1, beta > 0.0)
-        if J:  # Z_k(q) = sum_(j<J) (+-1)^j e^(-lam j) (1 + j/q)^-sig + w Z_k(q + J)
-            sig = s + k
-            ex = damp - sig * lx  # grows with j only where sig < 0
-            if sig < 0.0 and ex.max() + math.log(J) > _LOG_MAX:  # the sum would pass 1e308
-                raise DomainError(_OVERFLOW)
-            direct = np.exp(ex)
-            if beta > 0.0:
-                direct[1::2] *= -1.0
-            w = math.exp(-lam * J - sig * lx1) * (-1.0 if beta > 0.0 and J % 2 else 1.0)
-            dabs = float(np.abs(direct).sum())
-            units = 2.0 * lam * J + 3.0 * abs(sig) * lx1 + 24.0 + math.log2(J)
-            z, rem, zabs = (float(direct.sum()) + w * z,
-                            abs(w) * (rem + _EPS * (lam * J + 2.0 * abs(sig) * lx1 + 4.0) * zabs)
-                            + _EPS * units * dabs,
-                            dabs + abs(w) * zabs)
+        z, rem, zabs = _em_zeta(s + k, sm1 + k, q, beta > 0.0)
         ce = rho * e[k]
         if psi is None:
             parts.append(ce * z)
@@ -392,7 +353,7 @@ def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
             break
     tail = _fsum(parts)
     bound = (2.0 * (abs(parts[-1]) + abs(parts[-2])) + em
-             + _EPS * (2.0 * abs(lg) + 2.0 * abs(s) * lnq + 2.0 * lam * n + 2 * k + 16.0) * mag)
+             + _EPS * (2.0 * abs(lg) + 2.0 * abs(s) * lnq + 2 * k + 16.0) * mag)
     return tail, bound
 
 
@@ -415,16 +376,14 @@ def _head_length(a: float, b: float, alpha: float, qmin: float, cap: int):
 
 
 def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
-    """Head of n terms plus the asymptotic tail: at beta = +-1, and for the
-    geometric sums (|beta| < 1) that the scalar loop left unfinished.
+    """Head of n terms plus the asymptotic tail, at beta = +-1.
 
     Past the head, t_i = ((-beta)^i / Gamma(-a)) f(i) with
     f(i) = Gamma(i-a) / Gamma(i+1) / (b+i)^(alpha+1). In z = i + c,
     log f = -s log z + sum_n L_n z^-n (Tricomi-Erdelyi, s = a+alpha+2), and
     exp of that series is sum_k e_k z^-k, so the tail is sum_k e_k times a
-    Hurwitz zeta of order s+k (even/odd split at beta > 0), damped by
-    |beta|^j below |beta| = 1, from the kernels special_fn._em_zeta and
-    _em_damped in _asymptotic_tail. The head is _head_length's, q >= 1.
+    Hurwitz zeta of order s+k (even/odd split at beta > 0) from
+    special_fn._em_zeta in _asymptotic_tail; the head is _head_length's, q >= 1.
     """
     c, n = _head_length(a, b, alpha, 1.0, cap)
     head, roundoff, t = _head(a, b, beta, alpha, 0, None, n)
@@ -444,7 +403,7 @@ def _powerlaw_psi(a: float, b: float, beta: float, alpha: float, cap: int):
         tail, tail_bound = _asymptotic_tail(a, b, beta, alpha, c, n, thr, math.lgamma(-a),
                                             _sign_recip_gamma_neg(a))
     value = head + tail
-    return value, tail_bound + _EPS * (roundoff + abs(value)), n
+    return value, tail_bound + _EPS * (roundoff + abs(value)), n, "direct"
 
 
 def _negint_psi(k: int, b: float, alpha: float):
@@ -469,7 +428,97 @@ def _negint_psi(k: int, b: float, alpha: float):
         errs.append((abs(c) * (zb + _EPS * ((sm1 + 1.0) * L + 2.0) * z)
                      + _EPS * 3.0 * k * cabs * z) / fact)
     value = math.fsum(pieces)
-    return value, math.fsum(errs) + _EPS * abs(value), k
+    return value, math.fsum(errs) + _EPS * abs(value), k, "closed-form"
+
+
+def _nodes(a: float, b: float, beta: float, alpha: float, h: float, lg: float,
+           floor: float, rel: float):
+    """log g(kh) of _integral_psi's rule for k walked out from the peak of
+    x^(alpha+1) e^(-bx), right then left, until the bound on the nodes past
+    the last falls to max(floor, rel + the largest log g); each node's
+    roundoff in units of _EPS; the logs of the two tail bounds.
+
+    log g = (alpha+1) t - bx + a ln y - lg, t = kh, x = e^t, e = expm1(-x),
+    y = 1 + beta + beta e. Units: (alpha+1 + bx + s) |t| for kh and s for x,
+    s = |a beta| x e^(-x) / y; 2 |a beta e| / y for e; 3 |a| for y (1 + beta
+    <= 2y); 5, 5, 4 and 3 on (alpha+1) |t|, bx, |a ln y| and |lg|; 1 for exp.
+    y^a is monotone in x, so Gamma(alpha+1) times the nodes left of t sum to
+    at most h e^((alpha+1) t) max((1 + beta)^a, y^a) / (e^((alpha+1) h) - 1),
+    and right of t, once bx >= 2 (alpha+1), to at most max(1, y^a) x^alpha
+    e^(-bx) / (b - alpha/x), over the integral of x^alpha e^(-bx) past x.
+    """
+    p, exp, expm1, log = alpha + 1.0, math.exp, math.expm1, math.log
+    b0, left, ab = a * math.log1p(beta), log(h / expm1(p * h)) - lg, abs(a * beta)
+    c0, k0, top = 3.0 * (abs(a) + abs(lg)) + 1.0, math.floor(log(p / b) / h), -math.inf
+    ls, units, tails = [], [], []
+    for step in (1, -1):
+        for k in itertools.count(k0 if step == 1 else k0 - 1, step):
+            t = k * h
+            x, at = exp(t), abs(t)
+            e = expm1(-x)
+            y = (1.0 + beta) + beta * e
+            bx, ay = b * x, a * log(y)
+            lk = p * t - bx + ay - lg
+            ls.append(lk)
+            units.append(at * (6.0 * p + bx) + 5.0 * bx + 4.0 * abs(ay)
+                         + ab * ((at + 1.0) * x * (1.0 + e) - 2.0 * e) / y + c0)
+            top = lk if lk > top else top
+            # the left tail's bound, or the right tail's once x >= 2 (alpha+1) / b
+            lt = (left + p * t + max(b0, ay) if step == -1 else math.inf if bx < 2.0 * p
+                  else alpha * t - bx - log(b - alpha / x) + max(0.0, ay) - lg)
+            if lt <= floor or lt <= rel + top:
+                break
+        tails.append(lt)
+    return ls, units, tails
+
+
+def _logsum(logs) -> float:
+    """log sum exp(v) over the logs v, free of overflow."""
+    top = max(logs)
+    return top + math.log(math.fsum([math.exp(v - top) for v in logs]))
+
+
+def _integral_psi(a: float, b: float, beta: float, alpha: float):
+    """S at |beta| < 1 by the paper's integral in t = ln x: the trapezoid
+    rule h sum_k g(kh), g = x^(alpha+1) e^(-bx) (1 + beta e^(-x))^a /
+    Gamma(alpha+1) (_nodes), as (S, bound, nodes, "integral").
+
+    (1 + beta e^(-x))^a branches only at Re x = ln|beta| < 0, so on
+    |Im t| <= D = _STRIP < pi/2 g is analytic and |g| at most the same
+    integrand at x cos D and beta' = sign(a) |beta|: the rule is off by at
+    most K S', S' = S(a, b, beta', alpha), K = 2 (cos D)^-(alpha+1) /
+    (e^(2 pi D / h) - 1) (Trefethen and Weideman, SIAM Review 56, 2014,
+    Thm 5.1). A pass at K = 1/16 bounds S' (S where beta' = beta) by
+    (S'_h + tails) (1 + roundoff) / (1 - K), in logs, and S from below by
+    S_h - K S'; the step then takes K S' under a quarter of the target
+    max(1e-12, 1e-13 S). g's cuts are at 1/1024 of max(1e-12, 1e-13 h
+    times its largest node), the majorant's at 1/16 of h times its own.
+    """
+    p, lg = alpha + 1.0, math.lgamma(alpha + 1.0)
+    width, lk2 = 2.0 * math.pi * _STRIP, math.log(2.0) - p * math.log(math.cos(_STRIP))
+    floor, rel = math.log(_TARGET / 1024.0), math.log(1e-13 / 1024.0)
+
+    def step(z):  # the h at which K = e^-z, z > 0
+        return width / (z + lk2 + math.log1p(math.exp(-z - lk2)))
+
+    h0 = step(math.log(16.0))
+    nodes = _nodes(a, b, beta, alpha, h0, lg, floor, rel + math.log(h0))
+    beta1 = math.copysign(abs(beta), a)  # beta' of the majorant
+    maj = nodes if beta1 == beta else _nodes(a, b, beta1, alpha, h0, lg, -math.inf, math.log(h0 / 16.0))
+    lmaj = (_logsum([math.log(h0) + _logsum(maj[0]) + math.log1p(_EPS * (max(maj[1]) + 2.0))] + maj[2])
+            - math.log1p(-1.0 / 16.0))
+    lsum = math.log(h0) + _logsum(nodes[0])
+    gap = lmaj - math.log(16.0) - lsum  # log K S' / S_h0
+    low = lsum + math.log(-math.expm1(gap)) if gap < 0.0 else -math.inf  # log of S_h0 - K S'
+    z = math.log(4.0) + lmaj - max(math.log(_TARGET), math.log(1e-13) + low)
+    h = h0 if z <= math.log(16.0) else step(z)
+    ls, units, tails = nodes if h == h0 else _nodes(a, b, beta, alpha, h, lg, floor, rel + math.log(h))
+    g = list(map(math.exp, ls))
+    value = h * math.fsum(g)
+    roundoff = h * math.fsum(map(operator.mul, g, units)) + 2.0 * value
+    bound = (math.exp(lk2 + lmaj - width / h - math.log(-math.expm1(-width / h)))  # K S'
+             + math.exp(tails[0]) + math.exp(tails[1]) + _EPS * roundoff)
+    return value, bound, len(ls), "integral"
 
 
 def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalResult:
@@ -479,10 +528,11 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     geometric sum stops when its tail bound, plus eps i |S|, drops under
     max(1e-12, 1e-13 |S|); its reported bound then counts the roundoff of
     every term, which a cancelling sum can lift past that target. One not
-    done after 256 terms (or after cap, if smaller) goes to a head and an
-    asymptotic tail, as at |beta| = 1. cap limits that head: a head cut
-    short of the asymptotic range shows in the bound instead of failing.
+    done after 256 terms (or cap, if smaller) goes to the integral route.
+    At |beta| = 1 cap, an integer >= 1, limits the head: a head cut short
+    of the asymptotic range shows in the bound instead of failing.
     """
+    cap = _whole(cap, 1, "cap must be a positive integer, got {}")
     params.validate()
     a, b, beta, alpha = params.a, params.b, params.beta, params.alpha
     regime = _regime(a, beta, alpha)
@@ -490,20 +540,20 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
     if regime != "power-law":
-        return _result("direct", _scalar_psi, a, b, beta, alpha,
+        return _result(_scalar_psi, a, b, beta, alpha,
                        cap if regime == "geometric" else None)
     if beta == -1.0 and float(a).is_integer():
-        return _result("closed-form", _negint_psi, int(-a), b, alpha)
-    return _result("direct", _powerlaw_psi, a, b, beta, alpha, cap)
+        return _result(_negint_psi, int(-a), b, alpha)
+    return _result(_powerlaw_psi, a, b, beta, alpha, cap)
 
 
-def _result(method: str, evaluate, *args) -> EvalResult:
-    """The EvalResult of evaluate(*args) = (value, bound, terms used): a
-    term, prefactor or head length past 1e308 (OverflowError from **,
-    math.exp or math.ceil), or a result that is not finite, raises
-    DomainError."""
+def _result(evaluate, *args) -> EvalResult:
+    """The EvalResult of evaluate(*args) = (value, bound, terms used,
+    method): a term, prefactor or head length past 1e308 (OverflowError
+    from **, math.exp or math.ceil), or a result that is not finite,
+    raises DomainError."""
     try:
-        value, bound, n = evaluate(*args)
+        value, bound, n, method = evaluate(*args)
     except OverflowError:
         raise DomainError(_OVERFLOW) from None
     if not (math.isfinite(value) and math.isfinite(bound)):
@@ -547,6 +597,7 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
     with no derivative. At a = 0 that leaves -sum_{i>=1} 1/(i (b+i)^(n+1)).
     """
     alpha = float(_whole(n, 0, "n must be a non-negative integer, got {}"))
+    cap = _whole(cap, 1, "cap must be a positive integer, got {}")
     SeriesParams(a, b, -1.0, alpha).validate()
     if a + alpha <= -1.0:
         raise DivergenceError(
@@ -556,11 +607,11 @@ def eval_phi_da_direct(a: float, b: float, n: int, *, cap: int = _DEFAULT_CAP) -
         # weight (1-e^-x)^a = exp(a ln(1-e^-x)) is 1 within 1e-140 wherever
         # it matters, so the a = 0 value stands within its own roundoff
         a = 0.0
-    return _result("direct", _phi_da, a, b, alpha, cap)
+    return _result(_phi_da, a, b, alpha, cap)
 
 
 def _phi_da(a: float, b: float, alpha: float, cap: int):
-    """eval_phi_da_direct's value, bound and head length N.
+    """eval_phi_da_direct's value, bound, head length N and method.
 
     H_0 = 0, so where t_0 = b^-(alpha+1) passes 1e308 the head starts at
     t_1 = -a (b+1)^-(alpha+1); and where the power in the closed form of
@@ -589,7 +640,7 @@ def _phi_da(a: float, b: float, alpha: float, cap: int):
         lg, psi = -math.lgamma(a + 1.0), None
     thr = 1e-3 * max(0.1 * _TARGET, _EPS * abs(total))
     tail, tail_bound = _asymptotic_tail(a, b, -1.0, alpha, c, N, thr, lg, sign, psi)
-    return total + tail, tail_bound + _EPS * (roundoff + abs(total + tail)), N
+    return total + tail, tail_bound + _EPS * (roundoff + abs(total + tail)), N, "direct"
 
 
 def _regime(a: float, beta: float, alpha: float) -> str:

@@ -35,11 +35,8 @@ _BERNOULLI_EVEN = (
     8615841276005.0 / 14322.0,
 )
 _BERNOULLI_OVER_FACT = [B / math.factorial(2 * m) for m, B in enumerate(_BERNOULLI_EVEN, 1)]
-_BERNOULLI_OVER_2M = [B / (2 * m) for m, B in enumerate(_BERNOULLI_EVEN, 1)]
-_BOOLE_WEIGHTS = [(4.0 ** m - 1.0) * w for m, w in enumerate(_BERNOULLI_OVER_2M, 1)]
 _EPS = 1.1e-16  # unit of roundoff in every bound
 _HEAD = 12  # summed terms before the Euler-Maclaurin kernel
-_CF_STEPS = 3000  # most step pairs of the exponential-integral fraction (about 100 at x = 1)
 
 
 class DomainError(ValueError):
@@ -107,95 +104,6 @@ def _em_corr(sig: float, p: float):
         u *= r
         poch *= (sig + 2 * m + 1) * (sig + 2 * m + 2)
     return c, abs(_BERNOULLI_OVER_FACT[8] * u * poch)
-
-
-def _expint_cf(sig: float, x: float):
-    """e^x E_sig(x) for sig, x > 0 as (value, error bound): the S-fraction
-    1/(x+ sig/(1+ 1/(x+ (sig+1)/(1+ 2/(x+ ...))))) (DLMF 8.19.17), its
-    convergents by the forward recurrence, rescaled every step. All elements
-    are positive, so successive convergents bracket the value and the gap
-    between the last two bounds the truncation; each step adds at most 3
-    units of roundoff to the numerator and to the denominator."""
-    pa, pb, ca = 0.0, 1.0 / x, 1.0 / x  # A_(n-1), B_(n-1), A_n over B_n; B_n / B_n = 1
-    prev, m = math.inf, 0
-    while abs(ca - prev) > _EPS * ca and m < _CF_STEPS:
-        m += 1  # elements sig + m - 1 over 1, then m over x
-        r = 1.0 / (1.0 + (sig + (m - 1)) * pb)
-        pa, pb, prev = ca * r, r, (ca + (sig + (m - 1)) * pa) * r
-        r = 1.0 / (x + m * pb)
-        pa, pb, ca = prev * r, r, (x * prev + m * pa) * r
-    return ca, abs(ca - prev) + _EPS * (12.0 * m + 4.0) * ca
-
-
-def _expint_orders(s: float, x: float, K: int):
-    """[(e^x E_(s+k)(x), error bound) for k = 0..K], x > 0: the integral
-    terms of the damped kernel. One S-fraction at the first order with
-    s + k >= x and s + k > 0; the orders above it by g_(sig+1) =
-    (1 - x g_sig) / sig, the ones below by g_sig = (1 - sig g_(sig+1)) / x.
-    Each direction damps the error it carries (by x/sig up, sig/(x+1) down),
-    and below sig = 0 every term it adds is positive; the bounds carry that
-    propagation and each step's roundoff."""
-    kf = max(0, math.ceil(x - s), math.floor(-s) + 1)
-    g, e = [0.0] * (max(K, kf) + 1), [0.0] * (max(K, kf) + 1)
-    g[kf], e[kf] = _expint_cf(s + kf, x)
-    for k in range(kf, K):
-        sig, xg = s + k, x * g[k]
-        g[k + 1] = (1.0 - xg) / sig
-        e[k + 1] = (x * e[k] + _EPS * (2.0 * xg + 1.0)) / sig + _EPS * g[k + 1]
-    for k in range(kf - 1, -1, -1):
-        sig = s + k
-        sg = abs(sig * g[k + 1])
-        g[k] = (1.0 - sig * g[k + 1]) / x
-        e[k] = (abs(sig) * e[k + 1] + _EPS * (2.0 * sg + 1.0)) / x + _EPS * g[k]
-    return list(zip(g, e))[:K + 1]
-
-
-def _em_damped(sig: float, q: float, lam: float, alternating: bool, g):
-    """The damped counterpart of _em_zeta: (Z, bound, magnitude) for
-    Z = q^sig sum_(j>=0) (+-1)^j e^(-lam j) (q+j)^-sig = sum_j (+-1)^j f(j),
-    f(x) = e^(-lam x) (1 + x/q)^-sig, lam > 0, any real sig; g = (e^x
-    E_sig(x), its error) at x = lam q, or None to compute it here where
-    needed.
-
-    Plain: Euler-Maclaurin, Z = q g + 1/2 + sum_m B_2m/(2m) D_(2m-1) q^(1-2m).
-    Alternating: Euler-Boole, Z = 1/2 + sum_m (2^2m - 1) B_2m/(2m) D_(2m-1)
-    q^(1-2m), with no integral term to cancel. D_k q^-k = (-1)^k f^(k)(0)/k!
-    comes from the Taylor recursion (k+1) D_(k+1) = (X + sig + k) D_k
-    - X D_(k-1), X = lam q. The corrections stop once the remainder bound
-    falls under eps |Z| / 8, or at m = 15. For sig > 0, f is completely
-    monotone, so the integral of |f^(2m)| is |f^(2m-1)(0)| and the
-    remainder is at most the last correction taken. For any sig,
-    |f^(k)(x)| <= (lam + (|sig|+k)/q)^k f(x) bounds it by
-    |B_2m|/(2m)! (2^2m - 1 if alternating) (lam + (|sig|+2m)/q)^(2m) q g.
-    The bound adds the integral's error, 6k + 9 units of roundoff for the
-    k-th correction (5 a recursion step, k for q^-k), taken on the same
-    recursion in absolute values, and one unit of each partial sum.
-    """
-    X = q * lam
-    if g is None and (sig <= 0.0 or not alternating):
-        g = _expint_orders(sig, X, 0)[0]
-    integral = 0.0 if alternating else q * g[0]
-    weights = _BOOLE_WEIGHTS if alternating else _BERNOULLI_OVER_2M
-    d0, d1, a0, a1 = 1.0, X + sig, 1.0, X + abs(sig)  # D_(k-1), D_k and their |.| majorants
-    corr, cabs, u, r = 0.5, 0.5, 1.0 / q, 1.0 / (q * q)
-    for m in range(1, 16):
-        k = 2 * m - 1
-        w = weights[m - 1] * u
-        corr += w * d1
-        cabs += abs(w) * a1 * (6.0 * k + 9.0) + abs(corr)
-        if sig > 0.0:
-            rem = abs(w * d1)
-        else:
-            grow = (lam + (abs(sig) + 2.0 * m) / q) ** (2 * m) * q * (g[0] + g[1])
-            rem = abs(_BERNOULLI_OVER_FACT[m - 1]) * (4.0 ** m - 1.0 if alternating else 1.0) * grow
-        if rem <= 0.125 * _EPS * (integral + abs(corr)):
-            break
-        u *= r
-        for i in (k, k + 1):
-            d0, d1 = d1, ((X + sig + i) * d1 - X * d0) / (i + 1.0)
-            a0, a1 = a1, ((X + abs(sig) + i) * a1 + X * a0) / (i + 1.0)
-    bound = rem + _EPS * cabs + (0.0 if alternating else q * g[1])
-    return integral + corr, bound, integral + abs(corr)
 
 
 def _em_zeta(sig: float, sm1: float, q: float, alternating: bool):
@@ -298,6 +206,8 @@ def _lerch(beta: float, s: float, b: float):
         raise DomainError(f"lerch_phi needs finite b > 0, got b = {b}")
     if not abs(beta) <= 1.0:
         raise DomainError(f"lerch_phi needs |beta| <= 1, got beta = {beta}")
+    if not math.isfinite(s):
+        raise DomainError(f"lerch_phi needs finite s and q, got s = {s}")
     if beta == 1.0:
         return _hurwitz(s, b)
     if beta == -1.0:

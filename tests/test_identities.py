@@ -35,6 +35,7 @@ from ramaseries.special_fn import (
     digamma,
     gamma,
     hurwitz_zeta,
+    lerch_phi,
     s_prime,
 )
 
@@ -191,7 +192,7 @@ def test_master_shift_divergence_preconditions():
     with pytest.raises(DivergenceError):
         master_shift(-2.0, 1.0, 1.0, 0.5, 1)  # p + mu <= -1 at unit weight
     with pytest.raises(DivergenceError):
-        master_shift(-1.5, 1.0, -1.0, 0.0, 1)  # needs mu > 0 when p <= -1
+        master_shift(-1.5, 1.0, -1.0, 0.0, 1)  # p <= -1 and mu <= 0 give p + mu <= -1
     with pytest.raises(DomainError):
         master_shift(0.5, -1.0, 0.5, 0.5, 1)
 
@@ -358,6 +359,18 @@ def test_single_pole_reduction_values():
     (inverse_factor_expansion, (1.0, 0), "order n must be a positive integer"),
     (inverse_factor_expansion, (0.0, 2), "need b > 0"),
     (inverse_factor_expansion, (math.inf, 2), "need b > 0"),
+    # the closed form shares the family's domain: it raised ValueError at
+    # beta = -1, returned nan at b = nan, and numbers outside 0 < b < 1
+    (two_sided_closed, (0.5, -1.0), "need 0 < b < 1 and 0 <= beta < 1"),
+    (two_sided_closed, (math.nan, 0.5), "need 0 < b < 1 and 0 <= beta < 1"),
+    (two_sided_closed, (1.5, 0.2), "need 0 < b < 1 and 0 <= beta < 1"),
+    (two_sided_closed, (0.5, 2.0), "need 0 < b < 1 and 0 <= beta < 1"),
+    # b^n past double range raised OverflowError, under it ZeroDivisionError
+    (inverse_factor_expansion, (1e300, 2), "b\\^n leaves double range"),
+    (inverse_factor_expansion, (1e-300, 3), "b\\^n leaves double range"),
+    # a non-finite s raised DivergenceError at beta = -1, or said "overflows"
+    (lerch_phi, (-1.0, math.nan, 1.0), "needs finite s and q, got s = nan"),
+    (lerch_phi, (0.5, math.nan, 1.0), "needs finite s and q, got s = nan"),
 ])
 def test_identity_input_checks(call, args, message):
     with pytest.raises(DomainError, match=message):

@@ -36,18 +36,16 @@ def test_import_loads_no_numpy():
     assert _fresh("import sys, ramaseries; print('numpy' in sys.modules)") == "False"
 
 
-def test_damped_direct_block_loads_numpy_when_first_reached():
-    # (0.5, 1, -0.99, 0) sums J > 0 terms of its damped tail directly, the one
-    # numpy block of the engine: the same result in a process that has not
-    # loaded numpy, which the block then loads
-    want = eval_psi_general(SeriesParams(0.5, 1.0, -0.99, 0.0))
-    assert (want.value, want.abs_error_bound, want.terms_used) == (
-        0.6727272727272727, 1.7264821045217488e-15, 32)
+def test_integral_route_loads_no_numpy():
+    # (0.5, 1, -0.99, 0) is not done after 256 terms and goes to the
+    # integral route: in a fresh process it loads no numpy, and its value is
+    # 2F1(-a, b; b+1; -beta) / b = 37/55 within its bound
     got = _fresh("import sys; from ramaseries import SeriesParams, eval_psi_general; "
-                 "before = 'numpy' in sys.modules; "
                  "r = eval_psi_general(SeriesParams(0.5, 1.0, -0.99, 0.0)); "
-                 "print(repr((before, r.value, r.abs_error_bound, r.terms_used, 'numpy' in sys.modules)))")
-    assert got == repr((False, want.value, want.abs_error_bound, want.terms_used, True))
+                 "print(repr((r.value, r.abs_error_bound, r.method, 'numpy' in sys.modules)))")
+    value, bound, method, numpy_loaded = eval(got)
+    assert (method, numpy_loaded) == ("integral", False)
+    assert abs(value - 37.0 / 55.0) <= bound <= 1e-12
 
 
 def _exact_finite(a, b_num, b_den, beta_num, beta_den, alpha):
@@ -218,6 +216,21 @@ def test_derivative_series_fd_consistency():
     assert eval_phi_da_direct(a, b, n).value == pytest.approx(fd, abs=5e-8)
 
 
+@pytest.mark.parametrize("cap", [1.5, math.nan, math.inf, 0, -2])
+@pytest.mark.parametrize("call", [
+    lambda cap: eval_psi_general(SeriesParams(0.5, 1.0, 0.5, 0.0), cap=cap),
+    lambda cap: eval_phi(0.5, 1.0, 0.0, cap=cap),
+    lambda cap: eval_phi_tilde(0.5, 1.0, 0.0, cap=cap),
+    lambda cap: eval_phi_da_direct(0.5, 1.0, 0, cap=cap),
+], ids=["psi", "phi", "phitilde", "phida"])
+def test_cap_must_be_a_positive_integer(call, cap):
+    # cap went unchecked into range and min: 1.5 raised TypeError, nan gave
+    # phi a 3-term head (0.66666653 +- 2.1e-6 for 2/3), and 0 returned
+    # -6.1e7 +- 2.2e8 for psi
+    with pytest.raises(DomainError, match="cap must be a positive integer"):
+        call(cap)
+
+
 def test_terms_capped_result_still_bounded():
     # tiny cap: the engine must return with a truthful (large) bound, not lie
     got = eval_phi(-0.5, 0.25, 0.0, cap=20_000)
@@ -261,10 +274,10 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     (eval_phi, (1e6, 1.0, 0.0)),
     (eval_phi_da_direct, (2000.5, 1.0, 0)),
     (eval_phi_tilde, (2000.5, 1.0, 0.0)),
-    (lambda *p: eval_psi_general(SeriesParams(*p)), (2000.5, 1.0, -0.5, 0.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (2000.5, 1.0, -0.9, 0.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (0.5, 0.05, 0.5, 300.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (-150.5, 1.0, -0.999999, 2.0)),
-    (lambda *p: eval_psi_general(SeriesParams(*p)), (-125.5, 5.0, 0.99999, 0.5)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (-125.5, 5.0, -0.99999, 0.5)),
     (eval_phi_da_direct, (1e300, 1.0, 0)),
     (lambda *p: oracle_value(IntegralSpec("F2", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 1e9)),
     (lambda *p: oracle_value(IntegralSpec("F4", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 2000)),
@@ -273,8 +286,8 @@ def test_overflow_raises_domain_error(call, args):
     # the terms pass 1e308 before they cancel: finite sum, derivative head,
     # power-law head and geometric loop each raise rather than return inf or
     # fail inside fsum, where math.exp or ** raises OverflowError in the term
-    # loop; in the fifth cell the first term 20^301 does. In the next two the
-    # near-unit tail overflows: its numpy direct sum, and its orders' fsum.
+    # loop; in the fifth cell the first term 20^301 does. The next two sums,
+    # near 1e878 and 1e600, pass it in the integral route's nodes.
     # At a = 1e300 the derivative's head length passes 1e308; in the last
     # two the quadrature integrand's log(d)^n does
     with pytest.raises(DomainError):
@@ -385,9 +398,8 @@ def _reference(mp, a, b, beta, alpha):
     (-0.5, 1.5, 0.998, 0), (2.5, 0.75, -0.999, 0), (1.3, 2.0, -0.99, 1), (-0.9, 4.0, -0.97, 2),
 ])
 def test_near_unit_geometric_numpy_continuation(a, b, beta, alpha):
-    # past the 256-term scalar prefix the sum starts again as a head of the
-    # same term loop plus the damped asymptotic tail; the value lies within
-    # the bound of the mpmath value
+    # past the 256-term scalar prefix the sum goes to the integral route;
+    # the value lies within the bound of the mpmath value
     mp = pytest.importorskip("mpmath")
     got = eval_psi_general(SeriesParams(a, b, beta, float(alpha)), cap=200_000)
     with mp.workdps(30):
@@ -427,18 +439,35 @@ def test_derivative_head_past_4096_terms():
 
 
 def test_near_unit_geometric_terms_pinned():
-    # the head of the damped-tail route, ceil(32 - c) terms with c = 1.08
+    # the nodes of the integral route's sum, at its step h = 0.242
     got = eval_psi_general(SeriesParams(-0.5, 1.5, 0.998, 0.0), cap=200_000)
-    assert got.terms_used == 31
+    assert (got.terms_used, got.method) == (156, "integral")
 
 
-@pytest.mark.xfail(strict=True, reason="counted roundoff of growing, cancelling terms passes the target")
 def test_near_unit_growing_terms_target_known_missed():
-    # the terms grow to 113 near i = 150 and cancel to 0.33; the damped
-    # tail's direct sums count their roundoff term by term, a bound of
-    # 6.1e-11 against an error of 2.6e-13
+    # the terms grow to 113 near i = 150 and cancel to 0.33, and the damped
+    # tail's bound was 6.1e-11; the integral route sums positive nodes
     got = eval_psi_general(SeriesParams(-3.5, 1.0, 0.99, 0.0))
     assert got.abs_error_bound <= 1e-12
+
+
+@pytest.mark.parametrize("a, b, beta, alpha", [(-125.5, 5.0, 0.99999, 0.5), (-60.5, 2.0, 0.9999, 0.0),
+                                               (2000.5, 1.0, -0.5, 0.0)])
+def test_integral_route_where_the_series_failed(a, b, beta, alpha):
+    # the series terms pass 1e308 (the first and last cells raised) or
+    # cancel from 1e160 (the second returned 5.36e139 +- 1.47e160); the sums
+    # are 1.77e-9, 2.87e-4 and 9.99e-4, by mp.quad on the integral in t = ln x
+    mp = pytest.importorskip("mpmath")
+    got = eval_psi_general(SeriesParams(a, b, beta, alpha))
+    with mp.workdps(40):
+        A, B, Z = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+
+        def g(t):
+            x = mp.exp(t)
+            return mp.exp((alpha + 1) * t - B * x + A * mp.log1p(Z * mp.exp(-x)))
+
+        ref = mp.quad(g, mp.linspace(-40, 4, 23)) / mp.gamma(alpha + 1)
+    assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12
 
 
 def test_geometric_scalar_bound_counts_alpha_rounding():
@@ -485,27 +514,22 @@ def _check_bound(cell):
     """The one bound property: the bound covers the true error in every
     regime, the roundoff of cancelling terms included.
 
-    The head-and-tail route also meets the target at beta = +1, at beta = -1
-    up to a = 1.5, and in the near-unit band for a < 12, except where
-    a + alpha <= -1 and beta > 0: there the terms grow to about
-    lam^(a+alpha+1) before they decay, alternate and cancel, and their
-    counted roundoff passes the target
-    (test_near_unit_growing_terms_target_known_missed). At beta = -1 the
-    terms grow to about 2^a and cancel to about a^-b, so from about a = 11
-    their counted roundoff passes it too. A cancelling sum that the scalar
-    loop finishes reports more roundoff than its stop test counts, so there
-    only the bound is checked."""
+    Every sum that the integral route takes (|beta| < 1) meets the target,
+    and so does the head-and-tail route at beta = +1, and at beta = -1 up to
+    a = 1.5. At beta = -1 the terms grow to about 2^a and cancel to about
+    a^-b, so from about a = 11 their counted roundoff passes it. A
+    cancelling sum that the scalar loop finishes reports more roundoff than
+    its stop test counts, so there only the bound is checked."""
     mp = pytest.importorskip("mpmath")
     a, b, beta, alpha = cell
-    with mock.patch.object(series_engine, "_powerlaw_psi", wraps=series_engine._powerlaw_psi) as route:
+    name = "_integral_psi" if abs(beta) < 1.0 else "_powerlaw_psi"
+    with mock.patch.object(series_engine, name, wraps=getattr(series_engine, name)) as route:
         got = eval_psi_general(SeriesParams(a, b, beta, alpha))
     assert got.terms_used < 10**7
     with mp.workdps(30):
         err = float(abs(got.value - _reference(mp, a, b, beta, alpha)))
     assert err <= got.abs_error_bound
-    a_max = math.inf if beta == 1.0 else 1.5 if beta == -1.0 else 12.0
-    if (route.called and abs(beta) >= 0.95 and a <= a_max
-            and (a + alpha > -1.0 or beta < 0.0)):
+    if route.called and (beta != -1.0 or a <= 1.5):
         assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
 
 

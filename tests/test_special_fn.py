@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramaseries.special_fn import (
-    _EPS,
     DivergenceError,
     DomainError,
-    _em_damped,
     _hurwitz,
     _lerch,
     _em_zeta,
@@ -141,23 +139,6 @@ def test_lerch_domain():
         lerch_phi(1.5, 1.0, 1.0)
     with pytest.raises(DivergenceError):
         lerch_phi(-1.0, 0.0, 1.0)
-
-
-@pytest.mark.parametrize("alternating", [False, True])
-@pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.05])
-@pytest.mark.parametrize("sig", [-2.5, -0.5, 0.3, 1.0, 1.04, 3.7, 12.0])
-def test_damped_kernel_vs_lerchphi(sig, lam, alternating):
-    # q where the near-unit tail calls the kernel: the head's q >= 32 for
-    # the alternating sums at sig > 0, else lam q >= 1. At 30 digits
-    # mp.lerchphi returns 0 for the plain sum at sig = 12, lam <= 1e-3
-    mp = pytest.importorskip("mpmath")
-    q = 32.0 if alternating and sig > 0.0 else max(32.0, 1.0 / lam)
-    z, rem, mag = _em_damped(sig, q, lam, alternating, None)
-    with mp.workdps(60 if sig > 10.0 and not alternating else 30):
-        beta = (-1 if alternating else 1) * mp.exp(-mp.mpf(lam))
-        ref = mp.lerchphi(beta, sig, q) * mp.mpf(q) ** sig
-        assert ref != 0
-        assert abs(z - ref) <= rem + _EPS * mag
 
 
 @pytest.mark.parametrize("args, want", [

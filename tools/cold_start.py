@@ -30,6 +30,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = {
     "bare": (["-c", "pass"], 0),
     "eval_phi": (["-m", "ramaseries", "eval", "phi", "--a", "0.5", "--b", "1", "--n", "1"], 0),
+    # a near-unit sum that the 256-term loop leaves to the integral route
+    "eval_psi_near_unit": (["-m", "ramaseries", "eval", "psi", "--a", "0.5", "--b", "1",
+                            "--beta=-0.999999", "--alpha", "1"], 0),
     "eval_integral_f1": (["-m", "ramaseries", "eval", "integral", "--form", "F1",
                           "--a", "0.5", "--b", "1", "--alpha", "1"], 0),
     # the cell of eval_phi, through table's grid and pool path
