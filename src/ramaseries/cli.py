@@ -52,12 +52,24 @@ def _fmt(x: float, digits: int) -> str:
     return s
 
 
+# the most points one flag's range, or a table's whole grid, may give
+_MAX_POINTS = 10**6
+
+
+def _limit(count: float, what: str) -> None:
+    """DomainError where count, an upper estimate of the points of a grid
+    taken before it is built, passes _MAX_POINTS: past that the grid would
+    grow until memory ran out."""
+    if count > _MAX_POINTS:
+        raise DomainError("%s has over %d points" % (what, _MAX_POINTS))
+
+
 def _parse_range(text: str, name: str) -> List[float]:
     """One flag value -> list of grid points.
 
     Accepted forms: a single number, lo:hi:step (inclusive at both ends,
     with a step-relative slack so 0.25:2.25:0.5 really ends at 2.25),
-    and lo..hi for inclusive integer ranges.
+    and lo..hi for inclusive integer ranges, each of at most _MAX_POINTS.
     """
     text = text.strip()
     if ".." in text and ":" not in text:
@@ -68,6 +80,7 @@ def _parse_range(text: str, name: str) -> List[float]:
             raise DomainError("bad integer range for --%s: %r" % (name, text))
         if hi < lo:
             raise DomainError("empty range for --%s: %r" % (name, text))
+        _limit(hi - lo + 1, "range for --%s %r" % (name, text))
         return [float(v) for v in range(lo, hi + 1)]
     if ":" in text:
         parts = text.split(":")
@@ -80,6 +93,7 @@ def _parse_range(text: str, name: str) -> List[float]:
         # inf or nan would never pass hi, and the grid would grow without end
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise DomainError("bad range for --%s: %r" % (name, text))
+        _limit((hi - lo) / step + 1.0, "range for --%s %r" % (name, text))
         out = []
         k = 0
         while True:
@@ -325,6 +339,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     names = [_flag(args, axis) for axis in axes]
     _reject_unread(args, names)
     grids = [_parse_range(getattr(args, nm), nm) for nm in names]
+    _limit(math.prod(map(len, grids)), "table %s grid" % args.target)
     points = list(itertools.product(*grids))
     units = [(args.target, points[i:i + _TABLE_UNIT]) for i in range(0, len(points), _TABLE_UNIT)]
     parts = ordered_map(_table_task, units, _resolve_workers(args.workers))

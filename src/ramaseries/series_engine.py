@@ -20,9 +20,10 @@ Summation strategy by regime (_regime classifies it):
   * non-negative integer a: the series terminates; the loop runs its
     a + 1 terms to the exact zero t_(a+1) = 0, summed by fsum.
   * |beta| < 1: the same loop, stopped by a geometric tail bound whose
-    ratio bound holds where the terms still grow (i < a). A sum not done
-    after 256 terms goes to the paper's integral, by the trapezoid rule in
-    t = ln x with a derived bound (_integral_psi).
+    ratio bound holds where the terms still grow (i < a). A sum here,
+    terminating or not, that the loop cannot give within the target goes
+    to the paper's integral, by the trapezoid rule in t = ln x with a
+    derived bound (_integral_psi).
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
@@ -64,6 +65,7 @@ _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
 _STRIP = 1.2  # half-width D of the strip |Im t| <= D in which _integral_psi bounds its rule
 _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
+_NODES = 10**5  # _integral_psi refuses a pass over more nodes than this
 _SUBNORMAL = 4.0 * sys.float_info.min  # in units of _EPS, about 2^-1073: see _sum
 
 # _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
@@ -137,7 +139,7 @@ def _fsum(xs) -> float:
 
 
 def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None, stop: int,
-          cap: int | None = None, coef: float = 1.0):
+          geometric: bool = False, coef: float = 1.0):
     """The one term loop: t_i, t_(i+1), ... from t_i = t, to t_(stop-1);
     t None stands for t_i = coef (b+i)^-(alpha+1) (t_0 = b^-(alpha+1) at
     i = 0, coef = 1).
@@ -155,12 +157,11 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
     |ln|coef|| + |log|P|| more where coef is not 1 (its log and the sum);
     t_i = exp(log|P|) counts those units too.
 
-    Given cap (a geometric sum from i = 0), it stops once the tail bound,
-    plus eps k |S|, meets the target, or at cap terms where that bound
-    exists. Past term k the ratio |t_(j+1) / t_j| = |beta| |a-j| / (j+1)
-    ((b+j) / (b+j+1))^(alpha+1) stays under |beta| max(|k-a| / (k+1), 1):
-    |a-j| / (j+1) falls while j < a, and past a stays under 1 (a > -1) or
-    falls (a < -1).
+    Given geometric (a sum from i = 0 at |beta| < 1), it stops once the
+    tail bound, plus eps k |S|, meets the target. Past term k the ratio
+    |t_(j+1) / t_j| = |beta| |a-j| / (j+1) ((b+j) / (b+j+1))^(alpha+1)
+    stays under |beta| max(|k-a| / (k+1), 1): |a-j| / (j+1) falls while
+    j < a, and past a stays under 1 (a > -1) or falls (a < -1).
 
     Returns the terms, the extra roundoff units of each term computed from
     log|P| (in _EPS: the roundoff of log|P| where P left, of every log and
@@ -207,13 +208,13 @@ def _loop(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
             ex = lP + p * lw
             t = math.copysign(math.exp(ex), sign)
             extra.append(units + p * (4.0 + 2.0 * abs(lw)) + abs(ex))
-        if cap:  # t is t_k, k = j1
+        if geometric:  # t is t_k, k = j1
             rk = abs(j1 - a) / (j1 + 1.0)
             rhat = ab * rk if rk > 1.0 else ab
             if rhat < 1.0:
                 tail = abs(t) / (1.0 - rhat)
                 bound = tail + _EPS * j1 * abs(total)
-                if bound <= _TARGET or bound <= 1e-13 * abs(total) or j1 >= cap:
+                if bound <= _TARGET or bound <= 1e-13 * abs(total):
                     return terms, extra, t, tail
     return terms, extra, t, None
 
@@ -254,23 +255,37 @@ def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
     """sum_(i<=k<stop) t_k from t_i = t (t None: from coef (b+i)^-(alpha+1),
     see _loop; with harmonic, of t_k H_k), its roundoff in units of _EPS
     (see _sum), and t_stop."""
-    terms, extra, t, _ = _loop(a, b, beta, alpha, i, t, stop, None, coef)
+    terms, extra, t, _ = _loop(a, b, beta, alpha, i, t, stop, False, coef)
     return (*_sum(terms, extra, i, b, alpha, u0, a if harmonic else None), t)
 
 
 def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int | None):
     """The loop from t_0: without cap (a terminating sum, a a non-negative
     integer) its a + 1 terms to the exact zero t_(a+1) = 0; with cap
-    (|beta| < 1) under _loop's geometric stop test, and a sum not done after
-    _SCALAR_TERMS terms (or cap) goes to _integral_psi. Once the loop stops,
-    the bound adds eps (the roundoff of every term + |S|) to the tail.
+    (|beta| < 1) at most min(cap, _SCALAR_TERMS) terms under _loop's stop
+    test; the bound adds eps (the roundoff of every term + |S|) to the tail.
+    At |beta| < 1 a sum not done, past 1e308 or over max(_TARGET, 1e-13 |S|)
+    goes to _integral_psi, unless its bound is under the least roundoff the
+    route counts; the smaller bound wins, the loop's where the route raises.
     """
     stop = int(a) + 1 if cap is None else min(cap, _SCALAR_TERMS)
-    terms, extra, _, tail = _loop(a, b, beta, alpha, 0, None, stop, cap)
-    if tail is None and cap is not None:
-        return _integral_psi(a, b, beta, alpha)
-    value, roundoff = _sum(terms, extra, 0, b, alpha)
-    return value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms), "direct"
+    loop = math.nan, math.inf, 0, "direct"  # no sum: not done, or past 1e308
+    try:
+        terms, extra, _, tail = _loop(a, b, beta, alpha, 0, None, stop, cap is not None)
+        if tail is not None or cap is None:
+            value, roundoff = _sum(terms, extra, 0, b, alpha)
+            loop = value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms), "direct"
+    except (OverflowError, DomainError):
+        pass
+    if (loop[1] <= _TARGET or loop[1] <= 1e-13 * abs(loop[0]) or abs(beta) == 1.0
+            or loop[1] <= _EPS * (alpha + 1.0) * abs(math.log((alpha + 1.0) / b)) * abs(loop[0])):
+        return loop  # met, or under the route's least roundoff
+    try:
+        return min(_integral_psi(a, b, beta, alpha), loop, key=operator.itemgetter(1))
+    except (OverflowError, DomainError):
+        if loop[1] == math.inf:
+            raise
+        return loop
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -463,6 +478,8 @@ def _nodes(a: float, b: float, beta: float, alpha: float, h: float, lg: float,
             units.append(at * (6.0 * p + bx) + 5.0 * bx + 4.0 * abs(ay)
                          + ab * ((at + 1.0) * x * (1.0 + e) - 2.0 * e) / y + c0)
             top = lk if lk > top else top
+            if len(ls) > _NODES:
+                raise DomainError(f"the integral route needs more than {_NODES} nodes")
             # the left tail's bound, or the right tail's once x >= 2 (alpha+1) / b
             lt = (left + p * t + max(b0, ay) if step == -1 else math.inf if bx < 2.0 * p
                   else alpha * t - bx - log(b - alpha / x) + max(0.0, ay) - lg)
@@ -493,6 +510,7 @@ def _integral_psi(a: float, b: float, beta: float, alpha: float):
     S_h - K S'; the step then takes K S' under a quarter of the target
     max(1e-12, 1e-13 S). g's cuts are at 1/1024 of max(1e-12, 1e-13 h
     times its largest node), the majorant's at 1/16 of h times its own.
+    A pass over more than _NODES nodes raises DomainError.
     """
     p, lg = alpha + 1.0, math.lgamma(alpha + 1.0)
     width, lk2 = 2.0 * math.pi * _STRIP, math.log(2.0) - p * math.log(math.cos(_STRIP))
@@ -527,10 +545,11 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     A terminating sum (non-negative integer a) runs all its terms. A
     geometric sum stops when its tail bound, plus eps i |S|, drops under
     max(1e-12, 1e-13 |S|); its reported bound then counts the roundoff of
-    every term, which a cancelling sum can lift past that target. One not
-    done after 256 terms (or cap, if smaller) goes to the integral route.
-    At |beta| = 1 cap, an integer >= 1, limits the head: a head cut short
-    of the asymptotic range shows in the bound instead of failing.
+    every term. At |beta| < 1 a sum whose bound misses that target, that is
+    not done after 256 terms (or cap, if smaller), or whose terms pass 1e308
+    goes to the integral route, which refuses a pass over 10^5 nodes. At
+    |beta| = 1 cap, an integer >= 1, limits the head: a head cut short of
+    the asymptotic range shows in the bound instead of failing.
     """
     cap = _whole(cap, 1, "cap must be a positive integer, got {}")
     params.validate()

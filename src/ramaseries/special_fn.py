@@ -81,7 +81,10 @@ def digamma(x: float) -> float:
     if x < 0.5:
         # reflection keeps the shift count bounded for very negative x; the
         # exact reduction x - round(x) keeps pi cot(pi x) accurate near a pole
-        return digamma(1.0 - x) - PI / math.tan(PI * (x - round(x)))
+        value = digamma(1.0 - x) - PI / math.tan(PI * (x - round(x)))
+        if not math.isfinite(value):  # pi cot(pi x) past 1e308, at a subnormal x
+            raise DomainError(f"digamma({x}) overflows double precision")
+        return value
     acc = 0.0
     while x < 15.0:
         acc -= 1.0 / x

@@ -426,6 +426,27 @@ def test_non_finite_range_rejected(text):
         _parse_range(text, "a")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "psi", "--a", "0:1:1e-12", "--b", "1", "--beta", "0.5", "--alpha", "0"),
+    ("eval", "sprime", "--r", "1..1000000000000"),
+    ("table", "psi", "--a", "0:999:1", "--b", "1..1000", "--beta", "0.5", "--alpha", "0:1:1"),
+])
+def test_oversized_grid_rejected(argv):
+    # 10^12 points on one axis, or 2 x 10^6 in a table of three legal axes:
+    # rejected from an estimate of the count, before the grid is built
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "has over 1000000 points" in r.stderr
+
+
+def test_grid_of_the_largest_size_accepted():
+    # the limit counts points: 10^6 of them, in either spelling, still parse
+    from ramaseries.cli import _parse_range
+
+    assert len(_parse_range("1..1000000", "r")) == len(_parse_range("0:999999:1", "a")) == 10**6
+
+
 # points of every eval target: each regime of the series targets, the numpy
 # direct block of the damped tail (psi at beta = -0.998) included
 _TYPE_POINTS = {

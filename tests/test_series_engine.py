@@ -4,6 +4,7 @@ error bounds, and agreement with independent summation."""
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -274,24 +275,32 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     (eval_phi, (1e6, 1.0, 0.0)),
     (eval_phi_da_direct, (2000.5, 1.0, 0)),
     (eval_phi_tilde, (2000.5, 1.0, 0.0)),
-    (lambda *p: eval_psi_general(SeriesParams(*p)), (2000.5, 1.0, -0.9, 0.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (2000.5, 1.0, 0.9, 0.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (0.5, 0.05, 0.5, 300.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (-150.5, 1.0, -0.999999, 2.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (-125.5, 5.0, -0.99999, 0.5)),
     (eval_phi_da_direct, (1e300, 1.0, 0)),
     (lambda *p: oracle_value(IntegralSpec("F2", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 1e9)),
     (lambda *p: oracle_value(IntegralSpec("F4", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 2000)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (2000000.5, 1.0, -0.5, 0.0)),
+    (lambda *p: eval_psi_general(SeriesParams(*p)), (1e300, 1.0, -0.5, 0.0)),
 ])
 def test_overflow_raises_domain_error(call, args):
-    # the terms pass 1e308 before they cancel: finite sum, derivative head,
-    # power-law head and geometric loop each raise rather than return inf or
-    # fail inside fsum, where math.exp or ** raises OverflowError in the term
-    # loop; in the fifth cell the first term 20^301 does. The next two sums,
-    # near 1e878 and 1e600, pass it in the integral route's nodes.
-    # At a = 1e300 the derivative's head length passes 1e308; in the last
-    # two the quadrature integrand's log(d)^n does
+    # the terms pass 1e308 before they cancel: finite sum, derivative head
+    # and power-law head each raise rather than return inf or fail inside
+    # fsum, where math.exp or ** raises OverflowError in the term loop. In
+    # the fourth cell the sum itself, about 1.9^2000, passes 1e308, and in
+    # the fifth the first term 20^301 does, so the integral route that the
+    # loop hands them to overflows too. The next two sums, near 1e878 and
+    # 1e600, pass it in the integral route's nodes.
+    # At a = 1e300 the derivative's head length passes 1e308; in the next
+    # two the quadrature integrand's log(d)^n does. In the last two the
+    # loop's terms pass 1e308 and the integral route's step shrinks like
+    # 1/a: a pass stops with DomainError once it has walked 10^5 nodes
+    start = time.perf_counter()
     with pytest.raises(DomainError):
         call(*args)
+    assert time.perf_counter() - start < 5.0
 
 
 def _deriv_reference(mp, a, b, n):
@@ -452,11 +461,16 @@ def test_near_unit_growing_terms_target_known_missed():
 
 
 @pytest.mark.parametrize("a, b, beta, alpha", [(-125.5, 5.0, 0.99999, 0.5), (-60.5, 2.0, 0.9999, 0.0),
-                                               (2000.5, 1.0, -0.5, 0.0)])
+                                               (2000.5, 1.0, -0.5, 0.0), (50.5, 1.0, -0.99, 0.5),
+                                               (49.18342754451926, 0.6497015607178162, -0.3525025091829982, 0.0),
+                                               (2000.5, 1.0, -0.9, 0.0)])
 def test_integral_route_where_the_series_failed(a, b, beta, alpha):
-    # the series terms pass 1e308 (the first and last cells raised) or
+    # the series terms pass 1e308 (the first and third cells raised) or
     # cancel from 1e160 (the second returned 5.36e139 +- 1.47e160); the sums
-    # are 1.77e-9, 2.87e-4 and 9.99e-4, by mp.quad on the integral in t = ln x
+    # are 1.77e-9, 2.87e-4 and 9.99e-4, by mp.quad on the integral in t = ln x.
+    # The loop finished the next two with bounds 0.117 and 2.9e-9, over the
+    # target, and the last raised as its terms passed 1e308: it hands all
+    # three to the route, which gives 0.0466, 0.2147 and 5.55e-4
     mp = pytest.importorskip("mpmath")
     got = eval_psi_general(SeriesParams(a, b, beta, alpha))
     with mp.workdps(40):
@@ -468,6 +482,33 @@ def test_integral_route_where_the_series_failed(a, b, beta, alpha):
 
         ref = mp.quad(g, mp.linspace(-40, 4, 23)) / mp.gamma(alpha + 1)
     assert abs(got.value - ref) <= got.abs_error_bound <= 1e-12
+
+
+@pytest.mark.parametrize("cell, pinned", [
+    ((10.5, 2.0, -0.7, 1.0), ("0x1.9f5e4d9175fcbp-6", "0x1.6a80b96114b71p-42", 21)),
+    ((0.5, 1.0, 0.5, 1e9), ("0x1.0000000000000p+0", "0x1.6255b5a200094p-22", 1)),
+])
+def test_loop_delivered_cell_pinned(cell, pinned):
+    # a cancelling sum that the loop finishes within the target is the
+    # loop's, bit for bit: value, bound, terms and method. So is the second,
+    # whose bound 3.3e-7 misses the target but is under the roundoff of
+    # (alpha+1) |ln((alpha+1)/b)| units the route would count: the route,
+    # some 10^8 nodes at this step, is not tried
+    start = time.perf_counter()
+    got = eval_psi_general(SeriesParams(*cell))
+    assert (got.value.hex(), got.abs_error_bound.hex(), got.terms_used, got.method) == (*pinned, "direct")
+    assert time.perf_counter() - start < 5.0
+
+
+def test_integral_route_refused_past_node_limit():
+    # a route of more nodes than the limit raises DomainError before it
+    # sums: the loop's result stands where the loop gave one (a bound of
+    # 0.117), and with none the cell raises
+    with mock.patch.object(series_engine, "_NODES", 10):
+        got = eval_psi_general(SeriesParams(50.5, 1.0, -0.99, 0.5))
+        with pytest.raises(DomainError, match="integral route needs more than"):
+            eval_psi_general(SeriesParams(2000.5, 1.0, -0.9, 0.0))
+    assert got.method == "direct" and 0.1 < got.abs_error_bound < 0.2
 
 
 def test_geometric_scalar_bound_counts_alpha_rounding():
@@ -514,22 +555,22 @@ def _check_bound(cell):
     """The one bound property: the bound covers the true error in every
     regime, the roundoff of cancelling terms included.
 
-    Every sum that the integral route takes (|beta| < 1) meets the target,
-    and so does the head-and-tail route at beta = +1, and at beta = -1 up to
+    Every sum at |beta| < 1 meets the target: the scalar loop returns only a
+    bound that meets it, and hands every other sum to the integral route
+    (at alpha <= 5 the route's least roundoff is under 1e-13 |S|, so it is
+    always tried).
+    So does the head-and-tail route at beta = +1, and at beta = -1 up to
     a = 1.5. At beta = -1 the terms grow to about 2^a and cancel to about
-    a^-b, so from about a = 11 their counted roundoff passes it. A
-    cancelling sum that the scalar loop finishes reports more roundoff than
-    its stop test counts, so there only the bound is checked."""
+    a^-b, so from about a = 11 their counted roundoff passes it."""
     mp = pytest.importorskip("mpmath")
     a, b, beta, alpha = cell
-    name = "_integral_psi" if abs(beta) < 1.0 else "_powerlaw_psi"
-    with mock.patch.object(series_engine, name, wraps=getattr(series_engine, name)) as route:
+    with mock.patch.object(series_engine, "_powerlaw_psi", wraps=series_engine._powerlaw_psi) as route:
         got = eval_psi_general(SeriesParams(a, b, beta, alpha))
     assert got.terms_used < 10**7
     with mp.workdps(30):
         err = float(abs(got.value - _reference(mp, a, b, beta, alpha)))
     assert err <= got.abs_error_bound
-    if route.called and (beta != -1.0 or a <= 1.5):
+    if abs(beta) < 1.0 or route.called and (beta == 1.0 or a <= 1.5):
         assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
 
 

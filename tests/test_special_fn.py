@@ -156,10 +156,12 @@ def test_undamped_kernel_unchanged(args, want):
 
 @pytest.mark.parametrize("call, args", [
     (hurwitz_zeta, (400.0, 0.1)), (lerch_phi, (0.5, 400.0, 0.1)), (lerch_phi, (-1.0, 400.0, 0.1)),
+    (digamma, (1e-320,)), (digamma, (-1e-320,)),
 ])
 def test_overflow_raises_domain_error(call, args):
     # the first term 0.1^-400 = 1e400 is past double range: a DomainError,
-    # not an OverflowError from pow
+    # not an OverflowError from pow; at a subnormal x the reflection's
+    # pi / tan(pi x) is, where digamma returned -inf or +inf
     with pytest.raises(DomainError):
         call(*args)
 
