@@ -197,11 +197,15 @@ def inverse_factor_sum(b: float, n: int) -> float:
     """sum_{j>=1} 1/(j (b+j)^n), as minus the a=0 parameter derivative.
 
     The series is positive, so the derivative value it equals must be
-    negated; the printed source form omits the sign (see errata).
+    negated; the printed source form omits the sign (see errata). The
+    closed form's pieces grow like b^-n and cancel to a sum of about 1, so
+    it loses about eps b^-n relative: below b^n = 2^-26 it raises.
     """
     n = _whole(n, 1, "order n must be a positive integer")
     if not 0.0 < b < math.inf:
         raise DomainError("need b > 0")
+    if n * math.log(b) < -26.0 * math.log(2.0):
+        raise DomainError(f"the closed form cancels at b^n < 2^-26 (b = {b}, n = {n})")
     return -phi_da_closed(0.0, b, n - 1)
 
 

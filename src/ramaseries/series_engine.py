@@ -16,14 +16,20 @@ c (b+i)^-(alpha+1) (t_0 = b^-(alpha+1)) is below the normal range it starts
 from log|P| = ln|c| - (alpha+1) ln(b+i). A term past 1e308 raises
 OverflowError, which the public functions raise as DomainError.
 
-Summation strategy by regime (_regime classifies it):
+Summation strategy by regime (_regime classifies it). First, before any
+term runs, two tests on (a, b, beta, alpha) alone send a sum that the
+series cannot give within the target to the paper's integral, by the
+trapezoid rule in t = ln x with a derived bound (_integral_psi):
+_loop_cannot_stop at |beta| < 1, where the loop's stop test is proven not
+to fire within its 256 terms, and _head_cancels at beta = -1, a > 0, where
+the terms' counted roundoff is estimated to reach the target (where the
+route then misses it, the series runs too: _cancelling). Otherwise:
   * non-negative integer a: the series terminates; the loop runs its
     a + 1 terms to the exact zero t_(a+1) = 0, summed by fsum.
   * |beta| < 1: the same loop, stopped by a geometric tail bound whose
     ratio bound holds where the terms still grow (i < a). A sum here,
-    terminating or not, that the loop cannot give within the target goes
-    to the paper's integral, by the trapezoid rule in t = ln x with a
-    derived bound (_integral_psi).
+    terminating or not, that the loop still cannot give within the target
+    goes to _integral_psi after it.
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
@@ -67,6 +73,7 @@ _DEFAULT_CAP = 10**7
 _OVERFLOW = "the series terms overflow double precision"
 _NODES = 10**5  # _integral_psi refuses a pass over more nodes than this
 _SUBNORMAL = 4.0 * sys.float_info.min  # in units of _EPS, about 2^-1073: see _sum
+_LN2 = math.log(2.0)
 
 # _BERN_ROWS[n][m]: coefficient of x^m in the Bernoulli polynomial
 # B_n(x) = sum_m C(n, m) B_(n-m) x^m
@@ -259,14 +266,76 @@ def _head(a: float, b: float, beta: float, alpha: float, i: int, t: float | None
     return (*_sum(terms, extra, i, b, alpha, u0, a if harmonic else None), t)
 
 
+def _loop_cannot_stop(a: float, b: float, beta: float, alpha: float, stop: int) -> bool:
+    """True where _loop's stop test, on the sum from t_0 at |beta| < 1 (a
+    not a non-negative integer), is proven not to fire at any k <= stop.
+
+    The ratio bound r_k = |beta| |a-k| / (k+1) of |C(a,k) beta^k| falls
+    while k < a and stays under |beta| past a (a > -1) or falls (a < -1):
+    once under 1 it stays there. The test needs r_k < 1, and from that k
+    on |t_k| falls (the power factor is under 1), so every tail it tests
+    is at least |t_stop| / (1 - |beta|) (rhat >= |beta|), taken by lgamma.
+    The
+    partial sums are under sum_j |t_j| <= b^-(alpha+1) min((1 - |beta|)^-|a|,
+    2^(floor(a)+2) at a > 0), as |C(a,j)| <= (-1)^j C(-|a|, j) and, at
+    a > 0, sum_j |C(a,j)| <= 2 sum_(j<=a) C(floor(a)+1, j). A margin of
+    2^-10 on the logs covers the rounding of lgamma (|a| <= 2^30) and of the
+    loop's terms (alpha <= 2^10); outside those it answers False. First a
+    cheap bound: ln|C(a,k)| <= (floor(a)+1) ln 2 at a > 0, and
+    max(-a-1, 0) (1 + ln k) at a < 0.
+    """
+    ab, p = abs(beta), alpha + 1.0
+    if not (ab and abs(a) <= 2.0**30 and p <= 2.0**10):
+        return False
+    rest = stop * math.log(ab) - math.log1p(-ab) - p * math.log(b + stop)  # all but |C(a, stop)|
+    least = math.log(_TARGET) + 2.0**-10
+    lc_max = (math.floor(a) + 1.0) * _LN2 if a > 0.0 else max(-a - 1.0, 0.0) * (1.0 + math.log(stop))
+    if rest + lc_max <= least:
+        return False
+    lc = math.lgamma(stop - a) - math.lgamma(-a) - math.lgamma(stop + 1.0)
+    lsum = -abs(a) * math.log1p(-ab) - p * math.log(b)
+    if a > 0.0:
+        lsum = min(lsum, (math.floor(a) + 2.0) * _LN2 - p * math.log(b))
+    return rest + lc > max(least, math.log(1e-13) + lsum + 2.0**-10)
+
+
+def _head_cancels(a: float, b: float, alpha: float) -> bool:
+    """True where, at beta = -1 and a > 0, the series' counted roundoff
+    is estimated to reach the target, so that S goes to _integral_psi.
+
+    _sum charges w0 + 4i units of _EPS to |t_i| (w0 here with n = a), and
+    the terms peak near i = a/2, where C(a, i) is within about
+    sqrt(pi a / 2) of sum_i C(a, i) = 2^a. That estimate, by lgamma at
+    m = floor(a/2), is set against max(1e-12, 1e-13 b^-(alpha+1)), which
+    is at least the target: S <= b^-(alpha+1), as (1 - e^-x)^a <= 1. It
+    routes from a quarter of that, erring toward the route: the bounds of
+    the series that miss the target came out within e^-0.03 to e^0.6 of the
+    estimate (a <= 60, 0.05 <= b <= 50, alpha <= 5). Below a = 2 the
+    peak is t_0 = b^-(alpha+1) itself, whose roundoff no cancellation
+    magnifies; past a = 2^30 lgamma's rounding swamps the estimate, and the
+    terms pass 1e308 at once. There it answers False.
+    """
+    if not 2.0 <= a <= 2.0**30:
+        return False
+    p, m = alpha + 1.0, math.floor(0.5 * a)
+    lt = math.lgamma(a + 1.0) - math.lgamma(m + 1.0) - math.lgamma(a - m + 1.0) - p * math.log(b + m)
+    w0 = 3.0 + p * (3.0 + abs(math.log(b)) + math.log1p(a / b))
+    units = (w0 + 4.0 * m) * math.sqrt(0.5 * math.pi * a + 1.0)
+    target = max(math.log(_TARGET), math.log(1e-13) - p * math.log(b))
+    return lt + math.log(_EPS * units) >= target - 2.0 * _LN2
+
+
 def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int | None):
     """The loop from t_0: without cap (a terminating sum, a a non-negative
     integer) its a + 1 terms to the exact zero t_(a+1) = 0; with cap
     (|beta| < 1) at most min(cap, _SCALAR_TERMS) terms under _loop's stop
     test; the bound adds eps (the roundoff of every term + |S|) to the tail.
-    At |beta| < 1 a sum not done, past 1e308 or over max(_TARGET, 1e-13 |S|)
-    goes to _integral_psi, unless its bound is under the least roundoff the
-    route counts; the smaller bound wins, the loop's where the route raises.
+    eval_psi_general tries _integral_psi first on the sums that
+    _loop_cannot_stop or _head_cancels picks (see _cancelling). At
+    |beta| < 1 a sum not done,
+    past 1e308 or over max(_TARGET, 1e-13 |S|) still goes there, unless its
+    bound is under the least roundoff the route counts; the smaller bound
+    wins, the loop's where the route raises.
     """
     stop = int(a) + 1 if cap is None else min(cap, _SCALAR_TERMS)
     loop = math.nan, math.inf, 0, "direct"  # no sum: not done, or past 1e308
@@ -463,7 +532,8 @@ def _nodes(a: float, b: float, beta: float, alpha: float, h: float, lg: float,
     e^(-bx) / (b - alpha/x), over the integral of x^alpha e^(-bx) past x.
     """
     p, exp, expm1, log = alpha + 1.0, math.exp, math.expm1, math.log
-    b0, left, ab = a * math.log1p(beta), log(h / expm1(p * h)) - lg, abs(a * beta)
+    b0 = a * math.log1p(beta) if beta > -1.0 else -math.inf  # ln (1 + beta)^a, a > 0 at beta = -1
+    left, ab = log(h / expm1(p * h)) - lg, abs(a * beta)
     c0, k0, top = 3.0 * (abs(a) + abs(lg)) + 1.0, math.floor(log(p / b) / h), -math.inf
     ls, units, tails = [], [], []
     for step in (1, -1):
@@ -496,16 +566,20 @@ def _logsum(logs) -> float:
 
 
 def _integral_psi(a: float, b: float, beta: float, alpha: float):
-    """S at |beta| < 1 by the paper's integral in t = ln x: the trapezoid
-    rule h sum_k g(kh), g = x^(alpha+1) e^(-bx) (1 + beta e^(-x))^a /
-    Gamma(alpha+1) (_nodes), as (S, bound, nodes, "integral").
+    """S at |beta| < 1, and at beta = -1 for a > 0, by the paper's integral
+    in t = ln x: the trapezoid rule h sum_k g(kh), g = x^(alpha+1) e^(-bx)
+    (1 + beta e^(-x))^a / Gamma(alpha+1) (_nodes), as (S, bound, nodes,
+    "integral").
 
-    (1 + beta e^(-x))^a branches only at Re x = ln|beta| < 0, so on
-    |Im t| <= D = _STRIP < pi/2 g is analytic and |g| at most the same
+    (1 + beta e^(-x))^a branches only at Re x = ln|beta| <= 0 (at beta = -1,
+    where 1 - e^(-x) = 0, on Re x = 0), so on |Im t| <= D = _STRIP < pi/2,
+    where Re x > 0, g is analytic and |g| at most the same
     integrand at x cos D and beta' = sign(a) |beta|: the rule is off by at
     most K S', S' = S(a, b, beta', alpha), K = 2 (cos D)^-(alpha+1) /
     (e^(2 pi D / h) - 1) (Trefethen and Weideman, SIAM Review 56, 2014,
-    Thm 5.1). A pass at K = 1/16 bounds S' (S where beta' = beta) by
+    Thm 5.1). At beta = -1 the majorant is the beta' = +1 sum, about 2^a
+    times S, so the step shrinks as a grows. A pass at K = 1/16 bounds S'
+    (S where beta' = beta) by
     (S'_h + tails) (1 + roundoff) / (1 - K), in logs, and S from below by
     S_h - K S'; the step then takes K S' under a quarter of the target
     max(1e-12, 1e-13 S). g's cuts are at 1/1024 of max(1e-12, 1e-13 h
@@ -542,14 +616,20 @@ def _integral_psi(a: float, b: float, beta: float, alpha: float):
 def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Sum the weighted series for params, with a rigorous error bound.
 
-    A terminating sum (non-negative integer a) runs all its terms. A
-    geometric sum stops when its tail bound, plus eps i |S|, drops under
-    max(1e-12, 1e-13 |S|); its reported bound then counts the roundoff of
-    every term. At |beta| < 1 a sum whose bound misses that target, that is
-    not done after 256 terms (or cap, if smaller), or whose terms pass 1e308
-    goes to the integral route, which refuses a pass over 10^5 nodes. At
-    |beta| = 1 cap, an integer >= 1, limits the head: a head cut short of
-    the asymptotic range shows in the bound instead of failing.
+    The route is chosen first, from the parameters alone: the integral
+    route, which refuses a pass over 10^5 nodes, takes a sum at |beta| < 1
+    that the series is proven not to finish within 256 terms (or cap, if
+    smaller), and a sum at beta = -1, a > 0 whose terms would cancel past
+    the target max(1e-12, 1e-13 |S|); where the latter misses the target
+    or raises, the series runs too, and the smaller bound wins (the series'
+    where the route raises). Otherwise a terminating sum
+    (non-negative integer a) runs all its terms. A geometric sum stops when
+    its tail bound, plus eps i |S|, drops under that target; its reported
+    bound then counts the roundoff of every term. At |beta| < 1 a sum whose
+    bound misses the target, that is not done after 256 terms (or cap), or
+    whose terms pass 1e308 still goes to the integral route. At |beta| = 1
+    cap, an integer >= 1, limits the head: a head cut short of the
+    asymptotic range shows in the bound instead of failing.
     """
     cap = _whole(cap, 1, "cap must be a positive integer, got {}")
     params.validate()
@@ -558,12 +638,40 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
     if regime == "divergent":
         raise DivergenceError(
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
+    if regime == "geometric" and _loop_cannot_stop(a, b, beta, alpha, min(cap, _SCALAR_TERMS)):
+        return _result(_integral_psi, a, b, beta, alpha)
+    if beta == -1.0 and a > 0.0 and _head_cancels(a, b, alpha):
+        return _cancelling(regime, a, b, alpha, cap)
+    return _series(regime, a, b, beta, alpha, cap)
+
+
+def _series(regime: str, a: float, b: float, beta: float, alpha: float, cap: int) -> EvalResult:
+    """The EvalResult of the series route of the (convergent) regime."""
     if regime != "power-law":
         return _result(_scalar_psi, a, b, beta, alpha,
                        cap if regime == "geometric" else None)
     if beta == -1.0 and float(a).is_integer():
         return _result(_negint_psi, int(-a), b, alpha)
     return _result(_powerlaw_psi, a, b, beta, alpha, cap)
+
+
+def _cancelling(regime: str, a: float, b: float, alpha: float, cap: int) -> EvalResult:
+    """S at beta = -1 where _head_cancels picks the integral route: the
+    route's result where it meets the target. At large a and S the route's
+    own roundoff, about 3a units of S, can pass it too; then, and where the
+    route raises, the series runs as well, and the smaller bound wins, the
+    one that does not raise."""
+    try:
+        route = _result(_integral_psi, a, b, -1.0, alpha)
+    except DomainError:
+        return _series(regime, a, b, -1.0, alpha, cap)
+    if route.abs_error_bound <= max(_TARGET, 1e-13 * abs(route.value)):
+        return route
+    try:
+        series = _series(regime, a, b, -1.0, alpha, cap)
+    except DomainError:
+        return route
+    return min(route, series, key=operator.attrgetter("abs_error_bound"))
 
 
 def _result(evaluate, *args) -> EvalResult:

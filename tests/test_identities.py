@@ -371,6 +371,12 @@ def test_single_pole_reduction_values():
     # a non-finite s raised DivergenceError at beta = -1, or said "overflows"
     (lerch_phi, (-1.0, math.nan, 1.0), "needs finite s and q, got s = nan"),
     (lerch_phi, (0.5, math.nan, 1.0), "needs finite s and q, got s = nan"),
+    # the closed form cancels at tiny b: it gave -1.64e150, -0.0, nan and
+    # 8.06e6 where the sums are about 1.2 to 1.6
+    (inverse_factor_sum, (1e-150, 2), "the closed form cancels"),
+    (inverse_factor_sum, (1e-20, 1), "the closed form cancels"),
+    (inverse_factor_sum, (1e-200, 2), "the closed form cancels"),
+    (inverse_factor_sum, (1e-8, 3), "the closed form cancels"),
 ])
 def test_identity_input_checks(call, args, message):
     with pytest.raises(DomainError, match=message):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramaseries import series_engine
@@ -47,6 +47,16 @@ def test_integral_route_loads_no_numpy():
     value, bound, method, numpy_loaded = eval(got)
     assert (method, numpy_loaded) == ("integral", False)
     assert abs(value - 37.0 / 55.0) <= bound <= 1e-12
+
+
+def test_alternating_route_loads_no_numpy():
+    # (50.5, 1, -1, 0) goes to the integral route before any term runs; its
+    # value is B(1, 51.5) = 1/51.5
+    got = _fresh("import sys; from ramaseries import eval_phi; r = eval_phi(50.5, 1.0, 0.0); "
+                 "print(repr((r.value, r.abs_error_bound, r.method, 'numpy' in sys.modules)))")
+    value, bound, method, numpy_loaded = eval(got)
+    assert (method, numpy_loaded) == ("integral", False)
+    assert abs(value - 1.0 / 51.5) <= bound <= 1e-12
 
 
 def _exact_finite(a, b_num, b_den, beta_num, beta_den, alpha):
@@ -284,6 +294,7 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     (lambda *p: oracle_value(IntegralSpec("F4", dict(zip(("a", "b", "n"), p)))), (0.5, 1.0, 2000)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (2000000.5, 1.0, -0.5, 0.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (1e300, 1.0, -0.5, 0.0)),
+    (eval_phi, (1.7e308, 1.0, 0.0)),
 ])
 def test_overflow_raises_domain_error(call, args):
     # the terms pass 1e308 before they cancel: finite sum, derivative head
@@ -296,7 +307,10 @@ def test_overflow_raises_domain_error(call, args):
     # At a = 1e300 the derivative's head length passes 1e308; in the next
     # two the quadrature integrand's log(d)^n does. In the last two the
     # loop's terms pass 1e308 and the integral route's step shrinks like
-    # 1/a: a pass stops with DomainError once it has walked 10^5 nodes
+    # 1/a: a pass stops with DomainError once it has walked 10^5 nodes. The
+    # first cell takes that route too, at beta = -1. In the last, lgamma in
+    # the estimate that picks the route would pass 1e308: past a = 2^30 the
+    # head runs, and its terms pass 1e308
     start = time.perf_counter()
     with pytest.raises(DomainError):
         call(*args)
@@ -500,6 +514,52 @@ def test_loop_delivered_cell_pinned(cell, pinned):
     assert time.perf_counter() - start < 5.0
 
 
+def test_near_unit_routed_before_the_loop():
+    # the loop's stop test is proven not to fire within 256 terms here, so
+    # the sum goes to the integral route with no term of the loop computed,
+    # and with the bits the route gave after the failed loop
+    with mock.patch.object(series_engine, "_loop", wraps=series_engine._loop) as loop:
+        got = eval_psi_general(SeriesParams(-0.5, 1.5, 0.998, 0.0), cap=200_000)
+    assert not loop.called
+    assert (got.value.hex(), got.abs_error_bound.hex(), got.terms_used, got.method) == (
+        "0x1.10e8929d7a6dap-1", "0x1.1c33b8b14bba1p-42", 156, "integral")
+
+
+@pytest.mark.parametrize("a, b, alpha", [(50.5, 1.0, 0.0), (300.5, 1.0, 0.0), (20.5, 0.5, 2.0), (14.0, 1.0, 0.0)])
+def test_cancelling_alternating_sum_takes_the_route(a, b, alpha):
+    # head and tail cancelled to 0.0193 +- 0.75 at (50.5, 1, 0), to
+    # -5.6e70 +- 1.3e75 at (300.5, 1, 0) and to a bound of 1.2e-11 at
+    # (20.5, 0.5, 2); the finite sum at a = 14 missed the target too. The
+    # integral route gives each within the target
+    mp = pytest.importorskip("mpmath")
+    got = eval_phi(a, b, alpha)
+    assert got.method == "integral"
+    with mp.workdps(40):
+        err = float(abs(got.value - _reference(mp, a, b, -1.0, alpha)))
+    assert err <= got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
+
+
+@pytest.mark.parametrize("a, b, alpha, tried", [(81.0, 0.00042208597543857117, 3.84265971980294, True),
+                                                (1.0, 1e-3, 9.0, False), (1.5, 1e-3, 9.0, False)])
+def test_cancelling_route_keeps_the_smaller_bound(a, b, alpha, tried):
+    # S is about 2.2e16 and 1e30: the route's own roundoff, over 1e-13 |S|
+    # at a = 81, gave a bound of 2245 where the series' 1682 meets the
+    # target, so the series runs too and its bound wins. Below a = 2 the
+    # peak term is t_0, whose roundoff no cancellation magnifies: the route,
+    # 1.05e-13 |S| there, is not tried
+    with mock.patch.object(series_engine, "_integral_psi", wraps=series_engine._integral_psi) as route:
+        got = eval_phi(a, b, alpha)
+    assert (route.called, got.method) == (tried, "direct")
+    assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
+
+
+def test_nodes_at_beta_minus_one():
+    # the left tail's (1 + beta)^a is 0 at beta = -1, a > 0: its log is -inf,
+    # where log1p(-1) raised ValueError
+    ls, units, tails = series_engine._nodes(50.5, 1.0, -1.0, 0.0, 0.1, 0.0, math.log(1e-15), math.log(1e-16))
+    assert len(ls) == len(units) > 0 and all(map(math.isfinite, tails))
+
+
 def test_integral_route_refused_past_node_limit():
     # a route of more nodes than the limit raises DomainError before it
     # sums: the loop's result stands where the loop gave one (a bound of
@@ -559,9 +619,10 @@ def _check_bound(cell):
     bound that meets it, and hands every other sum to the integral route
     (at alpha <= 5 the route's least roundoff is under 1e-13 |S|, so it is
     always tried).
-    So does the head-and-tail route at beta = +1, and at beta = -1 up to
-    a = 1.5. At beta = -1 the terms grow to about 2^a and cancel to about
-    a^-b, so from about a = 11 their counted roundoff passes it."""
+    So does every sum at beta = -1: where the terms, about 2^a, would cancel
+    to about a^-b with their counted roundoff past the target, the sum goes
+    to the integral route before any term runs. So does the head-and-tail
+    route at beta = +1."""
     mp = pytest.importorskip("mpmath")
     a, b, beta, alpha = cell
     with mock.patch.object(series_engine, "_powerlaw_psi", wraps=series_engine._powerlaw_psi) as route:
@@ -570,7 +631,7 @@ def _check_bound(cell):
     with mp.workdps(30):
         err = float(abs(got.value - _reference(mp, a, b, beta, alpha)))
     assert err <= got.abs_error_bound
-    if abs(beta) < 1.0 or route.called and (beta == 1.0 or a <= 1.5):
+    if beta != 1.0 or route.called:
         assert got.abs_error_bound <= max(1e-12, 1e-13 * abs(got.value))
 
 
@@ -595,6 +656,23 @@ def test_near_unit_bound_holds_and_meets_target(cell):
 @settings(max_examples=40, deadline=None)
 def test_scalar_bound_holds(cell):
     _check_bound(cell)
+
+
+@given(_cells(st.floats(min_value=1e-5, max_value=0.2).flatmap(lambda d: st.sampled_from([d - 1.0, 1.0 - d]))),
+       st.sampled_from([1, 7, 256]))
+@example((-0.5, 1.5, 0.998, 0.0), 256)  # routed: test_near_unit_routed_before_the_loop
+@settings(max_examples=300, deadline=None)
+def test_loop_cannot_stop_is_sound(cell, stop):
+    # where the early test routes a sum, the loop's stop test fires at no
+    # k <= stop (or its terms pass 1e308)
+    a, b, beta, alpha = cell
+    assume(not (a >= 0.0 and a.is_integer()))
+    if series_engine._loop_cannot_stop(a, b, beta, alpha, stop):
+        try:
+            tail = series_engine._loop(a, b, beta, alpha, 0, None, stop, True)[3]
+        except OverflowError:  # the terms passed 1e308: no stop either
+            return
+        assert tail is None
 
 
 @pytest.mark.parametrize("a, b, beta, alpha", [(1162.0, 60.0, 1.0, 192.0),

@@ -33,6 +33,8 @@ COMMANDS = {
     # a near-unit sum that the 256-term loop leaves to the integral route
     "eval_psi_near_unit": (["-m", "ramaseries", "eval", "psi", "--a", "0.5", "--b", "1",
                             "--beta=-0.999999", "--alpha", "1"], 0),
+    # a beta = -1 sum whose head and tail would cancel: the integral route, no numpy
+    "eval_phi_large_a": (["-m", "ramaseries", "eval", "phi", "--a", "50.5", "--b", "1", "--n", "0"], 0),
     "eval_integral_f1": (["-m", "ramaseries", "eval", "integral", "--form", "F1",
                           "--a", "0.5", "--b", "1", "--alpha", "1"], 0),
     # the cell of eval_phi, through table's grid and pool path
