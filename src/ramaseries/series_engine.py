@@ -16,20 +16,15 @@ c (b+i)^-(alpha+1) (t_0 = b^-(alpha+1)) is below the normal range it starts
 from log|P| = ln|c| - (alpha+1) ln(b+i). A term past 1e308 raises
 OverflowError, which the public functions raise as DomainError.
 
-Summation strategy by regime (_regime classifies it). First, before any
-term runs, two tests on (a, b, beta, alpha) alone send a sum that the
-series cannot give within the target to the paper's integral, by the
-trapezoid rule in t = ln x with a derived bound (_integral_psi):
-_loop_cannot_stop at |beta| < 1, where the loop's stop test is proven not
-to fire within its 256 terms, and _head_cancels at beta = -1, a > 0, where
-the terms' counted roundoff is estimated to reach the target (where the
-route then misses it, the series runs too: _cancelling). Otherwise:
+Summation strategy by regime (_regime classifies it). Besides the series
+routes below, the paper's integral gives S at |beta| < 1 and at beta = -1,
+a > 0, by the trapezoid rule in t = ln x with a derived bound
+(_integral_psi); eval_psi_general says which route runs first, and
+_either holds the one rule between the two. The series routes:
   * non-negative integer a: the series terminates; the loop runs its
     a + 1 terms to the exact zero t_(a+1) = 0, summed by fsum.
   * |beta| < 1: the same loop, stopped by a geometric tail bound whose
-    ratio bound holds where the terms still grow (i < a). A sum here,
-    terminating or not, that the loop still cannot give within the target
-    goes to _integral_psi after it.
+    ratio bound holds where the terms still grow (i < a).
   * beta = -1, negative integer a: a finite Hurwitz zeta combination,
     each zeta with its own bound.
   * |beta| = 1 otherwise: power-law tails (exponent s = a + alpha + 2).
@@ -56,6 +51,7 @@ Every bound above is a derived upper bound on the error, not a fit spread.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -65,7 +61,7 @@ from dataclasses import dataclass
 from ramaseries.special_fn import (_BERNOULLI_EVEN, _EPS, DivergenceError, DomainError,
                                    _em_dzeta, _em_zeta, _hurwitz, _whole, digamma)
 
-_SCALAR_TERMS = 256  # _scalar_psi hands a geometric sum to _integral_psi past this many terms
+_SCALAR_TERMS = 256  # _scalar_psi gives no geometric sum past this many terms
 _TAIL_ORDERS = 30  # highest order k of the asymptotic tail
 _TARGET = 1e-12  # the sums aim at a bound under max(_TARGET, 1e-13 |value|)
 _STRIP = 1.2  # half-width D of the strip |Im t| <= D in which _integral_psi bounds its rule
@@ -301,7 +297,7 @@ def _loop_cannot_stop(a: float, b: float, beta: float, alpha: float, stop: int) 
 
 def _head_cancels(a: float, b: float, alpha: float) -> bool:
     """True where, at beta = -1 and a > 0, the series' counted roundoff
-    is estimated to reach the target, so that S goes to _integral_psi.
+    is estimated to reach the target, so that _integral_psi runs first.
 
     _sum charges w0 + 4i units of _EPS to |t_i| (w0 here with n = a), and
     the terms peak near i = a/2, where C(a, i) is within about
@@ -329,32 +325,17 @@ def _scalar_psi(a: float, b: float, beta: float, alpha: float, cap: int | None):
     """The loop from t_0: without cap (a terminating sum, a a non-negative
     integer) its a + 1 terms to the exact zero t_(a+1) = 0; with cap
     (|beta| < 1) at most min(cap, _SCALAR_TERMS) terms under _loop's stop
-    test; the bound adds eps (the roundoff of every term + |S|) to the tail.
-    eval_psi_general tries _integral_psi first on the sums that
-    _loop_cannot_stop or _head_cancels picks (see _cancelling). At
-    |beta| < 1 a sum not done,
-    past 1e308 or over max(_TARGET, 1e-13 |S|) still goes there, unless its
-    bound is under the least roundoff the route counts; the smaller bound
-    wins, the loop's where the route raises.
+    test, and no sum (nan, which _result raises) where the test does not
+    fire. The bound adds eps (the roundoff of every term + |S|) to the
+    tail. Whether the integral route runs as well is eval_psi_general's
+    choice.
     """
     stop = int(a) + 1 if cap is None else min(cap, _SCALAR_TERMS)
-    loop = math.nan, math.inf, 0, "direct"  # no sum: not done, or past 1e308
-    try:
-        terms, extra, _, tail = _loop(a, b, beta, alpha, 0, None, stop, cap is not None)
-        if tail is not None or cap is None:
-            value, roundoff = _sum(terms, extra, 0, b, alpha)
-            loop = value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms), "direct"
-    except (OverflowError, DomainError):
-        pass
-    if (loop[1] <= _TARGET or loop[1] <= 1e-13 * abs(loop[0]) or abs(beta) == 1.0
-            or loop[1] <= _EPS * (alpha + 1.0) * abs(math.log((alpha + 1.0) / b)) * abs(loop[0])):
-        return loop  # met, or under the route's least roundoff
-    try:
-        return min(_integral_psi(a, b, beta, alpha), loop, key=operator.itemgetter(1))
-    except (OverflowError, DomainError):
-        if loop[1] == math.inf:
-            raise
-        return loop
+    terms, extra, _, tail = _loop(a, b, beta, alpha, 0, None, stop, cap is not None)
+    if tail is None and cap is not None:
+        return math.nan, math.inf, len(terms), "direct"
+    value, roundoff = _sum(terms, extra, 0, b, alpha)
+    return value, (tail or 0.0) + _EPS * (roundoff + abs(value)), len(terms), "direct"
 
 
 def _asymptotic_tail(a: float, b: float, beta: float, alpha: float, c: float,
@@ -566,8 +547,8 @@ def _logsum(logs) -> float:
 
 
 def _integral_psi(a: float, b: float, beta: float, alpha: float):
-    """S at |beta| < 1, and at beta = -1 for a > 0, by the paper's integral
-    in t = ln x: the trapezoid rule h sum_k g(kh), g = x^(alpha+1) e^(-bx)
+    """S by the paper's integral, eval_psi_general's other route (see
+    there): the trapezoid rule in t = ln x, h sum_k g(kh), g = x^(alpha+1) e^(-bx)
     (1 + beta e^(-x))^a / Gamma(alpha+1) (_nodes), as (S, bound, nodes,
     "integral").
 
@@ -616,20 +597,19 @@ def _integral_psi(a: float, b: float, beta: float, alpha: float):
 def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalResult:
     """Sum the weighted series for params, with a rigorous error bound.
 
-    The route is chosen first, from the parameters alone: the integral
-    route, which refuses a pass over 10^5 nodes, takes a sum at |beta| < 1
-    that the series is proven not to finish within 256 terms (or cap, if
-    smaller), and a sum at beta = -1, a > 0 whose terms would cancel past
-    the target max(1e-12, 1e-13 |S|); where the latter misses the target
-    or raises, the series runs too, and the smaller bound wins (the series'
-    where the route raises). Otherwise a terminating sum
-    (non-negative integer a) runs all its terms. A geometric sum stops when
-    its tail bound, plus eps i |S|, drops under that target; its reported
-    bound then counts the roundoff of every term. At |beta| < 1 a sum whose
-    bound misses the target, that is not done after 256 terms (or cap), or
-    whose terms pass 1e308 still goes to the integral route. At |beta| = 1
-    cap, an integer >= 1, limits the head: a head cut short of the
-    asymptotic range shows in the bound instead of failing.
+    The series and the paper's integral (_integral_psi) are ordered from
+    the parameters alone, before any term runs, and _either runs the
+    second where the first misses the target max(1e-12, 1e-13 |S|):
+      * the route alone at |beta| < 1 where _loop_cannot_stop proves that
+        the loop's stop test cannot fire within 256 terms (or cap);
+      * the route first at beta = -1, a > 0 where _head_cancels estimates
+        that the terms' counted roundoff reaches the target (at large a
+        and S the route's own, about 3a units of S, can pass it too);
+      * the series first at any other |beta| < 1, its bound standing also
+        under the route's least roundoff eps (alpha+1) |ln((alpha+1)/b)| |S|;
+      * the series alone at every other sum.
+    At |beta| = 1 cap, an integer >= 1, limits the head: a head cut short
+    of the asymptotic range shows in the bound instead of failing.
     """
     cap = _whole(cap, 1, "cap must be a positive integer, got {}")
     params.validate()
@@ -640,9 +620,14 @@ def eval_psi_general(params: SeriesParams, *, cap: int = _DEFAULT_CAP) -> EvalRe
             f"series diverges: |beta| = 1 and a + alpha = {a + alpha} <= -1")
     if regime == "geometric" and _loop_cannot_stop(a, b, beta, alpha, min(cap, _SCALAR_TERMS)):
         return _result(_integral_psi, a, b, beta, alpha)
-    if beta == -1.0 and a > 0.0 and _head_cancels(a, b, alpha):
-        return _cancelling(regime, a, b, alpha, cap)
-    return _series(regime, a, b, beta, alpha, cap)
+    cancels = beta == -1.0 and a > 0.0 and _head_cancels(a, b, alpha)
+    if abs(beta) == 1.0 and not cancels:
+        return _series(regime, a, b, beta, alpha, cap)
+    route = functools.partial(_result, _integral_psi, a, b, beta, alpha)
+    series = functools.partial(_series, regime, a, b, beta, alpha, cap)
+    if cancels:
+        return _either(route, series)
+    return _either(series, route, _EPS * (alpha + 1.0) * abs(math.log((alpha + 1.0) / b)))
 
 
 def _series(regime: str, a: float, b: float, beta: float, alpha: float, cap: int) -> EvalResult:
@@ -655,23 +640,26 @@ def _series(regime: str, a: float, b: float, beta: float, alpha: float, cap: int
     return _result(_powerlaw_psi, a, b, beta, alpha, cap)
 
 
-def _cancelling(regime: str, a: float, b: float, alpha: float, cap: int) -> EvalResult:
-    """S at beta = -1 where _head_cancels picks the integral route: the
-    route's result where it meets the target. At large a and S the route's
-    own roundoff, about 3a units of S, can pass it too; then, and where the
-    route raises, the series runs as well, and the smaller bound wins, the
-    one that does not raise."""
+def _either(first, second, least: float = 0.0) -> EvalResult:
+    """The one rule between the two routes, first and second, each a
+    callable that returns an EvalResult. first's result stands where its
+    bound is at most max(_TARGET, max(1e-13, least) |S|); otherwise second
+    runs too, and the smaller bound wins, the integral route's on a tie.
+    Where one raises DomainError the other's result stands; where both do,
+    second's error is raised.
+    """
     try:
-        route = _result(_integral_psi, a, b, -1.0, alpha)
+        one = first()
     except DomainError:
-        return _series(regime, a, b, -1.0, alpha, cap)
-    if route.abs_error_bound <= max(_TARGET, 1e-13 * abs(route.value)):
-        return route
+        return second()
+    bound, size = one.abs_error_bound, abs(one.value)
+    if bound <= _TARGET or bound <= 1e-13 * size or bound <= least * size:
+        return one
     try:
-        series = _series(regime, a, b, -1.0, alpha, cap)
+        two = second()
     except DomainError:
-        return route
-    return min(route, series, key=operator.attrgetter("abs_error_bound"))
+        return one
+    return min(one, two, key=lambda r: (r.abs_error_bound, r.method != "integral"))
 
 
 def _result(evaluate, *args) -> EvalResult:

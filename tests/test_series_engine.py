@@ -295,6 +295,7 @@ def test_non_finite_input_rejected(call, args, slot, bad):
     (lambda *p: eval_psi_general(SeriesParams(*p)), (2000000.5, 1.0, -0.5, 0.0)),
     (lambda *p: eval_psi_general(SeriesParams(*p)), (1e300, 1.0, -0.5, 0.0)),
     (eval_phi, (1.7e308, 1.0, 0.0)),
+    (eval_phi, (1000000.5, 1.0, 0.0)),
 ])
 def test_overflow_raises_domain_error(call, args):
     # the terms pass 1e308 before they cancel: finite sum, derivative head
@@ -308,9 +309,11 @@ def test_overflow_raises_domain_error(call, args):
     # two the quadrature integrand's log(d)^n does. In the last two the
     # loop's terms pass 1e308 and the integral route's step shrinks like
     # 1/a: a pass stops with DomainError once it has walked 10^5 nodes. The
-    # first cell takes that route too, at beta = -1. In the last, lgamma in
+    # first cell takes that route too, at beta = -1. In the next, lgamma in
     # the estimate that picks the route would pass 1e308: past a = 2^30 the
-    # head runs, and its terms pass 1e308
+    # head runs, and its terms pass 1e308. In the last the route, tried
+    # first at beta = -1, needs over 10^5 nodes, and the series after it
+    # overflows
     start = time.perf_counter()
     with pytest.raises(DomainError):
         call(*args)
@@ -568,7 +571,13 @@ def test_integral_route_refused_past_node_limit():
         got = eval_psi_general(SeriesParams(50.5, 1.0, -0.99, 0.5))
         with pytest.raises(DomainError, match="integral route needs more than"):
             eval_psi_general(SeriesParams(2000.5, 1.0, -0.9, 0.0))
+        series = eval_phi(50.5, 1.0, 0.0)
     assert got.method == "direct" and 0.1 < got.abs_error_bound < 0.2
+    # where the route runs first (beta = -1) and is refused, the series'
+    # result stands; where the series raises too, its error does
+    assert (series.method, series.terms_used) == ("direct", 180) and 0.7 < series.abs_error_bound < 0.8
+    with pytest.raises(DomainError, match="overflow double precision"):
+        eval_phi(1000000.5, 1.0, 0.0)
 
 
 def test_geometric_scalar_bound_counts_alpha_rounding():

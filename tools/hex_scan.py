@@ -8,17 +8,23 @@ A scan writes, for every cell, (value.hex, bound.hex, terms_used, method),
 or the error it raised, as one JSON line. The cells are every series
 candidate of perfbench's eval-light and eval-heavy pools at the size that
 BENCHMARK.json's run_seconds gives (perfbench is only read), then --cells
-seeded cells of each of three extra bands: "disc" (|beta| < 1, a third of
+seeded cells of each of four extra bands: "disc" (|beta| < 1, a third of
 them with 1 - |beta| in [1e-5, 0.05]), "unit" (beta = +-1) and "phida"
 (eval_phi_da_direct), with a in (-3, 60], integers included, b in
-[0.05, 50] and alpha in [0, 5]. --src imports ramaseries from another
-checkout's src, so that one copy of this tool scans both sides.
+[0.05, 50] and alpha in [0, 5]; and "cancel" (eval_phi at a in [2, 200],
+a fifth of them integers, b in [1e-4, 1e3] and alpha in {0, 1} or
+[0, 30]), where _head_cancels sends most cells to the integral route
+first and the series runs after it wherever the route misses the target.
+--src imports ramaseries from another checkout's src, so that one copy of
+this tool scans both sides.
 
 --diff prints how many cells differ in any of the four fields (or in the
 error), by band and by method on each side, and the first few of each
 group. With --ref it also scores each changed cell of B against
 perfbench/reference.py (mpmath): whether B's bound holds and meets the
-target max(1e-12, 1e-13 |value|), and whether A's met it.
+target max(1e-12, 1e-13 |value|), and whether A's met it. A terminating
+sum's reference is taken with a log10 2 more digits for each unit of a,
+since its terms reach about 2^a before they cancel.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def pool_cells():
 
 
 def seeded_cells(count: int, seed: int):
-    """(band, fn, args, None) of the seeded disc, unit and phida cells."""
+    """(band, fn, args, None) of the seeded disc, unit, phida and cancel cells."""
     rng = random.Random("hex_scan/%d" % seed)
 
     def a_b_alpha(least):
@@ -72,6 +78,10 @@ def seeded_cells(count: int, seed: int):
         a, b, n = a_b_alpha(-1.0)
         a = a if a > -0.99 else a + 2.0
         yield "phida", "eval_phi_da_direct", [a, b, int(n)], None
+    for _ in range(count):  # drawn last, so that every cell above keeps its seed
+        a = float(rng.randrange(2, 201)) if rng.random() < 0.2 else rng.uniform(2.0, 200.0)
+        b = math.exp(rng.uniform(math.log(1e-4), math.log(1e3)))
+        yield "cancel", "eval_phi", [a, b, rng.choice([0.0, 1.0, rng.uniform(0.0, 30.0)])], None
 
 
 def call(se, fn, args, cap):
@@ -116,6 +126,17 @@ def score(row, ref) -> tuple:
     return abs(value - ref) <= bound, bound <= max(1e-12, 1e-13 * abs(value))
 
 
+def reference_value(reference, fn: str, args):
+    """perfbench's reference, with enough digits for a terminating sum."""
+    digits = reference.DIGITS
+    if fn in reference.SERIES_FNS:
+        a = reference.series_args(fn, args)[0]
+        if a >= 0.0 and float(a).is_integer():
+            digits += math.ceil(a * math.log10(2.0)) + 10
+    with reference.mp.workdps(digits):
+        return reference.value(fn, args)
+
+
 def diff(path_a: str, path_b: str, with_ref: bool, shown: int) -> int:
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
@@ -139,7 +160,7 @@ def diff(path_a: str, path_b: str, with_ref: bool, shown: int) -> int:
         if with_ref:
             tally = collections.Counter()
             for key in keys:
-                ref = reference.value(a[key]["fn"], a[key]["args"])
+                ref = reference_value(reference, a[key]["fn"], a[key]["args"])
                 held_b, met_b = score(b[key], ref)
                 _, met_a = score(a[key], ref)
                 tally.update(held_b=held_b, met_b=met_b, met_a=met_a)
